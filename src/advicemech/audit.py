@@ -10,7 +10,17 @@ may declare a `signature` describing exactly which statistic of a reported
 dataset their output depends on; reports sharing a signature share an
 outcome and therefore a gain, so only one representative per signature is
 evaluated.  Every mechanism here is symmetric in a dataset's points and
-its signature claim is property-tested against raw enumeration.
+its signature claim is property-tested against raw enumeration.  pfa and
+lpfa use their per-agent projections as signatures, so an outcome-cache
+miss is one fit over the signature profile, with no reported instance
+built.
+
+Ratio loops (`MechanismFamily.frontier_row`, `error_interpolation_check`)
+compile each instance once per frontier row (`CompiledInstance`) and
+compute its signature profile and `brute_force_optimal_risk` once as
+well; `brute_force_optimal_risk` stays the independent check of the
+optimum.  A ratio query then costs one mechanism outcome (a cache lookup
+or one fit) plus one bisect.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .model import (
     REALS,
     AgentDataset,
     ClassMismatchError,
+    CompiledInstance,
     ConstantChoice,
     ConstantClass,
     Instance,
@@ -39,7 +50,16 @@ from .model import (
     expected_personal_risk,
     global_risk,
 )
-from .regression import PfaConfig
+from .regression import (
+    PfaConfig,
+    check_pfa_inputs,
+    confidence_weight,
+    linear_projection,
+    lpfa,
+    lpfa_fit,
+    pfa,
+    pfa_fit,
+)
 
 
 class SpaceTooLargeError(RuntimeError):
@@ -123,12 +143,18 @@ class AuditableMechanism:
     two reported datasets with equal signatures always produce the same
     mechanism outcome (holding everything else fixed).  Outcomes are cached
     keyed by the full signature profile.
+
+    `fit(cls, profile, advice)`, when given, computes the outcome from the
+    signature profile alone and must equal `fn` on any reported instance of
+    class `cls` with that profile, raising the same ClassMismatchError `fn`
+    raises; cache misses then skip building the reported instance.
     """
 
-    def __init__(self, fn, name: str, signature=None):
+    def __init__(self, fn, name: str, signature=None, fit=None):
         self.fn = fn
         self.name = name
         self._signature = signature
+        self._fit = fit
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
         self._risk_cache = {}
         self._group_cache = {}
@@ -152,6 +178,12 @@ class AuditableMechanism:
             return None
         return self._signature(xs, labels, cls)
 
+    def profile(self, instance: Instance) -> tuple:
+        """The signature of every agent's dataset (all None without a
+        signature)."""
+        cls = instance.function_class
+        return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
+
     def cache_view(self, cls) -> dict:
         view = self._cache.get(cls)
         if view is None:
@@ -163,25 +195,30 @@ class AuditableMechanism:
             return self.fn(instance, advice)
         cls = instance.function_class
         if profile is None:
-            profile = tuple(
-                self._signature(a.xs, a.labels, cls) for a in instance.agents
-            )
+            profile = self.profile(instance)
         return self.outcome_for(
-            self.cache_view(cls), profile, advice, lambda: instance
+            cls, self.cache_view(cls), profile, advice, lambda: instance
         )
 
-    def outcome_for(self, view, profile, advice, build):
-        """Cached outcome lookup in a class-specific cache view; `build`
-        materializes the reported instance only on a cache miss."""
+    def outcome_for(self, cls, view, profile, advice, build):
+        """Cached outcome lookup in the cache view of class `cls`; a miss is
+        filled by `fit` when the mechanism has one, otherwise by `fn` on the
+        instance `build` materializes."""
         if profile is None or self._signature is None:
             return self.fn(build(), advice)
         key = (profile, advice)
         try:
             return view[key]
         except KeyError:
-            out = self.fn(build(), advice)
+            out = self.fill(cls, profile, advice, build)
             view[key] = out
             return out
+
+    def fill(self, cls, profile, advice, build):
+        """The uncached outcome for a signature profile."""
+        if self._fit is not None:
+            return self._fit(cls, profile, advice)
+        return self.fn(build(), advice)
 
     def grouped_reports(self, space, agent, cls):
         """One representative report per signature class, or None when the
@@ -206,13 +243,17 @@ class AuditableMechanism:
 
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
-    from .regression import pfa
-
+    """pfa whose signature is the agent's projection (b_i, |S_i|), so a
+    cache miss is one fit over the profile."""
     cfg = PfaConfig(gamma, domain)
     memo = {}
 
     def fn(instance, advice):
         return pfa(cfg, instance, advice)
+
+    def fit(cls, profile, advice):
+        check_pfa_inputs(cfg, cls, advice)
+        return pfa_fit(cfg, profile, advice)
 
     def signature(xs, labels, cls):
         key = tuple(sorted(labels))
@@ -223,25 +264,26 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
             memo[key] = sig
         return sig
 
-    return AuditableMechanism(fn, f"pfa(gamma={gamma})", signature)
+    return AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit)
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
-    from .regression import lpfa
+    """lpfa whose signature is the agent's `linear_projection`, so a cache
+    miss is one fit over the profile."""
+    lam = confidence_weight(gamma)
 
     def fn(instance, advice):
         return lpfa(gamma, instance, advice)
 
     def signature(xs, labels, cls):
-        entries = tuple(
-            (exact_div(y, x), abs(x)) for x, y in zip(xs, labels) if x != 0
-        )
-        if not entries:
-            return ("slope-invisible",)
-        sample = WeightedSample(entries)
-        return (erm_constant(REALS, sample), sample.total_weight)
+        return linear_projection(xs, labels)
 
-    return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature)
+    def fit(cls, profile, advice):
+        if not isinstance(cls, LinearClass):
+            raise ClassMismatchError("linear-class instance required")
+        return lpfa_fit(lam, profile, advice)
+
+    return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
 
 
 def mean_mechanism() -> AuditableMechanism:
@@ -360,9 +402,7 @@ def check_strategyproof(
     if budget > EVALUATION_BUDGET and not force:
         raise SpaceTooLargeError(f"{budget} candidate evaluations exceed the budget")
     cls = instance.function_class
-    base_profile = tuple(
-        mechanism.signature(a.xs, a.labels, cls) for a in instance.agents
-    )
+    base_profile = mechanism.profile(instance)
     base = mechanism.outcome(instance, advice, profile=base_profile)
     local_risks = {}
     alive = [base]  # id-keyed memo below: outcomes must stay alive
@@ -392,7 +432,7 @@ def check_strategyproof(
         for sig, labels in candidates:
             profile = None if sig is None else prefix + (sig,) + suffix
             out = mechanism.outcome_for(
-                view, profile, advice,
+                cls, view, profile, advice,
                 lambda: instance.with_agent_labels(i, labels),
             )
             if out is base or out == base:
@@ -407,6 +447,12 @@ def check_strategyproof(
                     Violation((i,), (labels,), (before,), (after,), gain)
                 )
     return AuditReport(tuple(violations), max_gain, checked)
+
+
+def _joint_report(instance: Instance, coalition, joint) -> Instance:
+    for i, (_, labels) in zip(coalition, joint):
+        instance = instance.with_agent_labels(i, labels)
+    return instance
 
 
 def check_group_strategyproof(
@@ -429,9 +475,7 @@ def check_group_strategyproof(
     if budget > EVALUATION_BUDGET and not force:
         raise SpaceTooLargeError(f"{budget} candidate evaluations exceed the budget")
     cls = instance.function_class
-    base_profile = tuple(
-        mechanism.signature(a.xs, a.labels, cls) for a in instance.agents
-    )
+    base_profile = mechanism.profile(instance)
     base = mechanism.outcome(instance, advice, profile=base_profile)
     local_risks = {}
     alive = [base]  # id-keyed memo below: outcomes must stay alive
@@ -454,7 +498,6 @@ def check_group_strategyproof(
     view = mechanism.cache_view(cls)
     have_sigs = mechanism._signature is not None
     view_get = view.get
-    fn = mechanism.fn
     violations = []
     max_gain = 0
     checked = 0
@@ -468,21 +511,20 @@ def check_group_strategyproof(
                 joint_count *= counts[i]
             checked += joint_count
             for joint in product(*(grouped[i] for i in coalition)):
-                out = None
-                key = None
                 if have_sigs:
                     profile = list(base_profile)
                     for i, (sig, _) in zip(coalition, joint):
                         profile[i] = sig
-                    key = (tuple(profile), advice)
+                    profile = tuple(profile)
+                    key = (profile, advice)
                     out = view_get(key)
-                if out is None:
-                    deviant = instance
-                    for i, (_, labels) in zip(coalition, joint):
-                        deviant = deviant.with_agent_labels(i, labels)
-                    out = fn(deviant, advice)
-                    if key is not None:
-                        view[key] = out
+                    if out is None:
+                        out = view[key] = mechanism.fill(
+                            cls, profile, advice,
+                            lambda: _joint_report(instance, coalition, joint),
+                        )
+                else:
+                    out = mechanism.fn(_joint_report(instance, coalition, joint), advice)
                 if out is base or out == base:
                     continue  # unchanged outcome, all gains exactly zero
                 alive.append(out)
@@ -560,19 +602,44 @@ def optimal_functions(instance: Instance) -> tuple:
     raise TypeError(f"unknown function class {cls!r}")
 
 
-def approximation_ratio(mechanism, instance: Instance, advice) -> Real:
-    """Mechanism risk (expected, for lotteries) over the brute-force optimum.
-    Both zero gives 1; zero optimum with positive mechanism risk gives inf."""
-    out = (
-        mechanism.outcome(instance, advice)
-        if isinstance(mechanism, AuditableMechanism)
-        else mechanism(instance, advice)
-    )
-    achieved = global_risk(out, instance)
-    best = brute_force_optimal_risk(instance)
+def risk_ratio(achieved: Real, best: Real) -> Real:
+    """achieved/best.  Both zero gives 1; a zero optimum with positive
+    achieved risk gives inf."""
     if best == 0:
         return 1 if achieved == 0 else INF
     return exact_div(achieved, best)
+
+
+def ratio_queries(mechanism, instance: Instance):
+    """advice -> approximation ratio of `mechanism` on `instance`.
+
+    The instance is compiled, the mechanism's signature profile computed
+    and `brute_force_optimal_risk` run once, here; each query is then one
+    mechanism outcome (a cache lookup or one fit) and one O(log N) risk.
+    Nothing outlives the returned function.
+    """
+    compiled = CompiledInstance(instance)
+    best = brute_force_optimal_risk(instance)
+    if isinstance(mechanism, AuditableMechanism):
+        profile = mechanism.profile(instance)
+
+        def outcome(advice):
+            return mechanism.outcome(instance, advice, profile)
+    else:
+
+        def outcome(advice):
+            return mechanism(instance, advice)
+
+    def ratio(advice):
+        return risk_ratio(compiled.risk(outcome(advice)), best)
+
+    return ratio
+
+
+def approximation_ratio(mechanism, instance: Instance, advice) -> Real:
+    """Mechanism risk (expected, for lotteries) over the brute-force optimum,
+    by the `risk_ratio` conventions."""
+    return ratio_queries(mechanism, instance)(advice)
 
 
 def advice_grid(instance: Instance, points: int = 21) -> tuple:
@@ -624,14 +691,11 @@ class MechanismFamily:
         consistency = 0
         robustness = 0
         for instance in corpus:
+            ratio = ratio_queries(mech, instance)
             for advice in optimal_functions(instance):
-                consistency = max(
-                    consistency, approximation_ratio(mech, instance, advice)
-                )
+                consistency = max(consistency, ratio(advice))
             for advice in advice_grid(instance, grid_points):
-                robustness = max(
-                    robustness, approximation_ratio(mech, instance, advice)
-                )
+                robustness = max(robustness, ratio(advice))
         bc = self.consistency_bound(gamma)
         br = self.robustness_bound(gamma)
         ok = consistency <= bc + tolerance and robustness <= br + tolerance
@@ -648,18 +712,12 @@ def consistency_robustness_sweep(
     ]
 
 
-def _frac_div(num, gamma):
-    if isinstance(gamma, float):
-        return num / gamma
-    return Fraction(num) / Fraction(gamma)
-
-
 def pfa_family(domain: ValueDomain = REALS) -> MechanismFamily:
     return MechanismFamily(
         "pfa",
         lambda g: pfa_mechanism(g, domain),
         lambda g: 1 + g,
-        lambda g: 1 + _frac_div(4, g),
+        lambda g: 1 + exact_div(4, g),
     )
 
 
@@ -668,7 +726,7 @@ def lpfa_family() -> MechanismFamily:
         "lpfa",
         lpfa_mechanism,
         lambda g: 1 + g,
-        lambda g: 1 + _frac_div(4, g),
+        lambda g: 1 + exact_div(4, g),
     )
 
 
@@ -677,7 +735,7 @@ def srda_family() -> MechanismFamily:
         "srda",
         srda_mechanism,
         lambda g: 1 + g,
-        lambda g: 1 + _frac_div(1, g),
+        lambda g: 1 + exact_div(1, g),
     )
 
 
@@ -686,7 +744,7 @@ def pfa_two_labeling_family() -> MechanismFamily:
         "pfa-two-labeling",
         pfa_two_labeling_mechanism,
         lambda g: 1 + g,
-        lambda g: 1 + _frac_div(4, g),
+        lambda g: 1 + exact_div(4, g),
     )
 
 
@@ -695,7 +753,7 @@ def srda_two_labeling_family() -> MechanismFamily:
         "srda-two-labeling",
         srda_two_labeling_mechanism,
         lambda g: 1 + g,
-        lambda g: 1 + _frac_div(1, g),
+        lambda g: 1 + exact_div(1, g),
     )
 
 
@@ -718,7 +776,7 @@ def error_interpolation_check(
     data, which is what the constant mechanism actually faces.
     """
     rows = []
-    robust_cap = 1 + _frac_div(4, gamma)
+    robust_cap = 1 + exact_div(4, gamma)
     if linear:
         from .model import weighted_median_bounds
         from .regression import map_to_constant_instance
@@ -739,7 +797,7 @@ def error_interpolation_check(
             interval, finite_opt = opt, None
         else:
             interval, finite_opt = None, opt
-    best_global = brute_force_optimal_risk(instance)
+    ratio = ratio_queries(mech, instance)
     for advice in advice_values:
         if interval is not None:
             lo, hi = interval
@@ -750,13 +808,7 @@ def error_interpolation_check(
             eta = 0 if dist == 0 else INF
         else:
             eta = exact_div(dist, opt_risk)
-        achieved = global_risk(mech(instance, advice), instance)
-        if best_global == 0:
-            ratio = 1 if achieved == 0 else INF
-        else:
-            ratio = exact_div(achieved, best_global)
+        r = ratio(advice)
         bound = min(robust_cap, 1 + gamma + eta) if eta != INF else robust_cap
-        rows.append(
-            InterpolationRow(advice, eta, ratio, bound, ratio <= bound + tolerance)
-        )
+        rows.append(InterpolationRow(advice, eta, r, bound, r <= bound + tolerance))
     return rows

@@ -34,7 +34,6 @@ from .model import (
     LabelingsClass,
     LinearChoice,
     LinearClass,
-    exact_div,
     global_risk,
 )
 from .regression import DegenerateLinearInstance
@@ -57,8 +56,22 @@ FAMILIES = {
 }
 
 
+def _parse_gamma(tok):
+    """One gamma in the paper's range (0, 2]; anything else is a parse error."""
+    try:
+        gamma = Fraction(tok.strip())
+    except (ValueError, ZeroDivisionError):
+        raise InstanceParseError(f"gamma {tok!r} is not a number") from None
+    if not 0 < gamma <= 2:
+        raise InstanceParseError(f"gamma {tok.strip()} lies outside (0, 2]")
+    return gamma
+
+
 def _parse_gamma_list(raw):
-    return [Fraction(tok) for tok in str(raw).split(",") if tok]
+    gammas = [_parse_gamma(tok) for tok in str(raw).split(",") if tok.strip()]
+    if not gammas:
+        raise InstanceParseError(f"gamma list {raw!r} is empty")
+    return gammas
 
 
 def _parse_advice(raw, instance):
@@ -115,7 +128,7 @@ def _emit(out, key, value):
 
 def cmd_run(args, out, err) -> int:
     instance = load_instance(args.instance)
-    gamma = Fraction(args.gamma)
+    gamma = _parse_gamma(str(args.gamma))
     advice = _parse_advice(args.advice, instance)
     if args.mechanism == "lpfa" and isinstance(instance.function_class, LinearClass):
         if all(p.x == 0 for a in instance.agents for p in a.points):
@@ -126,9 +139,7 @@ def cmd_run(args, out, err) -> int:
     outcome = mech(instance, advice)
     achieved = global_risk(outcome, instance)
     best = audit_mod.brute_force_optimal_risk(instance)
-    ratio = 1 if best == 0 and achieved == 0 else (
-        float("inf") if best == 0 else exact_div(achieved, best)
-    )
+    ratio = audit_mod.risk_ratio(achieved, best)
     _emit(out, "mechanism", args.mechanism)
     _emit(out, "gamma", format_number(gamma))
     _emit(out, "advice", args.advice)
@@ -166,6 +177,8 @@ def _space(raw, instance, advice):
     if raw == "projected":
         return audit_mod.ProjectedConstant.for_instance(instance, advice)
     if raw == "binary":
+        if not isinstance(instance.function_class, LabelingsClass):
+            raise ClassMismatchError("--space binary needs a labeling instance")
         return audit_mod.AllBinaryVectors(instance.function_class.num_points)
     if raw.startswith("grid:"):
         levels = tuple(parse_number(tok) for tok in raw[5:].split(","))

@@ -503,6 +503,86 @@ def global_risk(f, instance: Instance) -> Real:
     return exact_div(total, instance.total_points)
 
 
+def mapped_entries(xs, labels):
+    """The homogeneous-linear mapping of one dataset: each point (x, y) with
+    x != 0 becomes the value y/x of weight |x|, since
+    |a*x - y| = |x| * |a - y/x|; the x = 0 points add |y| to a fixed
+    offset.  Returns (entries, offset)."""
+    entries = []
+    offset = 0
+    for x, y in zip(xs, labels):
+        if x == 0:
+            offset += abs(y)
+        else:
+            entries.append((exact_div(y, x), abs(x)))
+    return tuple(entries), offset
+
+
+def _is_exact(v) -> bool:
+    return not isinstance(v, float)
+
+
+class CompiledInstance:
+    """One instance prepared for many exact `global_risk` queries.
+
+    Constant class: the labels, sorted, each of weight 1.  Linear class:
+    the `mapped_entries` of every agent, sorted, plus their offset.  With
+    prefix sums W_k of weight and V_k of weight*value over the sorted
+    values, the loss of a is a*W_k - V_k + (V - V_k) - a*(W - W_k) for
+    k = bisect_right(values, a): one bisect per query instead of a scan of
+    every point.  The prefix form is exact only on rationals, so an
+    instance or a query with a float in it is answered by `global_risk`
+    itself.  Labelings class: one risk per labeling, computed up front;
+    lotteries use the closed form, as in `global_risk`.
+    """
+
+    def __init__(self, instance: Instance):
+        cls = instance.function_class
+        self.instance = instance
+        self.function_class = cls
+        self.size = instance.total_points
+        self.labeling_risks = None
+        self.values = None
+        if isinstance(cls, LabelingsClass):
+            self.labeling_risks = tuple(
+                global_risk(i, instance) for i in range(len(cls.labelings))
+            )
+            return
+        if not isinstance(cls, (ConstantClass, LinearClass)):
+            raise ClassMismatchError(f"unknown function class {cls!r}")
+        points = [p for agent in instance.agents for p in agent.points]
+        if not all(_is_exact(p.y) and _is_exact(p.x) for p in points):
+            return
+        if isinstance(cls, ConstantClass):
+            pairs, offset = [(p.y, 1) for p in points], 0
+        else:
+            pairs, offset = mapped_entries([p.x for p in points], [p.y for p in points])
+            pairs = list(pairs)
+        pairs.sort(key=lambda pair: pair[0])
+        self.offset = offset
+        self.values = [v for v, _ in pairs]
+        self.weight_prefix = weights = [0]
+        self.value_prefix = sums = [0]
+        for v, w in pairs:
+            weights.append(weights[-1] + w)
+            sums.append(sums[-1] + w * v)
+
+    def risk(self, f) -> Real:
+        """Exactly `global_risk(f, instance)`; lotteries in closed form."""
+        if isinstance(f, LabelingLottery):
+            return sum(p * self.risk(i) for i, p in f.branches if p != 0)
+        a = _bare_function(f, self.function_class)
+        if self.labeling_risks is not None:
+            return self.labeling_risks[a]
+        if self.values is None or not _is_exact(a):
+            return global_risk(a, self.instance)
+        k = bisect_right(self.values, a)
+        w_k, v_k = self.weight_prefix[k], self.value_prefix[k]
+        w, v = self.weight_prefix[-1], self.value_prefix[-1]
+        total = a * w_k - v_k + (v - v_k) - a * (w - w_k)
+        return exact_div(total + self.offset, self.size)
+
+
 def augmented_risk(a: Real, instance: Instance, advice: Real, lam: Real) -> Real:
     """Risk of the constant a on the instance augmented with lam*|S| advice
     copies (a fractional copy count is allowed)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (
     REALS,
@@ -26,6 +27,7 @@ from .model import (
     ValueDomain,
     WeightedSample,
     erm_constant,
+    mapped_entries,
     weighted_median_bounds,
 )
 from .model import INF, exact_div
@@ -35,15 +37,10 @@ class DegenerateLinearInstance(InvalidInstanceError):
     """Every slope fits equally well: all input x values are zero."""
 
 
-def _exact_div(y: Real, x: Real) -> Real:
-    """y/x, kept rational when both operands are rational."""
-    return exact_div(y, x)
-
-
 def confidence_weight(gamma: Real) -> Real:
     """The advice copy factor lambda = (2 - gamma) / (2 + gamma)."""
-    if not 0 <= gamma <= 2:
-        raise ValueError("gamma must lie in [0, 2]")
+    if not 0 < gamma <= 2:
+        raise ValueError("gamma must lie in (0, 2]")
     if isinstance(gamma, float):
         return (2 - gamma) / (2 + gamma)
     return Fraction(2 - Fraction(gamma), 2 + Fraction(gamma))
@@ -62,7 +59,7 @@ class PfaConfig:
     def __post_init__(self):
         confidence_weight(self.gamma)  # validates the range
 
-    @property
+    @cached_property
     def lam(self) -> Real:
         return confidence_weight(self.gamma)
 
@@ -72,6 +69,26 @@ def agent_projection(domain: ValueDomain, agent: AgentDataset) -> Real:
     return erm_constant(domain, WeightedSample.from_values(agent.labels))
 
 
+def check_pfa_inputs(cfg: PfaConfig, cls, advice: Real) -> None:
+    """Raise ClassMismatchError unless pfa with `cfg` accepts an instance of
+    class `cls` and the advice."""
+    if not isinstance(cls, ConstantClass) or cls.domain != cfg.domain:
+        raise ClassMismatchError("instance domain does not match the mechanism")
+    if advice not in cfg.domain:
+        raise ClassMismatchError(f"advice {advice!r} lies outside the value domain")
+
+
+def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
+    """The fit step of pfa: the weighted median (largest tie-break) of the
+    per-agent projections (b_i, |S_i|) plus the advice with weight
+    lam * |S|.  Inputs are assumed checked by `check_pfa_inputs`."""
+    entries = list(projections)
+    advice_weight = cfg.lam * sum(size for _, size in entries)
+    if advice_weight > 0:
+        entries.append((advice, advice_weight))
+    return ConstantChoice(erm_constant(cfg.domain, WeightedSample(tuple(entries))))
+
+
 def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:
     """Project-and-fit with advice over constant functions.
 
@@ -79,18 +96,12 @@ def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:
     the advice enters with weight lam * |S| and the weighted median of the
     result (largest tie-break) is returned.
     """
-    cls = instance.function_class
-    if not isinstance(cls, ConstantClass) or cls.domain != cfg.domain:
-        raise ClassMismatchError("instance domain does not match the mechanism")
-    if advice not in cfg.domain:
-        raise ClassMismatchError(f"advice {advice!r} lies outside the value domain")
-    entries = [
-        (agent_projection(cfg.domain, agent), len(agent)) for agent in instance.agents
-    ]
-    advice_weight = cfg.lam * instance.total_points
-    if advice_weight > 0:
-        entries.append((advice, advice_weight))
-    return ConstantChoice(erm_constant(cfg.domain, WeightedSample(tuple(entries))))
+    check_pfa_inputs(cfg, instance.function_class, advice)
+    return pfa_fit(
+        cfg,
+        [(agent_projection(cfg.domain, agent), len(agent)) for agent in instance.agents],
+        advice,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +158,45 @@ def map_to_constant_instance(instance: Instance) -> MappedLinearInstance:
     offset_sum = 0
     total_weight = 0
     for agent in instance.agents:
-        entries = []
-        for p in agent.points:
-            if p.x == 0:
-                offset_sum += abs(p.y)
-            else:
-                entries.append((_exact_div(p.y, p.x), abs(p.x)))
-                total_weight += abs(p.x)
-        samples.append(WeightedSample(tuple(entries)) if entries else None)
+        entries, offset = mapped_entries(agent.xs, agent.labels)
+        offset_sum += offset
+        total_weight += sum(w for _, w in entries)
+        samples.append(WeightedSample(entries) if entries else None)
     if total_weight == 0:
         raise DegenerateLinearInstance("all x values are zero; every slope is optimal")
     size = instance.total_points
     return MappedLinearInstance(
         tuple(samples), exact_div(offset_sum, size), total_weight, size
     )
+
+
+SLOPE_INVISIBLE = ("slope-invisible",)
+
+
+def linear_projection(xs, labels):
+    """An agent's projection for lpfa: the weighted median (largest
+    tie-break) of its y/x values with |x| weights, and its total |x|.
+    SLOPE_INVISIBLE for an agent whose x values are all zero: it cannot
+    move the slope."""
+    entries, _ = mapped_entries(xs, labels)
+    if not entries:
+        return SLOPE_INVISIBLE
+    sample = WeightedSample(entries)
+    return erm_constant(REALS, sample), sample.total_weight
+
+
+def lpfa_fit(lam: Real, projections, advice_slope: Real) -> LinearChoice:
+    """The fit step of lpfa from the agents' `linear_projection`s, with
+    advice copy factor `lam`; slope-invisible agents are skipped.  With
+    every agent slope-invisible all x are zero, every slope is optimal, and
+    the advice slope is returned."""
+    entries = [proj for proj in projections if proj != SLOPE_INVISIBLE]
+    if not entries:
+        return LinearChoice(advice_slope)
+    advice_weight = lam * sum(weight for _, weight in entries)
+    if advice_weight > 0:
+        entries.append((advice_slope, advice_weight))
+    return LinearChoice(erm_constant(REALS, WeightedSample(tuple(entries))))
 
 
 def lpfa(gamma: Real, instance: Instance, advice_slope: Real) -> LinearChoice:
@@ -174,20 +210,13 @@ def lpfa(gamma: Real, instance: Instance, advice_slope: Real) -> LinearChoice:
     x = 0) returns the advice slope: every slope is optimal there.
     """
     lam = confidence_weight(gamma)
-    try:
-        mapped = map_to_constant_instance(instance)
-    except DegenerateLinearInstance:
-        return LinearChoice(advice_slope)
-    entries = []
-    for sample in mapped.agent_samples:
-        if sample is None:
-            continue
-        b = erm_constant(REALS, sample)
-        entries.append((b, sample.total_weight))
-    advice_weight = lam * mapped.total_mapped_weight
-    if advice_weight > 0:
-        entries.append((advice_slope, advice_weight))
-    return LinearChoice(erm_constant(REALS, WeightedSample(tuple(entries))))
+    if not isinstance(instance.function_class, LinearClass):
+        raise ClassMismatchError("linear-class instance required")
+    return lpfa_fit(
+        lam,
+        [linear_projection(agent.xs, agent.labels) for agent in instance.agents],
+        advice_slope,
+    )
 
 
 def optimal_slope_set(instance: Instance):

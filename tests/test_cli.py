@@ -145,6 +145,35 @@ def test_run_degenerate_linear_exits_4(tmp_path):
     assert "zero" in err
 
 
+@pytest.mark.parametrize(
+    "command, gamma",
+    [
+        ("run", "0"),
+        ("run", "abc"),
+        ("run", "3"),
+        ("run", "1/0"),
+        ("sweep", "0"),
+        ("sweep", "abc"),
+        ("sweep", "1,-1/2"),
+        ("sweep", ","),
+        ("audit", "0"),
+        ("audit", "1/2,5/2"),
+    ],
+)
+def test_bad_gamma_is_a_parse_error(tmp_path, command, gamma):
+    path = write(tmp_path, "inst.json", constant_instance([[0], [1]]))
+    extra = {
+        "run": ["--advice", "0"],
+        "sweep": [],
+        "audit": ["--advice", "0", "--space", "grid:0,1"],
+    }[command]
+    code, out, err = run_cli(command, path, "--mechanism", "pfa", "--gamma", gamma, *extra)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "gamma" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -230,6 +259,16 @@ def test_audit_corpus_directory(tmp_path):
     )
     assert code == 0
     assert kv(out)["instances"] == "2"
+
+
+def test_audit_binary_space_on_constant_instance_exits_3(tmp_path):
+    path = write(tmp_path, "inst.json", constant_instance([[0], [1]]))
+    code, out, err = run_cli(
+        "audit", path, "--mechanism", "pfa", "--advice", "0", "--space", "binary"
+    )
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_corpus_manifest_restricts_and_orders(tmp_path):

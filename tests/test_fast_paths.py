@@ -1,0 +1,292 @@
+"""The fast paths against the plain ones they replace in the ratio loop and
+the audits: `CompiledInstance.risk` against `global_risk`, and the
+fit-from-profile outcome of pfa/lpfa mechanisms against `pfa`/`lpfa` run
+on the reported instance."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advicemech import (
+    REALS,
+    ClassMismatchError,
+    ConstantChoice,
+    GridLabels,
+    LabelingChoice,
+    LabelingLottery,
+    LinearChoice,
+    PfaConfig,
+    ValueDomain,
+    advice_grid,
+    approximation_ratio,
+    check_group_strategyproof,
+    check_strategyproof,
+    constant_instance,
+    error_interpolation_check,
+    gen_S,
+    gen_S_final,
+    gen_S_linear,
+    global_risk,
+    linear_instance,
+    lpfa,
+    lpfa_family,
+    lpfa_mechanism,
+    pfa,
+    pfa_family,
+    pfa_mechanism,
+    shared_binary_instance,
+)
+from advicemech.model import CompiledInstance
+
+EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 4))
+xs_with_zero = st.builds(F, st.integers(-8, 8), st.integers(1, 3))
+
+
+def label_lists(values, max_agents=5, max_points=5):
+    return st.lists(
+        st.lists(values, min_size=1, max_size=max_points), min_size=1, max_size=max_agents
+    )
+
+
+def assert_compiled_matches(instance, queries):
+    compiled = CompiledInstance(instance)
+    for f in queries:
+        assert compiled.risk(f) == global_risk(f, instance), f
+
+
+def constant_queries(instance, extra=()):
+    labels = instance.all_labels()
+    lo, hi = min(labels), max(labels)
+    out = list(labels) + [lo - 1, hi + 1, F(lo + hi) / 2, F(1, 3), *extra]
+    return out + [ConstantChoice(v) for v in out[:3]]
+
+
+# ---------------------------------------------------------------------------
+# compiled risk == global_risk, exactly
+# ---------------------------------------------------------------------------
+
+
+@EXAMPLES
+@given(label_lists(rationals), st.lists(rationals, max_size=4))
+def test_compiled_constant_reals(label_lists_, probes):
+    inst = constant_instance(label_lists_)
+    assert_compiled_matches(inst, constant_queries(inst, probes))
+
+
+@EXAMPLES
+@given(
+    label_lists(st.integers(-6, 6)),
+    st.sets(st.integers(-8, 8), min_size=1, max_size=5),
+)
+def test_compiled_constant_finite_domain(label_lists_, domain_values):
+    domain = ValueDomain.finite(domain_values)
+    inst = constant_instance(label_lists_, domain)
+    assert_compiled_matches(inst, constant_queries(inst, domain.values))
+
+
+@EXAMPLES
+@given(
+    label_lists(st.tuples(xs_with_zero, rationals)),
+    st.lists(rationals, max_size=4),
+)
+def test_compiled_linear_with_negative_and_zero_x(pair_lists, probes):
+    inst = linear_instance(pair_lists)
+    slopes = [y / x for a in inst.agents for x, y in zip(a.xs, a.labels) if x != 0]
+    queries = slopes + list(probes) + [0, F(-7, 2)]
+    assert_compiled_matches(inst, queries + [LinearChoice(s) for s in queries[:3]])
+
+
+@EXAMPLES
+@given(st.data())
+def test_compiled_labelings_with_lotteries(data):
+    m = data.draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(0, 1)] * m)
+    menu = data.draw(st.lists(vector, min_size=2, max_size=4, unique=True))
+    vectors = data.draw(st.lists(vector, min_size=1, max_size=5))
+    inst = shared_binary_instance(vectors, menu)
+    weights = data.draw(
+        st.lists(st.integers(0, 6), min_size=len(menu), max_size=len(menu)).filter(any)
+    )
+    lottery = LabelingLottery(
+        tuple((i, F(w, sum(weights))) for i, w in enumerate(weights))
+    )
+    queries = list(range(len(menu))) + [LabelingChoice(0), lottery]
+    assert_compiled_matches(inst, queries)
+
+
+def test_compiled_seeded_hard_instances():
+    for inst in [gen_S(4, 2, 3, 7), gen_S(3, 1, 4, -4), gen_S_final(6, 2, 6, 50)]:
+        assert_compiled_matches(inst, constant_queries(inst, advice_grid(inst, 21)))
+    lin = gen_S_linear(5, 2, 3, 3)
+    assert_compiled_matches(lin, advice_grid(lin, 21))
+    rng = random.Random(7)
+    for _ in range(50):
+        pairs = [
+            [(F(rng.randint(-4, 4), 2), F(rng.randint(-9, 9), 3)) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 4))
+        ]
+        inst = linear_instance(pairs)
+        assert_compiled_matches(inst, [F(rng.randint(-20, 20), 6) for _ in range(10)])
+
+
+def test_compiled_rejects_foreign_outcomes():
+    compiled = CompiledInstance(constant_instance([[0, 1]]))
+    with pytest.raises(ClassMismatchError):
+        compiled.risk(LinearChoice(1))
+    labeled = CompiledInstance(shared_binary_instance([(0, 1)]))
+    with pytest.raises(ClassMismatchError):
+        labeled.risk(LabelingChoice(2))
+
+
+@EXAMPLES
+@given(
+    label_lists(st.floats(-1000, 1000, allow_nan=False)),
+    st.lists(st.floats(-1000, 1000, allow_nan=False), min_size=1, max_size=4),
+)
+def test_compiled_float_labels_match_global_risk(label_lists_, probes):
+    inst = constant_instance(label_lists_)
+    compiled = CompiledInstance(inst)
+    for a in list(inst.all_labels()) + probes:
+        assert compiled.risk(a) == global_risk(a, inst)
+    lin = linear_instance(
+        [[(y / 7 + 0.5, -y) for y in labels] for labels in label_lists_]
+    )
+    compiled = CompiledInstance(lin)
+    for a in probes:
+        assert compiled.risk(a) == global_risk(a, lin)
+
+
+def test_float_query_on_exact_instance_matches_global_risk():
+    inst = constant_instance([[0, F(1, 3)], [1]])
+    lin = linear_instance([[(3, 1), (0, 2)], [(-1, F(1, 3))]])
+    for a in (0.1, F(1, 3) + 0.0, 1e-17, -2.5):
+        assert CompiledInstance(inst).risk(a) == global_risk(a, inst)
+        assert CompiledInstance(lin).risk(a) == global_risk(a, lin)
+
+
+def test_unanimous_float_labels_keep_ratio_one():
+    # ten labels of 0.1: a prefix sum in floats ends at 0.9999999999999999,
+    # which would give the optimal constant a risk of about 1e-17 and a
+    # zero optimum an infinite ratio
+    inst = constant_instance([[0.1] * 5, [0.1] * 5])
+    assert CompiledInstance(inst).risk(0.1) == 0
+    assert approximation_ratio(pfa_mechanism(1), inst, 0.1) == 1
+    row = pfa_family().frontier_row(1, [inst])
+    assert row.consistency == 1 and row.ok
+    rows = error_interpolation_check(1, inst, [0.1, 0.5, 1000.0])
+    assert [(r.ratio, r.ok) for r in rows] == [(1, True)] * 3
+    lin = linear_instance([[(2.0, 0.2)] * 5, [(1.0, 0.1)] * 5])
+    row = lpfa_family().frontier_row(1, [lin])
+    assert row.consistency == 1 and row.ok
+
+
+# ---------------------------------------------------------------------------
+# fit from the signature profile == the plain mechanism on the reported data
+# ---------------------------------------------------------------------------
+
+
+def every_misreport(instance, levels):
+    """Each instance reachable by one agent relabeling its points from the
+    grid, the truthful one included."""
+    space = GridLabels(levels)
+    yield instance
+    for i, agent in enumerate(instance.agents):
+        for labels in space.reports(agent):
+            yield instance.with_agent_labels(i, labels)
+
+
+def assert_fit_matches(mech, plain, instance, advices, levels):
+    cls = instance.function_class
+    for reported in every_misreport(instance, levels):
+        profile = mech.profile(reported)
+        for advice in advices:
+            expected = plain(reported, advice)
+            assert mech.fill(cls, profile, advice, None) == expected
+            assert mech.outcome(reported, advice) == expected
+
+
+@pytest.mark.parametrize("gamma", [F(1, 4), F(2, 3), 1, 2])
+def test_pfa_fit_matches_pfa_on_every_misreport(gamma):
+    rng = random.Random(11)
+    levels = (-1, 0, F(1, 2), 2)
+    for domain in (REALS, ValueDomain.finite((-1, 0, 2))):
+        mech = pfa_mechanism(gamma, domain)
+        cfg = PfaConfig(gamma, domain)
+        advices = (-1, 0, 2) if domain.values else (-1, F(1, 3), 2)
+        for _ in range(6):
+            inst = constant_instance(
+                [[rng.choice((-1, 0, 2)) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))],
+                domain,
+            )
+            assert_fit_matches(
+                mech, lambda reported, advice: pfa(cfg, reported, advice), inst, advices, levels
+            )
+
+
+@pytest.mark.parametrize("gamma", [F(1, 4), 1, 2])
+def test_lpfa_fit_matches_lpfa_on_every_misreport(gamma):
+    rng = random.Random(12)
+    levels = (-2, 0, F(1, 2), 3)
+    mech = lpfa_mechanism(gamma)
+    corpus = [
+        linear_instance([[(0, 1), (0, -2)], [(0, 5)]]),  # every agent slope-invisible
+        linear_instance([[(0, 1), (0, 3)], [(2, 1)], [(-1, 2), (0, 1)]]),
+    ]
+    for _ in range(5):
+        corpus.append(
+            linear_instance(
+                [
+                    [(rng.choice((-2, -1, 0, 1, 3)), rng.choice(levels)) for _ in range(rng.randint(1, 3))]
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+        )
+    for inst in corpus:
+        assert_fit_matches(
+            mech, lambda reported, advice: lpfa(gamma, reported, advice),
+            inst, (F(-3, 2), 0, 2), levels,
+        )
+
+
+def test_lpfa_fit_on_all_zero_x_returns_advice():
+    inst = linear_instance([[(0, 1)], [(0, 4)]])
+    mech = lpfa_mechanism(1)
+    assert mech.outcome(inst, F(7, 3)) == LinearChoice(F(7, 3)) == lpfa(1, inst, F(7, 3))
+
+
+# ---------------------------------------------------------------------------
+# the fit path keeps every ClassMismatchError of the plain path
+# ---------------------------------------------------------------------------
+
+BINARY = ValueDomain.finite((0, 1))
+
+
+@pytest.mark.parametrize(
+    "mech, instance, advice",
+    [
+        (pfa_mechanism(1), linear_instance([[(1, 2)], [(2, 1)]]), 1),
+        (pfa_mechanism(1), constant_instance([[0], [1]], BINARY), 1),
+        (pfa_mechanism(1, BINARY), constant_instance([[0], [1]]), 1),
+        (pfa_mechanism(1, BINARY), constant_instance([[0], [1]], BINARY), F(1, 2)),
+        (pfa_mechanism(1), shared_binary_instance([(0, 1), (1, 1)]), 1),
+        (lpfa_mechanism(1), constant_instance([[0], [1]]), 1),
+    ],
+    ids=["pfa-linear", "pfa-reals-on-binary", "pfa-binary-on-reals", "pfa-advice-outside",
+         "pfa-labelings", "lpfa-constant"],
+)
+def test_fit_path_keeps_class_checks(mech, instance, advice):
+    with pytest.raises(ClassMismatchError):
+        mech.fn(instance, advice)
+    for _ in range(2):  # a second call must not be answered from the cache
+        with pytest.raises(ClassMismatchError):
+            mech.outcome(instance, advice)
+    space = GridLabels((0, 1))
+    with pytest.raises(ClassMismatchError):
+        check_strategyproof(mech, instance, advice, space)
+    with pytest.raises(ClassMismatchError):
+        check_group_strategyproof(mech, instance, advice, space, 2)

@@ -22,8 +22,10 @@ from advicemech import (
     global_risk,
     linear_instance,
     lpfa,
+    lpfa_mechanism,
     map_to_constant_instance,
     pfa,
+    pfa_mechanism,
 )
 
 
@@ -110,6 +112,17 @@ def test_pfa_gamma_range_validated():
         PfaConfig(F(5, 2))
     with pytest.raises(ValueError):
         PfaConfig(-1)
+    for gamma in (0, 0.0, F(0)):
+        with pytest.raises(ValueError):
+            confidence_weight(gamma)
+        with pytest.raises(ValueError):
+            PfaConfig(gamma)
+        with pytest.raises(ValueError):
+            lpfa(gamma, linear_instance([[(1, 2)]]), 1)
+        with pytest.raises(ValueError):
+            pfa_mechanism(gamma)
+        with pytest.raises(ValueError):
+            lpfa_mechanism(gamma)
 
 
 def test_pfa_matches_brute_force_oracle():
