@@ -10,10 +10,20 @@ may declare a `signature` describing exactly which statistic of a reported
 dataset their output depends on; reports sharing a signature share an
 outcome and therefore a gain, so only one representative per signature is
 evaluated.  Every mechanism here is symmetric in a dataset's points and
-its signature claim is property-tested against raw enumeration.  pfa and
-lpfa use their per-agent projections as signatures, so an outcome-cache
-miss is one fit over the signature profile, with no reported instance
-built.
+its signature claim is property-tested against raw enumeration.  Every
+registered mechanism also fits its outcome from the signature profile
+alone (pfa and lpfa from the per-agent projections, mean from the label
+sums, srda and the two-labeling wrappers from the count of agents siding
+with the second labeling), so an outcome-cache miss builds no instance.
+
+`check_strategyproof` and `check_group_strategyproof` are one engine,
+`_audit`, at coalition size 1 and up to `max_coalition`.  Its inner loop
+on exact inputs is integer-only wherever labels and outcomes are
+integers: each agent's loss table maps an outcome to its unnormalized
+loss sum (risk times |S_i|), and a member gains when
+`before_sum - after_sum > epsilon*|S_i|`, so a risk or a gain is divided
+out only for a violation or a new max_gain.  Inputs with a float keep the
+normalized arithmetic of the risks themselves.
 
 Ratio loops (`MechanismFamily.frontier_row`, `error_interpolation_check`)
 compile each instance once per frontier row (`CompiledInstance`) and
@@ -28,10 +38,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
-from .classification import pfa_two_labeling, srda, srda_two_labeling
+from .classification import (
+    check_srda_inputs,
+    pfa_two_labeling,
+    srda,
+    srda_fit,
+    srda_two_labeling,
+)
 from .model import (
+    BINARY_DOMAIN,
     INF,
     REALS,
     AgentDataset,
@@ -40,15 +57,17 @@ from .model import (
     ConstantChoice,
     ConstantClass,
     Instance,
+    LabelingChoice,
     LabelingsClass,
     LinearClass,
     Real,
     ValueDomain,
     WeightedSample,
+    c0c1_class,
     erm_constant,
     exact_div,
-    expected_personal_risk,
     global_risk,
+    personal_risk,
 )
 from .regression import (
     PfaConfig,
@@ -146,8 +165,9 @@ class AuditableMechanism:
 
     `fit(cls, profile, advice)`, when given, computes the outcome from the
     signature profile alone and must equal `fn` on any reported instance of
-    class `cls` with that profile, raising the same ClassMismatchError `fn`
-    raises; cache misses then skip building the reported instance.
+    class `cls` with that profile, raising the same errors `fn` raises;
+    cache misses then skip building the reported instance.  A fit may
+    return None to leave a profile to `fn`.
     """
 
     def __init__(self, fn, name: str, signature=None, fit=None):
@@ -159,16 +179,23 @@ class AuditableMechanism:
         self._risk_cache = {}
         self._group_cache = {}
 
-    def true_personal_risk(self, outcome, agent, cls):
+    def true_personal_risk(self, outcome, agent, cls, scale=1):
         """Expected personal risk of an outcome against an agent's true
-        data, cached across audit calls."""
-        key = (outcome, agent.points, cls)
-        cache = self._risk_cache
-        r = cache.get(key)
+        data, times `scale` (an integral value as an int), kept across
+        audit calls in the agent's loss table `_risk_cache[(points, cls,
+        scale)]`.  Scale |S_i| gives the unnormalized loss sum."""
+        table = self.loss_table(agent, cls, scale)
+        r = table.get(outcome)
         if r is None:
-            r = expected_personal_risk(outcome, agent, cls)
-            cache[key] = r
+            r = personal_risk(outcome, agent, cls)
+            if scale != 1:
+                r = _integral(r * scale)
+            table[outcome] = r
         return r
+
+    def loss_table(self, agent, cls, scale) -> dict:
+        """The agent's loss table: outcome -> personal risk times `scale`."""
+        return self._risk_cache.setdefault((agent.points, cls, scale), {})
 
     def __call__(self, instance: Instance, advice):
         return self.fn(instance, advice)
@@ -185,40 +212,25 @@ class AuditableMechanism:
         return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
 
     def cache_view(self, cls) -> dict:
-        view = self._cache.get(cls)
-        if view is None:
-            view = self._cache[cls] = {}
-        return view
+        """The outcome cache of class `cls`: (profile, advice) -> outcome."""
+        return self._cache.setdefault(cls, {})
 
     def outcome(self, instance: Instance, advice, profile=None):
+        """The outcome on `instance`, cached by its signature profile."""
         if self._signature is None:
             return self.fn(instance, advice)
         cls = instance.function_class
-        if profile is None:
-            profile = self.profile(instance)
-        return self.outcome_for(
-            cls, self.cache_view(cls), profile, advice, lambda: instance
-        )
-
-    def outcome_for(self, cls, view, profile, advice, build):
-        """Cached outcome lookup in the cache view of class `cls`; a miss is
-        filled by `fit` when the mechanism has one, otherwise by `fn` on the
-        instance `build` materializes."""
-        if profile is None or self._signature is None:
-            return self.fn(build(), advice)
-        key = (profile, advice)
-        try:
-            return view[key]
-        except KeyError:
-            out = self.fill(cls, profile, advice, build)
-            view[key] = out
-            return out
+        key = (self.profile(instance) if profile is None else profile, advice)
+        view = self.cache_view(cls)
+        if key not in view:
+            view[key] = self.fill(cls, key[0], advice, lambda: instance)
+        return view[key]
 
     def fill(self, cls, profile, advice, build):
-        """The uncached outcome for a signature profile."""
-        if self._fit is not None:
-            return self._fit(cls, profile, advice)
-        return self.fn(build(), advice)
+        """The uncached outcome for a signature profile: `fit`'s answer, or
+        `fn` on the built instance when there is no fit or it returns None."""
+        out = None if self._fit is None else self._fit(cls, profile, advice)
+        return self.fn(build(), advice) if out is None else out
 
     def grouped_reports(self, space, agent, cls):
         """One representative report per signature class, or None when the
@@ -296,19 +308,12 @@ def mean_mechanism() -> AuditableMechanism:
     def signature(xs, labels, cls):
         return (sum(labels), len(labels))
 
-    return AuditableMechanism(fn, "mean-baseline", signature)
+    def fit(cls, profile, advice):
+        total = sum(s for s, _ in profile)
+        if not isinstance(total, float):  # a float total depends on the order
+            return ConstantChoice(exact_div(total, sum(m for _, m in profile)))
 
-
-def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
-    def fn(instance, advice):
-        return srda(gamma, instance, advice, literal_indicator)
-
-    def signature(xs, labels, cls):
-        ones2 = 2 * sum(labels)
-        m = len(labels)
-        return (ones2 <= m,) if literal_indicator else (ones2 >= m,)
-
-    return AuditableMechanism(fn, f"srda(gamma={gamma})", signature)
+    return AuditableMechanism(fn, "mean-baseline", signature, fit)
 
 
 def _two_labeling_pair(cls):
@@ -317,9 +322,11 @@ def _two_labeling_pair(cls):
     return cls.labelings
 
 
-def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
-    def fn(instance, advice):
-        return pfa_two_labeling(gamma, instance, advice)
+def _side_signature(literal_indicator: bool = False):
+    """The signature of the two-labeling mechanisms, srda included: whether
+    an agent counts toward the second labeling, i.e. agrees with it on at
+    least half the points where the pair disagrees (at most half with
+    `literal_indicator`)."""
 
     def signature(xs, labels, cls):
         first, second = _two_labeling_pair(cls)
@@ -327,26 +334,62 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
             1 for j, y in enumerate(labels) if first[j] != second[j] and y == second[j]
         )
         disagreements = sum(1 for a, b in zip(first, second) if a != b)
-        return (agree2 >= disagreements,)
+        return (agree2 <= disagreements,) if literal_indicator else (agree2 >= disagreements,)
 
-    return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", signature)
+    return signature
+
+
+def _reduced_class(cls, advice):
+    """The {c0, c1} class `two_labeling_reduce` maps a two-labeling class
+    to, raising its class and advice errors."""
+    first, second = _two_labeling_pair(cls)
+    if advice not in (0, 1):
+        raise ClassMismatchError("advice must be one of the two labeling indices")
+    return c0c1_class(sum(1 for a, b in zip(first, second) if a != b))
+
+
+def _srda_fit(gamma, reduced: bool):
+    """srda's lottery from the count of True signatures, on the instance's
+    class or (`reduced`) on its `_reduced_class`."""
+
+    def fit(cls, profile, advice):
+        if reduced:
+            cls = _reduced_class(cls, advice)
+        g = check_srda_inputs(gamma, cls, advice)
+        return srda_fit(g, Fraction(sum(s for (s,) in profile), len(profile)), advice)
+
+    return fit
+
+
+def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
+    def fn(instance, advice):
+        return srda(gamma, instance, advice, literal_indicator)
+
+    return AuditableMechanism(
+        fn, f"srda(gamma={gamma})", _side_signature(literal_indicator), _srda_fit(gamma, False)
+    )
+
+
+def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
+    def fn(instance, advice):
+        return pfa_two_labeling(gamma, instance, advice)
+
+    def fit(cls, profile, advice):
+        m = _reduced_class(cls, advice).num_points
+        choice = pfa_fit(PfaConfig(gamma, BINARY_DOMAIN), [(int(s), m) for (s,) in profile], advice)
+        return LabelingChoice(int(choice.value))
+
+    return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
 
 
 def srda_two_labeling_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
     def fn(instance, advice):
         return srda_two_labeling(gamma, instance, advice, literal_indicator)
 
-    def signature(xs, labels, cls):
-        first, second = _two_labeling_pair(cls)
-        agree2 = 2 * sum(
-            1 for j, y in enumerate(labels) if first[j] != second[j] and y == second[j]
-        )
-        disagreements = sum(1 for a, b in zip(first, second) if a != b)
-        if literal_indicator:
-            return (agree2 <= disagreements,)
-        return (agree2 >= disagreements,)
-
-    return AuditableMechanism(fn, f"srda-two-labeling(gamma={gamma})", signature)
+    return AuditableMechanism(
+        fn, f"srda-two-labeling(gamma={gamma})",
+        _side_signature(literal_indicator), _srda_fit(gamma, True),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,84 +418,123 @@ class AuditReport:
 
 
 def _space_budget(space, instance: Instance, max_coalition: int = 1) -> int:
+    """Joint reports of every coalition of at most `max_coalition` agents."""
     counts = [space.count(a) for a in instance.agents]
-    total = 0
-    for size in range(1, max_coalition + 1):
-        for coalition in combinations(range(instance.n), size):
-            prod = 1
-            for i in coalition:
-                prod *= counts[i]
-            total += prod
-    return total
+    return sum(
+        prod(counts[i] for i in coalition)
+        for size in range(1, max_coalition + 1)
+        for coalition in combinations(range(instance.n), size)
+    )
 
 
-def check_strategyproof(
-    mechanism: AuditableMechanism,
-    instance: Instance,
-    advice,
-    space,
-    epsilon: Real = 0,
-    force: bool = False,
-) -> AuditReport:
-    """Enumerate unilateral misreports and record every strict gain above
-    epsilon.  An empty report means epsilon-strategyproof over the space."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    budget = _space_budget(space, instance)
-    if budget > EVALUATION_BUDGET and not force:
-        raise SpaceTooLargeError(f"{budget} candidate evaluations exceed the budget")
-    cls = instance.function_class
-    base_profile = mechanism.profile(instance)
-    base = mechanism.outcome(instance, advice, profile=base_profile)
-    local_risks = {}
-    alive = [base]  # id-keyed memo below: outcomes must stay alive
-
-    def true_risk(outcome, i):
-        key = (id(outcome), i)
-        r = local_risks.get(key)
-        if r is None:
-            r = mechanism.true_personal_risk(outcome, instance.agents[i], cls)
-            local_risks[key] = r
-        return r
-
-    view = mechanism.cache_view(cls)
-    violations = []
-    max_gain = 0
-    checked = 0
-    for i, agent in enumerate(instance.agents):
-        before = true_risk(base, i)
-        groups = mechanism.grouped_reports(space, agent, cls)
-        if groups is None:
-            checked += space.count(agent)
-            candidates = ((None, tuple(labels)) for labels in space.reports(agent))
-        else:
-            checked += space.count(agent)
-            candidates = groups
-        prefix, suffix = base_profile[:i], base_profile[i + 1 :]
-        for sig, labels in candidates:
-            profile = None if sig is None else prefix + (sig,) + suffix
-            out = mechanism.outcome_for(
-                cls, view, profile, advice,
-                lambda: instance.with_agent_labels(i, labels),
-            )
-            if out is base or out == base:
-                continue  # unchanged outcome, gain exactly zero
-            alive.append(out)
-            after = true_risk(out, i)
-            gain = before - after
-            if gain > max_gain:
-                max_gain = gain
-            if gain > epsilon:
-                violations.append(
-                    Violation((i,), (labels,), (before,), (after,), gain)
-                )
-    return AuditReport(tuple(violations), max_gain, checked)
+def _integral(x):
+    """An integral Fraction as an int, so the gain loop stays on ints."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def _joint_report(instance: Instance, coalition, joint) -> Instance:
     for i, (_, labels) in zip(coalition, joint):
         instance = instance.with_agent_labels(i, labels)
     return instance
+
+
+def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditReport:
+    """The audit engine behind both public audits: every joint report of
+    every coalition of at most `max_coalition` agents, one representative
+    per signature class.  A violation is a joint report after which every
+    member's true risk drops by at least epsilon and some member's by
+    strictly more (at size one: a gain above epsilon).  Member i compares
+    risks times s_i (|S_i| on exact inputs, else 1) against the bars
+    epsilon*s_i and max_gain*s_i, the latter recomputed when max_gain grows.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    budget = _space_budget(space, instance, max_coalition)
+    if budget > EVALUATION_BUDGET:
+        raise SpaceTooLargeError(
+            f"{budget} candidate evaluations exceed the budget of {EVALUATION_BUDGET}"
+        )
+    cls = instance.function_class
+    agents = instance.agents
+    n = instance.n
+    base_profile = mechanism.profile(instance)
+    base = mechanism.outcome(instance, advice, profile=base_profile)
+    risk = mechanism.true_personal_risk
+    for scales in ([len(a) for a in agents], [1] * n):
+        tables = [mechanism.loss_table(a, cls, s) for a, s in zip(agents, scales)]
+        before = [
+            t[base] if base in t else risk(base, a, cls, s)
+            for t, a, s in zip(tables, agents, scales)
+        ]
+        if not any(isinstance(v, float) for v in (epsilon, advice, *before)):
+            break  # else the second pass: every scale 1, as normalized risks
+    eps_bars = [_integral(epsilon * s) for s in scales]
+    max_bars = [0] * n
+    pools = [mechanism.grouped_reports(space, a, cls) for a in agents]
+    have_sigs = mechanism._signature is not None
+    view = mechanism.cache_view(cls)
+    view_get = view.get
+    violations = []
+    max_gain = 0
+    for size in range(1, max_coalition + 1):
+        for coalition in combinations(range(n), size):
+            candidates = [
+                pools[i] if have_sigs
+                else ((None, tuple(labels)) for labels in space.reports(agents[i]))
+                for i in coalition
+            ]
+            joints = product(*candidates) if size > 1 else ((c,) for c in candidates[0])
+            for joint in joints:
+                if have_sigs:
+                    profile = list(base_profile)
+                    for i, (sig, _) in zip(coalition, joint):
+                        profile[i] = sig
+                    key = (tuple(profile), advice)
+                    out = view_get(key)
+                    if out is None:
+                        out = view[key] = mechanism.fill(
+                            cls, key[0], advice,
+                            lambda: _joint_report(instance, coalition, joint),
+                        )
+                else:
+                    out = mechanism.fn(_joint_report(instance, coalition, joint), advice)
+                if out is base or out == base:
+                    continue  # unchanged outcome, all gains exactly zero
+                members = []  # (agent, loss after, drop)
+                gains = False
+                for i in coalition:
+                    after = tables[i].get(out)
+                    if after is None:
+                        after = risk(out, agents[i], cls, scales[i])
+                    d = before[i] - after
+                    members.append((i, after, d))
+                    gains = gains or d > 0
+                if not gains:
+                    continue  # max_gain and every epsilon bar are >= 0
+                if any(d > max_bars[i] for i, _, d in members):
+                    max_gain = max(exact_div(d, scales[i]) for i, _, d in members)
+                    max_bars = [_integral(max_gain * s) for s in scales]
+                if all(d >= eps_bars[i] for i, _, d in members) and any(
+                    d > eps_bars[i] for i, _, d in members
+                ):
+                    violations.append(
+                        Violation(
+                            coalition,
+                            tuple(labels for _, labels in joint),
+                            tuple(exact_div(before[i], scales[i]) for i, _, _ in members),
+                            tuple(exact_div(a, scales[i]) for i, a, _ in members),
+                            max(exact_div(d, scales[i]) for i, _, d in members),
+                        )
+                    )
+    return AuditReport(tuple(violations), max_gain, budget)
+
+
+def check_strategyproof(
+    mechanism: AuditableMechanism, instance: Instance, advice, space, epsilon: Real = 0
+) -> AuditReport:
+    """Enumerate unilateral misreports and record every strict gain above
+    epsilon.  An empty report means epsilon-strategyproof over the space."""
+    return _audit(mechanism, instance, advice, space, epsilon, 1)
 
 
 def check_group_strategyproof(
@@ -462,88 +544,13 @@ def check_group_strategyproof(
     space,
     max_coalition: int,
     epsilon: Real = 0,
-    force: bool = False,
 ) -> AuditReport:
     """Enumerate joint misreports of coalitions up to `max_coalition`.
 
     A violation is a joint report after which every member's true risk drops
     by at least epsilon and some member's by strictly more.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    budget = _space_budget(space, instance, max_coalition)
-    if budget > EVALUATION_BUDGET and not force:
-        raise SpaceTooLargeError(f"{budget} candidate evaluations exceed the budget")
-    cls = instance.function_class
-    base_profile = mechanism.profile(instance)
-    base = mechanism.outcome(instance, advice, profile=base_profile)
-    local_risks = {}
-    alive = [base]  # id-keyed memo below: outcomes must stay alive
-
-    def true_risk(outcome, i):
-        key = (id(outcome), i)
-        r = local_risks.get(key)
-        if r is None:
-            r = mechanism.true_personal_risk(outcome, instance.agents[i], cls)
-            local_risks[key] = r
-        return r
-
-    grouped = []
-    for agent in instance.agents:
-        groups = mechanism.grouped_reports(space, agent, cls)
-        if groups is None:
-            groups = tuple((None, tuple(labels)) for labels in space.reports(agent))
-        grouped.append(groups)
-
-    view = mechanism.cache_view(cls)
-    have_sigs = mechanism._signature is not None
-    view_get = view.get
-    violations = []
-    max_gain = 0
-    checked = 0
-    n = instance.n
-    counts = [space.count(a) for a in instance.agents]
-    for size in range(1, max_coalition + 1):
-        for coalition in combinations(range(n), size):
-            before = [true_risk(base, i) for i in coalition]
-            joint_count = 1
-            for i in coalition:
-                joint_count *= counts[i]
-            checked += joint_count
-            for joint in product(*(grouped[i] for i in coalition)):
-                if have_sigs:
-                    profile = list(base_profile)
-                    for i, (sig, _) in zip(coalition, joint):
-                        profile[i] = sig
-                    profile = tuple(profile)
-                    key = (profile, advice)
-                    out = view_get(key)
-                    if out is None:
-                        out = view[key] = mechanism.fill(
-                            cls, profile, advice,
-                            lambda: _joint_report(instance, coalition, joint),
-                        )
-                else:
-                    out = mechanism.fn(_joint_report(instance, coalition, joint), advice)
-                if out is base or out == base:
-                    continue  # unchanged outcome, all gains exactly zero
-                alive.append(out)
-                after = [true_risk(out, i) for i in coalition]
-                gains = [b - a for b, a in zip(before, after)]
-                best = max(gains)
-                if best > max_gain:
-                    max_gain = best
-                if all(g >= epsilon for g in gains) and any(g > epsilon for g in gains):
-                    violations.append(
-                        Violation(
-                            coalition,
-                            tuple(labels for _, labels in joint),
-                            tuple(before),
-                            tuple(after),
-                            best,
-                        )
-                    )
-    return AuditReport(tuple(violations), max_gain, checked)
+    return _audit(mechanism, instance, advice, space, epsilon, max_coalition)
 
 
 # ---------------------------------------------------------------------------
@@ -712,49 +719,29 @@ def consistency_robustness_sweep(
     ]
 
 
+def _family(name, make, robust) -> MechanismFamily:
+    """Consistency 1 + gamma and robustness 1 + robust/gamma."""
+    return MechanismFamily(name, make, lambda g: 1 + g, lambda g: 1 + exact_div(robust, g))
+
+
 def pfa_family(domain: ValueDomain = REALS) -> MechanismFamily:
-    return MechanismFamily(
-        "pfa",
-        lambda g: pfa_mechanism(g, domain),
-        lambda g: 1 + g,
-        lambda g: 1 + exact_div(4, g),
-    )
+    return _family("pfa", lambda g: pfa_mechanism(g, domain), 4)
 
 
 def lpfa_family() -> MechanismFamily:
-    return MechanismFamily(
-        "lpfa",
-        lpfa_mechanism,
-        lambda g: 1 + g,
-        lambda g: 1 + exact_div(4, g),
-    )
+    return _family("lpfa", lpfa_mechanism, 4)
 
 
 def srda_family() -> MechanismFamily:
-    return MechanismFamily(
-        "srda",
-        srda_mechanism,
-        lambda g: 1 + g,
-        lambda g: 1 + exact_div(1, g),
-    )
+    return _family("srda", srda_mechanism, 1)
 
 
 def pfa_two_labeling_family() -> MechanismFamily:
-    return MechanismFamily(
-        "pfa-two-labeling",
-        pfa_two_labeling_mechanism,
-        lambda g: 1 + g,
-        lambda g: 1 + exact_div(4, g),
-    )
+    return _family("pfa-two-labeling", pfa_two_labeling_mechanism, 4)
 
 
 def srda_two_labeling_family() -> MechanismFamily:
-    return MechanismFamily(
-        "srda-two-labeling",
-        srda_two_labeling_mechanism,
-        lambda g: 1 + g,
-        lambda g: 1 + exact_div(1, g),
-    )
+    return _family("srda-two-labeling", srda_two_labeling_mechanism, 1)
 
 
 @dataclass(frozen=True)

@@ -42,8 +42,7 @@ class BinaryPreferenceSummary:
             raise ValueError("P and N must be complementary probabilities")
 
 
-def _require_c0c1(instance: Instance) -> int:
-    cls = instance.function_class
+def _require_c0c1(cls) -> int:
     if not isinstance(cls, LabelingsClass) or len(cls.labelings) != 2:
         raise ClassMismatchError("a two-labeling instance is required")
     m = cls.num_points
@@ -63,8 +62,8 @@ def preference_summary(
     that weakly prefer c0 instead; it exists purely for comparison
     experiments and breaks the mechanism's incentive guarantees.
     """
-    _require_c0c1(instance)
     cls = instance.function_class
+    _require_c0c1(cls)
     count = 0
     for agent in instance.agents:
         r1 = personal_risk(1, agent, cls)
@@ -73,6 +72,31 @@ def preference_summary(
             count += 1
     P = Fraction(count, instance.n)
     return BinaryPreferenceSummary(P, 1 - P)
+
+
+def check_srda_inputs(gamma: Real, cls, advice: int) -> Real:
+    """gamma as srda computes with it; raises ValueError for a gamma outside
+    (0, 1] and ClassMismatchError unless srda accepts the class and advice."""
+    gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
+    if not 0 < gamma <= 1:
+        raise ValueError("gamma must lie in (0, 1]")
+    _require_c0c1(cls)
+    if advice not in (0, 1):
+        raise ClassMismatchError("advice must be one of the two labeling indices")
+    return gamma
+
+
+def srda_fit(gamma: Real, P: Fraction, advice: int) -> LabelingLottery:
+    """The lottery of srda from the c1-support P, for inputs already
+    checked by `check_srda_inputs`."""
+    N = 1 - P
+    if advice == 1:
+        favored, other = (P / gamma) ** 2, N**2
+        p1 = favored / (favored + other)
+    else:
+        favored, other = (N / gamma) ** 2, P**2
+        p1 = other / (other + favored)
+    return LabelingLottery(((1, p1), (0, 1 - p1)))
 
 
 def srda(
@@ -88,21 +112,8 @@ def srda(
     lottery concentrates on the advice without ever silencing the data.
     Probabilities are exact rationals when gamma is rational.
     """
-    gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    _require_c0c1(instance)
-    if advice not in (0, 1):
-        raise ClassMismatchError("advice must be one of the two labeling indices")
-    s = preference_summary(instance, literal_indicator)
-    P, N = s.P, s.N
-    if advice == 1:
-        favored, other = (P / gamma) ** 2, N**2
-        p1 = favored / (favored + other)
-    else:
-        favored, other = (N / gamma) ** 2, P**2
-        p1 = other / (other + favored)
-    return LabelingLottery(((1, p1), (0, 1 - p1)))
+    gamma = check_srda_inputs(gamma, instance.function_class, advice)
+    return srda_fit(gamma, preference_summary(instance, literal_indicator).P, advice)
 
 
 def sample_outcome(lottery: LabelingLottery, seed: int) -> int:
@@ -137,10 +148,6 @@ class TwoLabelingReduction:
     advice: int
     indices: tuple
     off_errors: int
-    original: Instance
-
-    def lift(self, outcome):
-        return outcome  # reduced index i already names original labeling i
 
 
 def two_labeling_reduce(instance: Instance, advice: int) -> TwoLabelingReduction:
@@ -166,7 +173,7 @@ def two_labeling_reduce(instance: Instance, advice: int) -> TwoLabelingReduction
             AgentDataset(tuple(LabeledPoint(pos, y) for pos, y in enumerate(transformed)))
         )
     reduced = Instance(tuple(agents), c0c1_class(len(J)))
-    return TwoLabelingReduction(reduced, advice, J, off_errors, instance)
+    return TwoLabelingReduction(reduced, advice, J, off_errors)
 
 
 def pfa_two_labeling(gamma: Real, instance: Instance, advice: int) -> LabelingChoice:
@@ -189,7 +196,7 @@ def pfa_two_labeling(gamma: Real, instance: Instance, advice: int) -> LabelingCh
 def srda_two_labeling(
     gamma: Real, instance: Instance, advice: int, literal_indicator: bool = False
 ) -> LabelingLottery:
-    """Randomized two-labeling mechanism: reduce, run the lottery, lift."""
+    """Randomized two-labeling mechanism: reduce and run the lottery, whose
+    index i already names original labeling i."""
     reduction = two_labeling_reduce(instance, advice)
-    lottery = srda(gamma, reduction.instance, reduction.advice, literal_indicator)
-    return reduction.lift(lottery)
+    return srda(gamma, reduction.instance, reduction.advice, literal_indicator)

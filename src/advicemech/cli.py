@@ -4,7 +4,8 @@ generate hard-instance corpora, and sweep consistency/robustness frontiers.
 stdout carries data (tab-separated key/value lines or TSV tables); stderr
 carries diagnostics.  Exit codes: 0 success (audit: no violations found),
 1 audit violations, 2 parse error, 3 class/advice mismatch, 4 degenerate
-instance.
+instance, 5 evaluation budget exceeded (an audit space too large to
+enumerate).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 EXIT_DEGENERATE = 4
+EXIT_BUDGET = 5
 
 DEFAULT_SEED = 20250809  # fixed so runs without --seed are reproducible
 
@@ -56,15 +58,21 @@ FAMILIES = {
 }
 
 
-def _parse_gamma(tok):
-    """One gamma in the paper's range (0, 2]; anything else is a parse error."""
+def _parse_fraction(tok, what, allowed="[0, inf)", ok=lambda v: v >= 0):
+    """One exact number for which `ok` holds; anything else is a parse
+    error naming `what`."""
     try:
-        gamma = Fraction(tok.strip())
+        value = Fraction(str(tok).strip())
     except (ValueError, ZeroDivisionError):
-        raise InstanceParseError(f"gamma {tok!r} is not a number") from None
-    if not 0 < gamma <= 2:
-        raise InstanceParseError(f"gamma {tok.strip()} lies outside (0, 2]")
-    return gamma
+        raise InstanceParseError(f"{what} {tok!r} is not a number") from None
+    if not ok(value):
+        raise InstanceParseError(f"{what} {str(tok).strip()} lies outside {allowed}")
+    return value
+
+
+def _parse_gamma(tok):
+    """One gamma in the paper's range (0, 2]."""
+    return _parse_fraction(tok, "gamma", "(0, 2]", lambda g: 0 < g <= 2)
 
 
 def _parse_gamma_list(raw):
@@ -189,6 +197,7 @@ def _space(raw, instance, advice):
 def cmd_audit(args, out, err) -> int:
     corpus = _corpus(args.instance)
     gammas = _parse_gamma_list(args.gamma)
+    epsilon = _parse_fraction(args.epsilon, "--epsilon")
     lines = []
     violations = []
     checked = 0
@@ -200,16 +209,9 @@ def cmd_audit(args, out, err) -> int:
             mech = _mechanism(args.mechanism, gamma, instance)
             for advice in advices:
                 space = _space(args.space, instance, advice)
-                if args.max_coalition > 1:
-                    report = audit_mod.check_group_strategyproof(
-                        mech, instance, advice, space,
-                        args.max_coalition, epsilon=Fraction(args.epsilon),
-                    )
-                else:
-                    report = audit_mod.check_strategyproof(
-                        mech, instance, advice, space,
-                        epsilon=Fraction(args.epsilon),
-                    )
+                report = audit_mod.check_group_strategyproof(
+                    mech, instance, advice, space, args.max_coalition, epsilon
+                )
                 checked += report.candidates_checked
                 for v in report.violations:
                     violations.append((name, gamma, advice, v))
@@ -284,7 +286,8 @@ def cmd_sweep(args, out, err) -> int:
         raise ClassMismatchError("the mean baseline has no tradeoff curve to sweep")
     rows = audit_mod.consistency_robustness_sweep(
         family(), _parse_gamma_list(args.gamma), corpus,
-        grid_points=args.grid_points, tolerance=Fraction(args.tolerance),
+        grid_points=args.grid_points,
+        tolerance=_parse_fraction(args.tolerance, "--tolerance"),
     )
     lines = ["gamma\tconsistency\trobustness\tbound_consistency\tbound_robustness\tpass"]
     for r in rows:
@@ -377,6 +380,9 @@ def main(argv=None, out=None, err=None) -> int:
     except FileNotFoundError as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_PARSE
+    except audit_mod.SpaceTooLargeError as exc:
+        err.write(f"evaluation budget exceeded: {exc}\n")
+        return EXIT_BUDGET
     except DegenerateLinearInstance as exc:
         err.write(f"degenerate instance: {exc}\n")
         return EXIT_DEGENERATE

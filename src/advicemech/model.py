@@ -34,19 +34,6 @@ def _check_finite(x: Real, what: str) -> None:
         raise InvalidInstanceError(f"{what} must be finite, got {x!r}")
 
 
-def frac(x) -> Fraction:
-    """Parse a number into an exact Fraction. Accepts int, Fraction, and
-    strings like '3', '-0.25' or '2/7'. Floats are rejected to keep the
-    exact path honest; convert explicitly if that is really wanted."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
-
-
 def exact_div(num: Real, den: Real) -> Real:
     """num/den staying rational whenever both operands are rational."""
     if isinstance(num, float) or isinstance(den, float):

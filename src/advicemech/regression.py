@@ -81,9 +81,23 @@ def check_pfa_inputs(cfg: PfaConfig, cls, advice: Real) -> None:
 def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
     """The fit step of pfa: the weighted median (largest tie-break) of the
     per-agent projections (b_i, |S_i|) plus the advice with weight
-    lam * |S|.  Inputs are assumed checked by `check_pfa_inputs`."""
+    lam * |S|.  Inputs are assumed checked by `check_pfa_inputs`.
+
+    Over the reals with a rational lam = p/q the weights are scaled to the
+    integers |S_i|*q and p*|S| (scaling leaves the median unchanged) and
+    the upper median is read off the sorted entries directly."""
     entries = list(projections)
-    advice_weight = cfg.lam * sum(size for _, size in entries)
+    lam = cfg.lam
+    if cfg.domain.is_reals and isinstance(lam, Fraction):
+        p, q = lam.numerator, lam.denominator
+        size = sum(s for _, s in entries)
+        items = [(b, s * q) for b, s in entries] + ([(advice, p * size)] if p else [])
+        acc = 0
+        for value, weight in sorted(items, reverse=True):
+            acc += weight
+            if 2 * acc >= (p + q) * size:
+                return ConstantChoice(value)
+    advice_weight = lam * sum(size for _, size in entries)
     if advice_weight > 0:
         entries.append((advice, advice_weight))
     return ConstantChoice(erm_constant(cfg.domain, WeightedSample(tuple(entries))))

@@ -3,6 +3,7 @@ approximation ratios, frontier sweeps, and the interpolation check."""
 
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
@@ -27,7 +28,8 @@ from advicemech import (
     srda_family,
     srda_mechanism,
 )
-from advicemech.model import expected_personal_risk
+from advicemech.audit import AuditReport, Violation
+from advicemech.model import ValueDomain, expected_personal_risk, personal_risk
 
 
 def ungrouped(mech):
@@ -244,6 +246,122 @@ def test_audit_reports_are_deterministic():
         for _ in range(2)
     ]
     assert group_runs[0] == group_runs[1]
+
+
+# ---------------------------------------------------------------------------
+# the one engine against the audit's definition
+# ---------------------------------------------------------------------------
+
+
+def reference_audit(mech, instance, advice, space, max_coalition, epsilon=0):
+    """The audit by its definition: every joint report run through the plain
+    mechanism, gains as differences of normalized personal risks."""
+    cls = instance.function_class
+    base = mech.fn(instance, advice)
+    violations, max_gain, checked = [], 0, 0
+    for size in range(1, max_coalition + 1):
+        for coalition in combinations(range(instance.n), size):
+            pools = [[tuple(r) for r in space.reports(instance.agents[i])] for i in coalition]
+            for joint in product(*pools):
+                checked += 1
+                reported = instance
+                for i, labels in zip(coalition, joint):
+                    reported = reported.with_agent_labels(i, labels)
+                out = mech.fn(reported, advice)
+                before = [personal_risk(base, instance.agents[i], cls) for i in coalition]
+                after = [personal_risk(out, instance.agents[i], cls) for i in coalition]
+                gains = [b - a for b, a in zip(before, after)]
+                max_gain = max(max_gain, *gains)
+                if all(g >= epsilon for g in gains) and any(g > epsilon for g in gains):
+                    violations.append(
+                        Violation(coalition, joint, tuple(before), tuple(after), max(gains))
+                    )
+    return AuditReport(tuple(violations), max_gain, checked)
+
+
+def first_per_signature(mech, instance, report):
+    """The report with only the first violation of each signature class: what
+    the grouped audit, which evaluates one report per class, records."""
+    cls = instance.function_class
+    seen, kept = set(), []
+    for v in report.violations:
+        key = v.agents, tuple(
+            mech.signature(instance.agents[i].xs, labels, cls)
+            for i, labels in zip(v.agents, v.misreports)
+        )
+        if key not in seen:
+            seen.add(key)
+            kept.append(v)
+    return AuditReport(tuple(kept), report.max_gain, report.candidates_checked)
+
+
+def seeded_constant(rng, levels, domain=None, max_agents=3):
+    labels = [
+        [rng.choice(levels) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, max_agents))
+    ]
+    return constant_instance(labels) if domain is None else constant_instance(labels, domain)
+
+
+def engine_cases():
+    rng = random.Random(53)
+    finite = ValueDomain.finite((0, 1, 2))
+    grid = GridLabels((0, 1, 2))
+    for _ in range(8):
+        gamma = rng.choice((F(1, 3), F(1, 2), 1, 2))
+        yield "pfa-reals", pfa_mechanism(gamma), seeded_constant(rng, (0, 1, 2)), rng.choice((0, F(1, 2), 2)), grid, 0
+        yield "pfa-finite", pfa_mechanism(gamma, finite), seeded_constant(rng, (0, 1, 2), finite), rng.choice((0, 1, 2)), grid, 0
+        yield "mean", mean_mechanism(), seeded_constant(rng, (0, 1, 2)), 1, grid, 0
+        yield "mean-epsilon", mean_mechanism(), seeded_constant(rng, (0, 1, 2)), 1, grid, F(1, 6)
+        yield "pfa-float", pfa_mechanism(1), seeded_constant(rng, (0.1, 0.5, 1.0)), 0.5, GridLabels((0.1, 0.5, 1.0)), 0
+        m = rng.randint(1, 3)
+        vectors = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(1, 3))]
+        mech = srda_mechanism(rng.choice((F(1, 4), F(1, 2), 1)), rng.random() < 0.3)
+        yield "srda", mech, shared_binary_instance(vectors), rng.randint(0, 1), AllBinaryVectors(m), 0
+
+
+def test_engine_matches_the_definition_at_every_coalition_size():
+    kinds = set()
+    for kind, mech, inst, advice, space, epsilon in engine_cases():
+        kinds.add(kind)
+        for size in range(1, min(3, inst.n) + 1):
+            expected = reference_audit(mech, inst, advice, space, size, epsilon)
+            raw = check_group_strategyproof(ungrouped(mech), inst, advice, space, size, epsilon)
+            grouped = check_group_strategyproof(mech, inst, advice, space, size, epsilon)
+            assert raw == expected, (kind, inst, advice, size)
+            assert grouped == first_per_signature(mech, inst, expected), (kind, inst, advice, size)
+        assert check_strategyproof(mech, inst, advice, space, epsilon) == (
+            check_group_strategyproof(mech, inst, advice, space, 1, epsilon)
+        )
+    assert len(kinds) == 6
+
+
+def test_engine_exact_gains_in_mean_violations():
+    inst = constant_instance([[0, 1], [2], [2, 2, 1]])
+    space = GridLabels((0, 1, 2))
+    for epsilon in (0, F(1, 10)):
+        report = check_group_strategyproof(mean_mechanism(), inst, 1, space, 2, epsilon)
+        assert report == reference_audit(mean_mechanism(), inst, 1, space, 2, epsilon)
+        assert report.violations
+        for v in report.violations:
+            assert all(isinstance(r, F) for r in v.risks_before + v.risks_after)
+            assert v.gain > epsilon
+
+
+def test_engine_floats_keep_normalized_arithmetic():
+    inst = constant_instance([[0, 1], [2]])
+    space = GridLabels((0, 1, 2))
+    report = check_strategyproof(mean_mechanism(), inst, 1, space, epsilon=0.1)
+    assert report == reference_audit(mean_mechanism(), inst, 1, space, 1, epsilon=0.1)
+    # float risks scaled by |S_i| and divided back do not round-trip here;
+    # ungrouped, since float label sums are only approximately a signature
+    floats = constant_instance([[0.45, 0.1, 0.56], [2.71, 0.23, 0.48]])
+    space = ProjectedConstant((0.78, 0.89, 1.14, 2.77))
+    mech = ungrouped(mean_mechanism())
+    for size in (1, 2):
+        report = check_group_strategyproof(mech, floats, 0, space, size)
+        assert report == reference_audit(mech, floats, 0, space, size)
+        assert report.violations
 
 
 # ---------------------------------------------------------------------------

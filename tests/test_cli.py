@@ -174,6 +174,28 @@ def test_bad_gamma_is_a_parse_error(tmp_path, command, gamma):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("audit", "--epsilon=abc"),
+        ("audit", "--epsilon=-1/2"),
+        ("audit", "--epsilon=1/0"),
+        ("audit", "--epsilon=-0.1"),
+        ("sweep", "--tolerance=x"),
+        ("sweep", "--tolerance=-1"),
+        ("sweep", "--tolerance=nan"),
+    ],
+)
+def test_bad_epsilon_or_tolerance_is_a_parse_error(tmp_path, command, option):
+    path = write(tmp_path, "inst.json", constant_instance([[0], [1]]))
+    extra = ["--advice", "0", "--space", "grid:0,1"] if command == "audit" else []
+    code, out, err = run_cli(command, path, "--mechanism", "pfa", option, *extra)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert option.split("=")[0] in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -268,6 +290,20 @@ def test_audit_binary_space_on_constant_instance_exits_3(tmp_path):
     )
     assert code == 3
     assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_audit_over_the_evaluation_budget_exits_5(tmp_path):
+    # comb(29, 10) = 20,030,010 reports per agent; refused before enumeration
+    path = write(tmp_path, "inst.json", constant_instance([list(range(10))] * 6))
+    grid = "grid:" + ",".join(str(v) for v in range(20))
+    code, out, err = run_cli(
+        "audit", path, "--mechanism", "mean", "--advice", "0", "--space", grid
+    )
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "budget" in err and "120180060" in err
     assert "Traceback" not in err
 
 

@@ -1,7 +1,8 @@
 """The fast paths against the plain ones they replace in the ratio loop and
 the audits: `CompiledInstance.risk` against `global_risk`, and the
-fit-from-profile outcome of pfa/lpfa mechanisms against `pfa`/`lpfa` run
-on the reported instance."""
+fit-from-profile outcome of every registered mechanism (pfa, lpfa, mean,
+srda and the two-labeling wrappers) against the plain mechanism run on the
+reported instance."""
 
 import random
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from advicemech import (
     REALS,
+    AllBinaryVectors,
     ClassMismatchError,
     ConstantChoice,
     GridLabels,
@@ -34,10 +36,17 @@ from advicemech import (
     lpfa,
     lpfa_family,
     lpfa_mechanism,
+    mean_mechanism,
     pfa,
     pfa_family,
     pfa_mechanism,
+    pfa_two_labeling,
+    pfa_two_labeling_mechanism,
     shared_binary_instance,
+    srda,
+    srda_mechanism,
+    srda_two_labeling,
+    srda_two_labeling_mechanism,
 )
 from advicemech.model import CompiledInstance
 
@@ -190,19 +199,18 @@ def test_unanimous_float_labels_keep_ratio_one():
 # ---------------------------------------------------------------------------
 
 
-def every_misreport(instance, levels):
-    """Each instance reachable by one agent relabeling its points from the
-    grid, the truthful one included."""
-    space = GridLabels(levels)
+def every_misreport(instance, space):
+    """Each instance reachable by one agent relabeling its points within the
+    misreport space, the truthful one included."""
     yield instance
     for i, agent in enumerate(instance.agents):
         for labels in space.reports(agent):
             yield instance.with_agent_labels(i, labels)
 
 
-def assert_fit_matches(mech, plain, instance, advices, levels):
+def assert_fit_matches(mech, plain, instance, advices, space):
     cls = instance.function_class
-    for reported in every_misreport(instance, levels):
+    for reported in every_misreport(instance, space):
         profile = mech.profile(reported)
         for advice in advices:
             expected = plain(reported, advice)
@@ -224,7 +232,8 @@ def test_pfa_fit_matches_pfa_on_every_misreport(gamma):
                 domain,
             )
             assert_fit_matches(
-                mech, lambda reported, advice: pfa(cfg, reported, advice), inst, advices, levels
+                mech, lambda reported, advice: pfa(cfg, reported, advice),
+                inst, advices, GridLabels(levels),
             )
 
 
@@ -249,7 +258,59 @@ def test_lpfa_fit_matches_lpfa_on_every_misreport(gamma):
     for inst in corpus:
         assert_fit_matches(
             mech, lambda reported, advice: lpfa(gamma, reported, advice),
-            inst, (F(-3, 2), 0, 2), levels,
+            inst, (F(-3, 2), 0, 2), GridLabels(levels),
+        )
+
+
+def test_mean_fit_matches_the_plain_average_on_every_misreport():
+    rng = random.Random(13)
+    mech = mean_mechanism()
+
+    def plain(reported, advice):
+        labels = reported.all_labels()
+        return ConstantChoice(F(sum(labels), len(labels)))
+
+    for _ in range(8):
+        inst = constant_instance(
+            [[rng.choice((-1, 0, F(1, 2), 2)) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 3))]
+        )
+        assert_fit_matches(mech, plain, inst, (0,), GridLabels((-1, 0, F(1, 3), 2)))
+
+
+def test_mean_fit_leaves_float_totals_to_the_mechanism():
+    mech = mean_mechanism()
+    inst = constant_instance([[0.1, 0.2], [0.7]])
+    assert mech.fill(inst.function_class, mech.profile(inst), 0, lambda: inst) == mech.fn(inst, 0)
+
+
+@pytest.mark.parametrize("gamma", [F(1, 4), F(1, 2), 1])
+def test_srda_fits_match_srda_on_every_binary_misreport(gamma):
+    rng = random.Random(14)
+    for _ in range(6):
+        m = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(1, 4))]
+        space = AllBinaryVectors(m)
+        for literal in (False, True):
+            assert_fit_matches(
+                srda_mechanism(gamma, literal),
+                lambda reported, advice: srda(gamma, reported, advice, literal),
+                shared_binary_instance(vectors), (0, 1), space,
+            )
+        if m < 2:
+            continue
+        first = tuple(rng.randint(0, 1) for _ in range(m))
+        second = tuple(rng.randint(0, 1) for _ in range(m - 1)) + (1 - first[-1],)
+        two = shared_binary_instance(vectors, (first, second))
+        for literal in (False, True):
+            assert_fit_matches(
+                srda_two_labeling_mechanism(gamma, literal),
+                lambda reported, advice: srda_two_labeling(gamma, reported, advice, literal),
+                two, (0, 1), space,
+            )
+        assert_fit_matches(
+            pfa_two_labeling_mechanism(gamma),
+            lambda reported, advice: pfa_two_labeling(gamma, reported, advice),
+            two, (0, 1), space,
         )
 
 
@@ -275,9 +336,17 @@ BINARY = ValueDomain.finite((0, 1))
         (pfa_mechanism(1, BINARY), constant_instance([[0], [1]], BINARY), F(1, 2)),
         (pfa_mechanism(1), shared_binary_instance([(0, 1), (1, 1)]), 1),
         (lpfa_mechanism(1), constant_instance([[0], [1]]), 1),
+        (srda_mechanism(1), shared_binary_instance([(0, 1), (1, 1)], ((0, 1), (1, 0))), 1),
+        (srda_mechanism(1), shared_binary_instance([(0, 1), (1, 1)]), 2),
+        (srda_mechanism(1), constant_instance([[0], [1]]), 1),
+        (pfa_two_labeling_mechanism(1), shared_binary_instance([(0, 1)], ((0, 1), (1, 0), (1, 1))), 1),
+        (pfa_two_labeling_mechanism(1), shared_binary_instance([(0, 1)], ((0, 1), (1, 0))), 2),
+        (srda_two_labeling_mechanism(1), shared_binary_instance([(0, 1)], ((0, 1), (1, 0))), 2),
     ],
     ids=["pfa-linear", "pfa-reals-on-binary", "pfa-binary-on-reals", "pfa-advice-outside",
-         "pfa-labelings", "lpfa-constant"],
+         "pfa-labelings", "lpfa-constant", "srda-not-c0c1", "srda-advice-outside",
+         "srda-constant", "pfa-two-labeling-three-labelings", "pfa-two-labeling-advice-outside",
+         "srda-two-labeling-advice-outside"],
 )
 def test_fit_path_keeps_class_checks(mech, instance, advice):
     with pytest.raises(ClassMismatchError):
@@ -290,3 +359,15 @@ def test_fit_path_keeps_class_checks(mech, instance, advice):
         check_strategyproof(mech, instance, advice, space)
     with pytest.raises(ClassMismatchError):
         check_group_strategyproof(mech, instance, advice, space, 2)
+
+
+@pytest.mark.parametrize(
+    "mech", [srda_mechanism(F(3, 2)), srda_two_labeling_mechanism(F(3, 2))], ids=["srda", "srda-two-labeling"]
+)
+def test_srda_fit_path_keeps_the_gamma_check(mech):
+    instance = shared_binary_instance([(0, 1), (1, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="gamma"):
+            mech.outcome(instance, 1)
+    with pytest.raises(ValueError, match="gamma"):
+        check_strategyproof(mech, instance, 1, AllBinaryVectors(2))
