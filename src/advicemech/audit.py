@@ -25,6 +25,10 @@ loss sum (risk times |S_i|), and a member gains when
 out only for a violation or a new max_gain.  Inputs with a float keep the
 normalized arithmetic of the risks themselves.
 
+`MECHANISMS` is the one table of mechanisms: per CLI name, the function
+class it accepts, its gamma range, its constructor and its guarantee.  The
+CLI, the sweeps and `error_interpolation_check` read it.
+
 Ratio loops (`MechanismFamily.frontier_row`, `error_interpolation_check`)
 compile each instance once per frontier row (`CompiledInstance`) and
 compute its signature profile and `brute_force_optimal_risk` once as
@@ -42,10 +46,12 @@ from math import comb, prod
 
 from .classification import (
     check_srda_inputs,
+    disagreement_points,
     pfa_two_labeling,
     srda,
     srda_fit,
     srda_two_labeling,
+    two_labeling_pair,
 )
 from .model import (
     BINARY_DOMAIN,
@@ -63,10 +69,12 @@ from .model import (
     Real,
     ValueDomain,
     WeightedSample,
+    advice_error,
     c0c1_class,
     erm_constant,
     exact_div,
     global_risk,
+    optimal_constant_set,
     personal_risk,
 )
 from .regression import (
@@ -76,6 +84,8 @@ from .regression import (
     linear_projection,
     lpfa,
     lpfa_fit,
+    mapped_optimal_set,
+    optimal_slope_set,
     pfa,
     pfa_fit,
 )
@@ -299,27 +309,25 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
 
 
 def mean_mechanism() -> AuditableMechanism:
-    """Non-strategyproof baseline: the plain average of all reported labels."""
+    """Non-strategyproof baseline: the plain average of all reported labels.
+    Its signature is (sum, |S_i|), but a float sum depends on the order of
+    summation, so a float report is its own signature, a 1-tuple, and the
+    fit leaves any profile holding one to `fn`."""
 
     def fn(instance, advice):
         labels = instance.all_labels()
         return ConstantChoice(exact_div(sum(labels), len(labels)))
 
     def signature(xs, labels, cls):
-        return (sum(labels), len(labels))
+        total = sum(labels)
+        return (tuple(labels),) if isinstance(total, float) else (total, len(labels))
 
     def fit(cls, profile, advice):
-        total = sum(s for s, _ in profile)
-        if not isinstance(total, float):  # a float total depends on the order
+        if all(len(sig) == 2 for sig in profile):
+            total = sum(s for s, _ in profile)
             return ConstantChoice(exact_div(total, sum(m for _, m in profile)))
 
     return AuditableMechanism(fn, "mean-baseline", signature, fit)
-
-
-def _two_labeling_pair(cls):
-    if not isinstance(cls, LabelingsClass) or len(cls.labelings) != 2:
-        raise ClassMismatchError("a two-labeling instance is required")
-    return cls.labelings
 
 
 def _side_signature(literal_indicator: bool = False):
@@ -329,7 +337,7 @@ def _side_signature(literal_indicator: bool = False):
     `literal_indicator`)."""
 
     def signature(xs, labels, cls):
-        first, second = _two_labeling_pair(cls)
+        first, second = two_labeling_pair(cls)
         agree2 = 2 * sum(
             1 for j, y in enumerate(labels) if first[j] != second[j] and y == second[j]
         )
@@ -339,22 +347,13 @@ def _side_signature(literal_indicator: bool = False):
     return signature
 
 
-def _reduced_class(cls, advice):
-    """The {c0, c1} class `two_labeling_reduce` maps a two-labeling class
-    to, raising its class and advice errors."""
-    first, second = _two_labeling_pair(cls)
-    if advice not in (0, 1):
-        raise ClassMismatchError("advice must be one of the two labeling indices")
-    return c0c1_class(sum(1 for a, b in zip(first, second) if a != b))
-
-
 def _srda_fit(gamma, reduced: bool):
     """srda's lottery from the count of True signatures, on the instance's
-    class or (`reduced`) on its `_reduced_class`."""
+    class or (`reduced`) on the {c0, c1} class `two_labeling_reduce` maps to."""
 
     def fit(cls, profile, advice):
         if reduced:
-            cls = _reduced_class(cls, advice)
+            cls = c0c1_class(len(disagreement_points(cls, advice)))
         g = check_srda_inputs(gamma, cls, advice)
         return srda_fit(g, Fraction(sum(s for (s,) in profile), len(profile)), advice)
 
@@ -375,7 +374,7 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
         return pfa_two_labeling(gamma, instance, advice)
 
     def fit(cls, profile, advice):
-        m = _reduced_class(cls, advice).num_points
+        m = len(disagreement_points(cls, advice))
         choice = pfa_fit(PfaConfig(gamma, BINARY_DOMAIN), [(int(s), m) for (s,) in profile], advice)
         return LabelingChoice(int(choice.value))
 
@@ -590,16 +589,12 @@ def optimal_functions(instance: Instance) -> tuple:
     """
     cls = instance.function_class
     if isinstance(cls, ConstantClass):
-        from .model import optimal_constant_set
-
         opt, _ = optimal_constant_set(instance)
         if cls.domain.is_reals:
             lo, hi = opt
             return (lo,) if lo == hi else (lo, hi)
         return opt
     if isinstance(cls, LinearClass):
-        from .regression import optimal_slope_set
-
         (lo, hi), _ = optimal_slope_set(instance)
         return (lo,) if lo == hi else (lo, hi)
     if isinstance(cls, LabelingsClass):
@@ -627,18 +622,10 @@ def ratio_queries(mechanism, instance: Instance):
     """
     compiled = CompiledInstance(instance)
     best = brute_force_optimal_risk(instance)
-    if isinstance(mechanism, AuditableMechanism):
-        profile = mechanism.profile(instance)
-
-        def outcome(advice):
-            return mechanism.outcome(instance, advice, profile)
-    else:
-
-        def outcome(advice):
-            return mechanism(instance, advice)
+    profile = mechanism.profile(instance)
 
     def ratio(advice):
-        return risk_ratio(compiled.risk(outcome(advice)), best)
+        return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)
 
     return ratio
 
@@ -686,27 +673,65 @@ class FrontierRow:
 
 @dataclass(frozen=True)
 class MechanismFamily:
-    """A gamma-indexed mechanism family with its theoretical tradeoff curve."""
+    """One entry of `MECHANISMS`: a gamma-indexed mechanism under its CLI
+    name, with the function class it accepts, its gamma range
+    (0, gamma_max], `make(gamma, cls)` and the constant `robust` of its
+    guarantee: consistency 1 + gamma and robustness 1 + robust/gamma.
+    `robust` is None for a baseline with no tradeoff curve."""
 
     name: str
+    function_class: type
+    gamma_max: Real
     make: callable
-    consistency_bound: callable
-    robustness_bound: callable
+    robust: int | None
+
+    def mechanism(self, gamma, cls) -> AuditableMechanism:
+        """The mechanism at gamma for instances of class `cls`."""
+        if not isinstance(cls, self.function_class):
+            raise ClassMismatchError(f"{self.name} needs a {self.function_class.__name__} instance")
+        return self.make(gamma, cls)
+
+    def bounds(self, gamma) -> tuple:
+        """(consistency, robustness) guaranteed at gamma."""
+        if self.robust is None:
+            raise ClassMismatchError(f"{self.name} has no tradeoff curve")
+        return 1 + gamma, 1 + exact_div(self.robust, gamma)
 
     def frontier_row(self, gamma, corpus, grid_points=21, tolerance=0) -> FrontierRow:
-        mech = self.make(gamma)
+        """Worst ratios over the corpus, one mechanism per function class."""
+        bc, br = self.bounds(gamma)
+        mechs = {}
         consistency = 0
         robustness = 0
         for instance in corpus:
-            ratio = ratio_queries(mech, instance)
+            cls = instance.function_class
+            if cls not in mechs:
+                mechs[cls] = self.mechanism(gamma, cls)
+            ratio = ratio_queries(mechs[cls], instance)
             for advice in optimal_functions(instance):
                 consistency = max(consistency, ratio(advice))
             for advice in advice_grid(instance, grid_points):
                 robustness = max(robustness, ratio(advice))
-        bc = self.consistency_bound(gamma)
-        br = self.robustness_bound(gamma)
         ok = consistency <= bc + tolerance and robustness <= br + tolerance
         return FrontierRow(gamma, consistency, robustness, bc, br, ok)
+
+
+MECHANISMS = {
+    family.name: family
+    for family in (
+        MechanismFamily("pfa", ConstantClass, 2, lambda g, cls: pfa_mechanism(g, cls.domain), 4),
+        MechanismFamily("lpfa", LinearClass, 2, lambda g, cls: lpfa_mechanism(g), 4),
+        MechanismFamily("srda", LabelingsClass, 1, lambda g, cls: srda_mechanism(g), 1),
+        MechanismFamily(
+            "pfa-two-labeling", LabelingsClass, 2, lambda g, cls: pfa_two_labeling_mechanism(g), 4
+        ),
+        MechanismFamily(
+            "srda-two-labeling", LabelingsClass, 1, lambda g, cls: srda_two_labeling_mechanism(g), 1
+        ),
+        # the baseline ignores gamma; the CLI still parses one in (0, 2]
+        MechanismFamily("mean", ConstantClass, 2, lambda g, cls: mean_mechanism(), None),
+    )
+}
 
 
 def consistency_robustness_sweep(
@@ -719,29 +744,24 @@ def consistency_robustness_sweep(
     ]
 
 
-def _family(name, make, robust) -> MechanismFamily:
-    """Consistency 1 + gamma and robustness 1 + robust/gamma."""
-    return MechanismFamily(name, make, lambda g: 1 + g, lambda g: 1 + exact_div(robust, g))
-
-
-def pfa_family(domain: ValueDomain = REALS) -> MechanismFamily:
-    return _family("pfa", lambda g: pfa_mechanism(g, domain), 4)
+def pfa_family() -> MechanismFamily:
+    return MECHANISMS["pfa"]
 
 
 def lpfa_family() -> MechanismFamily:
-    return _family("lpfa", lpfa_mechanism, 4)
+    return MECHANISMS["lpfa"]
 
 
 def srda_family() -> MechanismFamily:
-    return _family("srda", srda_mechanism, 1)
+    return MECHANISMS["srda"]
 
 
 def pfa_two_labeling_family() -> MechanismFamily:
-    return _family("pfa-two-labeling", pfa_two_labeling_mechanism, 4)
+    return MECHANISMS["pfa-two-labeling"]
 
 
 def srda_two_labeling_family() -> MechanismFamily:
-    return _family("srda-two-labeling", srda_two_labeling_mechanism, 1)
+    return MECHANISMS["srda-two-labeling"]
 
 
 @dataclass(frozen=True)
@@ -762,40 +782,20 @@ def error_interpolation_check(
     For linear instances eta is the advice error of the mapped weighted
     data, which is what the constant mechanism actually faces.
     """
-    rows = []
-    robust_cap = 1 + exact_div(4, gamma)
+    family = MECHANISMS["lpfa" if linear else "pfa"]
+    mech = mechanism if mechanism is not None else family.mechanism(gamma, instance.function_class)
+    _, robust_cap = family.bounds(gamma)
     if linear:
-        from .model import weighted_median_bounds
-        from .regression import map_to_constant_instance
-
-        mech = mechanism if mechanism is not None else lpfa_mechanism(gamma)
-        pooled = map_to_constant_instance(instance).pooled_sample()
-        lo, hi = weighted_median_bounds(pooled)
-        interval, finite_opt = (lo, hi), None
-        opt_risk = pooled.risk(hi)
+        optimum, best = mapped_optimal_set(instance)
+        interval = True
     else:
-        from .model import optimal_constant_set
-
-        mech = mechanism if mechanism is not None else pfa_mechanism(
-            gamma, instance.function_class.domain
-        )
-        opt, opt_risk = optimal_constant_set(instance)
-        if instance.function_class.domain.is_reals:
-            interval, finite_opt = opt, None
-        else:
-            interval, finite_opt = None, opt
+        optimum, best = optimal_constant_set(instance)
+        interval = instance.function_class.domain.is_reals
     ratio = ratio_queries(mech, instance)
+    rows = []
     for advice in advice_values:
-        if interval is not None:
-            lo, hi = interval
-            dist = max(lo - advice, advice - hi, 0)
-        else:
-            dist = min(abs(advice - c) for c in finite_opt)
-        if opt_risk == 0:
-            eta = 0 if dist == 0 else INF
-        else:
-            eta = exact_div(dist, opt_risk)
+        eta = advice_error(optimum, best, advice, interval)
         r = ratio(advice)
-        bound = min(robust_cap, 1 + gamma + eta) if eta != INF else robust_cap
+        bound = min(robust_cap, 1 + gamma + eta)
         rows.append(InterpolationRow(advice, eta, r, bound, r <= bound + tolerance))
     return rows

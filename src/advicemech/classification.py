@@ -16,7 +16,6 @@ from .model import (
     AgentDataset,
     BINARY_DOMAIN,
     ClassMismatchError,
-    ConstantClass,
     Instance,
     LabeledPoint,
     LabelingChoice,
@@ -24,6 +23,7 @@ from .model import (
     LabelingsClass,
     Real,
     c0c1_class,
+    constant_instance,
     personal_risk,
 )
 from .regression import PfaConfig, pfa
@@ -42,13 +42,25 @@ class BinaryPreferenceSummary:
             raise ValueError("P and N must be complementary probabilities")
 
 
-def _require_c0c1(cls) -> int:
+def two_labeling_pair(cls) -> tuple:
+    """The two labelings of a two-labeling class."""
     if not isinstance(cls, LabelingsClass) or len(cls.labelings) != 2:
         raise ClassMismatchError("a two-labeling instance is required")
-    m = cls.num_points
-    if cls.labelings != ((0,) * m, (1,) * m):
+    return cls.labelings
+
+
+def disagreement_points(cls, advice: int) -> tuple:
+    """The points where the two labelings of `cls` disagree, once the class
+    and the advice are checked as the two-labeling mechanisms check them."""
+    first, second = two_labeling_pair(cls)
+    if advice not in (0, 1):
+        raise ClassMismatchError("advice must be one of the two labeling indices")
+    return tuple(j for j in range(len(first)) if first[j] != second[j])
+
+
+def _require_c0c1(cls) -> None:
+    if two_labeling_pair(cls) != c0c1_class(cls.num_points).labelings:
         raise ClassMismatchError("instance must be over the all-0s/all-1s pair")
-    return m
 
 
 def preference_summary(
@@ -81,8 +93,7 @@ def check_srda_inputs(gamma: Real, cls, advice: int) -> Real:
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     _require_c0c1(cls)
-    if advice not in (0, 1):
-        raise ClassMismatchError("advice must be one of the two labeling indices")
+    disagreement_points(cls, advice)  # checks the advice
     return gamma
 
 
@@ -145,7 +156,6 @@ class TwoLabelingReduction:
     """
 
     instance: Instance
-    advice: int
     indices: tuple
     off_errors: int
 
@@ -154,12 +164,8 @@ def two_labeling_reduce(instance: Instance, advice: int) -> TwoLabelingReduction
     """Restrict to the points where the two labelings disagree and recode
     each agent's labels as agreement with the first (0) or second (1)."""
     cls = instance.function_class
-    if not isinstance(cls, LabelingsClass) or len(cls.labelings) != 2:
-        raise ClassMismatchError("a two-labeling instance is required")
-    if advice not in (0, 1):
-        raise ClassMismatchError("advice must be one of the two labeling indices")
-    first, second = cls.labelings
-    J = tuple(j for j in range(len(first)) if first[j] != second[j])
+    J = disagreement_points(cls, advice)
+    first = cls.labelings[0]
     disagree = set(J)
     off_errors = 0
     agents = []
@@ -173,7 +179,7 @@ def two_labeling_reduce(instance: Instance, advice: int) -> TwoLabelingReduction
             AgentDataset(tuple(LabeledPoint(pos, y) for pos, y in enumerate(transformed)))
         )
     reduced = Instance(tuple(agents), c0c1_class(len(J)))
-    return TwoLabelingReduction(reduced, advice, J, off_errors)
+    return TwoLabelingReduction(reduced, J, off_errors)
 
 
 def pfa_two_labeling(gamma: Real, instance: Instance, advice: int) -> LabelingChoice:
@@ -181,15 +187,8 @@ def pfa_two_labeling(gamma: Real, instance: Instance, advice: int) -> LabelingCh
     agent's reduced labels as a constant dataset over the {0, 1} domain, and
     run the constant project-and-fit mechanism."""
     reduction = two_labeling_reduce(instance, advice)
-    cfg = PfaConfig(gamma, BINARY_DOMAIN)
-    constant = Instance(
-        tuple(
-            AgentDataset.from_labels(agent.labels)
-            for agent in reduction.instance.agents
-        ),
-        ConstantClass(BINARY_DOMAIN),
-    )
-    choice = pfa(cfg, constant, reduction.advice)
+    constant = constant_instance([a.labels for a in reduction.instance.agents], BINARY_DOMAIN)
+    choice = pfa(PfaConfig(gamma, BINARY_DOMAIN), constant, advice)
     return LabelingChoice(int(choice.value))
 
 
@@ -199,4 +198,4 @@ def srda_two_labeling(
     """Randomized two-labeling mechanism: reduce and run the lottery, whose
     index i already names original labeling i."""
     reduction = two_labeling_reduce(instance, advice)
-    return srda(gamma, reduction.instance, reduction.advice, literal_indicator)
+    return srda(gamma, reduction.instance, advice, literal_indicator)

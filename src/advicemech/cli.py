@@ -1,11 +1,17 @@
 """Command-line front end: run mechanisms on instance files, audit them,
 generate hard-instance corpora, and sweep consistency/robustness frontiers.
 
+`--mechanism` names an entry of `audit.MECHANISMS`, which also gives the
+function class the mechanism accepts and its gamma range; the sweep's
+bounds come from the same entry.
+
 stdout carries data (tab-separated key/value lines or TSV tables); stderr
 carries diagnostics.  Exit codes: 0 success (audit: no violations found),
-1 audit violations, 2 parse error, 3 class/advice mismatch, 4 degenerate
-instance, 5 evaluation budget exceeded (an audit space too large to
-enumerate).
+1 audit violations, 2 parse error (a malformed file or an option value
+outside its documented range), 3 class/advice mismatch (a mechanism,
+advice or misreport space that does not fit the instance's class), 4
+degenerate instance, 5 evaluation budget exceeded (an audit space too
+large to enumerate).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .formats import (
 from .model import (
     ClassMismatchError,
     ConstantChoice,
-    ConstantClass,
     InvalidInstanceError,
     LabelingChoice,
     LabelingLottery,
@@ -37,7 +42,7 @@ from .model import (
     LinearClass,
     global_risk,
 )
-from .regression import DegenerateLinearInstance
+from .regression import DegenerateLinearInstance, map_to_constant_instance
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -47,15 +52,8 @@ EXIT_DEGENERATE = 4
 EXIT_BUDGET = 5
 
 DEFAULT_SEED = 20250809  # fixed so runs without --seed are reproducible
-
-FAMILIES = {
-    "pfa": audit_mod.pfa_family,
-    "lpfa": audit_mod.lpfa_family,
-    "srda": audit_mod.srda_family,
-    "pfa-two-labeling": audit_mod.pfa_two_labeling_family,
-    "srda-two-labeling": audit_mod.srda_two_labeling_family,
-    "mean": None,  # baseline, audit only
-}
+# sweep's gammas without --gamma, cut to the mechanism's range
+SWEEP_GAMMAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 def _parse_fraction(tok, what, allowed="[0, inf)", ok=lambda v: v >= 0):
@@ -70,13 +68,14 @@ def _parse_fraction(tok, what, allowed="[0, inf)", ok=lambda v: v >= 0):
     return value
 
 
-def _parse_gamma(tok):
-    """One gamma in the paper's range (0, 2]."""
-    return _parse_fraction(tok, "gamma", "(0, 2]", lambda g: 0 < g <= 2)
+def _parse_gamma(tok, family):
+    """One gamma in the family's range (0, gamma_max]."""
+    allowed = f"(0, {format_number(family.gamma_max)}] for {family.name}"
+    return _parse_fraction(tok, "gamma", allowed, lambda g: 0 < g <= family.gamma_max)
 
 
-def _parse_gamma_list(raw):
-    gammas = [_parse_gamma(tok) for tok in str(raw).split(",") if tok.strip()]
+def _parse_gamma_list(raw, family):
+    gammas = [_parse_gamma(tok, family) for tok in str(raw).split(",") if tok.strip()]
     if not gammas:
         raise InstanceParseError(f"gamma list {raw!r} is empty")
     return gammas
@@ -88,31 +87,14 @@ def _parse_advice(raw, instance):
         tok = str(raw).strip()
         if tok.startswith("c"):
             tok = tok[1:]
-        index = int(tok)
+        try:
+            index = int(tok)
+        except ValueError:
+            raise InstanceParseError(f"advice {raw!r} is not a labeling index") from None
         if not 0 <= index < len(cls.labelings):
             raise ClassMismatchError(f"labeling index {index} out of range")
         return index
     return parse_number(raw)
-
-
-def _mechanism(name, gamma, instance):
-    if name == "mean":
-        return audit_mod.mean_mechanism()
-    if name == "pfa":
-        if not isinstance(instance.function_class, ConstantClass):
-            raise ClassMismatchError("pfa needs a constant-class instance")
-        return audit_mod.pfa_mechanism(gamma, instance.function_class.domain)
-    if name == "lpfa":
-        if not isinstance(instance.function_class, LinearClass):
-            raise ClassMismatchError("lpfa needs a homogeneous-linear instance")
-        return audit_mod.lpfa_mechanism(gamma)
-    if name == "srda":
-        return audit_mod.srda_mechanism(gamma)
-    if name == "pfa-two-labeling":
-        return audit_mod.pfa_two_labeling_mechanism(gamma)
-    if name == "srda-two-labeling":
-        return audit_mod.srda_two_labeling_mechanism(gamma)
-    raise ClassMismatchError(f"unknown mechanism {name!r}")
 
 
 def _describe(outcome) -> str:
@@ -136,14 +118,12 @@ def _emit(out, key, value):
 
 def cmd_run(args, out, err) -> int:
     instance = load_instance(args.instance)
-    gamma = _parse_gamma(str(args.gamma))
+    family = audit_mod.MECHANISMS[args.mechanism]
+    gamma = _parse_gamma(str(args.gamma), family)
     advice = _parse_advice(args.advice, instance)
-    if args.mechanism == "lpfa" and isinstance(instance.function_class, LinearClass):
-        if all(p.x == 0 for a in instance.agents for p in a.points):
-            raise DegenerateLinearInstance(
-                "all x values are zero; every slope fits equally well"
-            )
-    mech = _mechanism(args.mechanism, gamma, instance)
+    mech = family.mechanism(gamma, instance.function_class)
+    if isinstance(instance.function_class, LinearClass):
+        map_to_constant_instance(instance)  # refuses an instance whose x are all zero
     outcome = mech(instance, advice)
     achieved = global_risk(outcome, instance)
     best = audit_mod.brute_force_optimal_risk(instance)
@@ -178,16 +158,20 @@ def _corpus(path) -> list:
 
 
 def _space(raw, instance, advice):
-    if raw is None:
-        if isinstance(instance.function_class, LabelingsClass):
-            return audit_mod.AllBinaryVectors(instance.function_class.num_points)
-        return audit_mod.ProjectedConstant.for_instance(instance, advice)
+    """The misreport space `raw` names, by default the class's own.  Other
+    spaces than binary report labels outside {0, 1} or ignore which point
+    carries which label, so a labeling instance takes binary only."""
+    cls = instance.function_class
+    labelings = isinstance(cls, LabelingsClass)
+    raw = raw if raw is not None else "binary" if labelings else "projected"
+    if raw == "binary":
+        if not labelings:
+            raise ClassMismatchError("--space binary needs a labeling instance")
+        return audit_mod.AllBinaryVectors(cls.num_points)
+    if labelings:
+        raise ClassMismatchError(f"--space {raw} does not fit a labeling instance; use binary")
     if raw == "projected":
         return audit_mod.ProjectedConstant.for_instance(instance, advice)
-    if raw == "binary":
-        if not isinstance(instance.function_class, LabelingsClass):
-            raise ClassMismatchError("--space binary needs a labeling instance")
-        return audit_mod.AllBinaryVectors(instance.function_class.num_points)
     if raw.startswith("grid:"):
         levels = tuple(parse_number(tok) for tok in raw[5:].split(","))
         return audit_mod.GridLabels(levels)
@@ -195,8 +179,11 @@ def _space(raw, instance, advice):
 
 
 def cmd_audit(args, out, err) -> int:
+    if args.max_coalition < 1:
+        raise InstanceParseError(f"--max-coalition {args.max_coalition} lies outside [1, inf)")
+    family = audit_mod.MECHANISMS[args.mechanism]
     corpus = _corpus(args.instance)
-    gammas = _parse_gamma_list(args.gamma)
+    gammas = _parse_gamma_list(args.gamma, family)
     epsilon = _parse_fraction(args.epsilon, "--epsilon")
     lines = []
     violations = []
@@ -206,7 +193,7 @@ def cmd_audit(args, out, err) -> int:
             _parse_advice(tok, instance) for tok in str(args.advice).split(",")
         ]
         for gamma in gammas:
-            mech = _mechanism(args.mechanism, gamma, instance)
+            mech = family.mechanism(gamma, instance.function_class)
             for advice in advices:
                 space = _space(args.space, instance, advice)
                 report = audit_mod.check_group_strategyproof(
@@ -281,11 +268,13 @@ def cmd_gen(args, out, err) -> int:
 
 def cmd_sweep(args, out, err) -> int:
     corpus = [inst for _, inst in _corpus(args.corpus)]
-    family = FAMILIES[args.mechanism]
-    if family is None:
-        raise ClassMismatchError("the mean baseline has no tradeoff curve to sweep")
+    family = audit_mod.MECHANISMS[args.mechanism]
+    if args.gamma is None:
+        gammas = [g for g in SWEEP_GAMMAS if g <= family.gamma_max]
+    else:
+        gammas = _parse_gamma_list(args.gamma, family)
     rows = audit_mod.consistency_robustness_sweep(
-        family(), _parse_gamma_list(args.gamma), corpus,
+        family, gammas, corpus,
         grid_points=args.grid_points,
         tolerance=_parse_fraction(args.tolerance, "--tolerance"),
     )
@@ -319,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one mechanism on one instance file")
     run.add_argument("instance")
-    run.add_argument("--mechanism", required=True, choices=sorted(FAMILIES))
+    run.add_argument("--mechanism", required=True, choices=sorted(audit_mod.MECHANISMS))
     run.add_argument("--gamma", default="1")
     run.add_argument("--advice", required=True)
     run.add_argument("--seed", type=int, default=None)
@@ -327,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     aud = sub.add_parser("audit", help="misreport audit over an instance or corpus dir")
     aud.add_argument("instance")
-    aud.add_argument("--mechanism", required=True, choices=sorted(FAMILIES))
+    aud.add_argument("--mechanism", required=True, choices=sorted(audit_mod.MECHANISMS))
     aud.add_argument("--gamma", default="1")
     aud.add_argument("--advice", required=True)
     aud.add_argument("--space", default=None)
@@ -358,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="consistency/robustness frontier over a corpus")
     sweep.add_argument("corpus")
-    sweep.add_argument("--mechanism", required=True, choices=sorted(FAMILIES))
-    sweep.add_argument("--gamma", default="0.5,1,2")
+    sweep.add_argument("--mechanism", required=True, choices=sorted(audit_mod.MECHANISMS))
+    sweep.add_argument("--gamma", default=None, help="default: 0.5,1,2 within the mechanism's range")
     sweep.add_argument("--grid-points", type=int, default=21)
     sweep.add_argument("--tolerance", default="0")
     sweep.add_argument("--out", default=None)
@@ -374,10 +363,7 @@ def main(argv=None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, out, err)
-    except InstanceParseError as exc:
-        err.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (InstanceParseError, FileNotFoundError) as exc:
         err.write(f"parse error: {exc}\n")
         return EXIT_PARSE
     except audit_mod.SpaceTooLargeError as exc:

@@ -140,8 +140,3 @@ def serialize_instance(instance: Instance) -> str:
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance(fh.read())
-
-
-def dump_instance(instance: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(instance))

@@ -58,12 +58,6 @@ class AgentModel:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "labeler", tuple(sorted(labeler.items())))
 
-    @classmethod
-    def uniform(cls, labeled_points) -> "AgentModel":
-        pts = list(labeled_points)
-        p = Fraction(1, len(pts))
-        return cls(tuple((x, p) for x, _ in pts), tuple(pts))
-
     def label_of(self, x):
         for key, y in self.labeler:
             if key == x:

@@ -67,10 +67,6 @@ class ValueDomain:
             object.__setattr__(self, "values", vals)
 
     @classmethod
-    def reals(cls) -> "ValueDomain":
-        return cls(None)
-
-    @classmethod
     def finite(cls, values: Iterable[Real]) -> "ValueDomain":
         return cls(tuple(sorted(values)))
 
@@ -84,7 +80,7 @@ class ValueDomain:
         return any(a == v for v in self.values)
 
 
-REALS = ValueDomain.reals()
+REALS = ValueDomain()
 BINARY_DOMAIN = ValueDomain.finite((0, 1))
 
 
@@ -424,9 +420,6 @@ class LabelingLottery:
         return sum(p for i, p in self.branches if i == index)
 
 
-MechanismOutcome = Union[ConstantChoice, LinearChoice, LabelingChoice, LabelingLottery]
-
-
 # ---------------------------------------------------------------------------
 # Risk functionals
 # ---------------------------------------------------------------------------
@@ -583,23 +576,22 @@ def augmented_risk(a: Real, instance: Instance, advice: Real, lam: Real) -> Real
     return exact_div(data_term + lam * size * abs(a - advice), (1 + lam) * size)
 
 
-def advice_error_constant(instance: Instance, advice: Real) -> Real:
-    """Distance from the advice to the nearest optimal constant, normalized
-    by the optimal risk.  Zero-risk instances give 0 for optimal advice and
-    +inf otherwise."""
-    opt, best = optimal_constant_set(instance)
-    cls = instance.function_class
-    if cls.domain.is_reals:
-        lo, hi = opt
+def advice_error(optimum, best: Real, advice: Real, interval: bool) -> Real:
+    """Distance from the advice to the nearest optimum, normalized by the
+    optimal risk `best`.  `optimum` is the interval (lo, hi) of optima when
+    `interval`, else the tuple of optimal values.  Zero-risk instances give
+    0 for optimal advice and +inf otherwise."""
+    if interval:
+        lo, hi = optimum
         dist = max(lo - advice, advice - hi, 0)
     else:
-        dist = min(abs(advice - c) for c in opt)
+        dist = min(abs(advice - c) for c in optimum)
     if best == 0:
         return 0 if dist == 0 else INF
     return exact_div(dist, best)
 
 
-def expected_personal_risk(outcome, agent: AgentDataset, cls: FunctionClass) -> Real:
-    """Alias that reads naturally for lottery outcomes; risks of lotteries
-    are always the closed-form expectation, never sampled."""
-    return personal_risk(outcome, agent, cls)
+def advice_error_constant(instance: Instance, advice: Real) -> Real:
+    """`advice_error` of a constant advice against `optimal_constant_set`."""
+    opt, best = optimal_constant_set(instance)
+    return advice_error(opt, best, advice, instance.function_class.domain.is_reals)

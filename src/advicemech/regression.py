@@ -26,11 +26,12 @@ from .model import (
     Real,
     ValueDomain,
     WeightedSample,
+    advice_error,
     erm_constant,
     mapped_entries,
     weighted_median_bounds,
 )
-from .model import INF, exact_div
+from .model import exact_div
 
 
 class DegenerateLinearInstance(InvalidInstanceError):
@@ -145,10 +146,6 @@ class MappedLinearInstance:
                 entries.extend(s.entries)
         return WeightedSample(tuple(entries))
 
-    def mapped_risk(self, slope: Real) -> Real:
-        """Weighted absolute risk of the constant `slope` on the mapped data."""
-        return self.pooled_sample().risk(slope)
-
     def linear_risk(self, slope: Real) -> Real:
         """Risk of x -> slope*x on the original instance, offset included."""
         heavy = sum(
@@ -240,17 +237,23 @@ def optimal_slope_set(instance: Instance):
     return (lo, hi), mapped.linear_risk(hi)
 
 
+def mapped_optimal_set(instance: Instance):
+    """Minimizing slopes of the mapped weighted data as an interval, plus
+    their risk on that data: the optimum the constant mechanism inside
+    `lpfa` faces."""
+    pooled = map_to_constant_instance(instance).pooled_sample()
+    lo, hi = weighted_median_bounds(pooled)
+    return (lo, hi), pooled.risk(hi)
+
+
 def advice_error_linear(instance: Instance, advice_slope: Real) -> Real:
     """Advice error for the linear class: distance from the advice slope to
     the optimal slope set, normalized by the optimal linear risk."""
     try:
-        (lo, hi), best = optimal_slope_set(instance)
+        interval, best = optimal_slope_set(instance)
     except DegenerateLinearInstance:
         return 0
-    dist = max(lo - advice_slope, advice_slope - hi, 0)
-    if best == 0:
-        return 0 if dist == 0 else INF
-    return exact_div(dist, best)
+    return advice_error(interval, best, advice_slope, True)
 
 
 def advice_error_mapped(instance: Instance, advice_slope: Real) -> Real:
@@ -259,13 +262,7 @@ def advice_error_mapped(instance: Instance, advice_slope: Real) -> Real:
     without x = 0 points this equals advice_error_linear scaled by the ratio
     of the mapped weight to the point count."""
     try:
-        mapped = map_to_constant_instance(instance)
+        interval, best = mapped_optimal_set(instance)
     except DegenerateLinearInstance:
         return 0
-    pooled = mapped.pooled_sample()
-    lo, hi = weighted_median_bounds(pooled)
-    dist = max(lo - advice_slope, advice_slope - hi, 0)
-    best = pooled.risk(hi)
-    if best == 0:
-        return 0 if dist == 0 else INF
-    return exact_div(dist, best)
+    return advice_error(interval, best, advice_slope, True)

@@ -29,7 +29,7 @@ from advicemech import (
     srda_mechanism,
 )
 from advicemech.audit import AuditReport, Violation
-from advicemech.model import ValueDomain, expected_personal_risk, personal_risk
+from advicemech.model import ValueDomain, personal_risk
 
 
 def ungrouped(mech):
@@ -67,7 +67,7 @@ def test_mean_baseline_violation_example():
     deviant = inst.with_agent_labels(0, best.misreports[0])
     out = mech(deviant, 0)
     cls = inst.function_class
-    assert expected_personal_risk(out, inst.agents[0], cls) == best.risks_after[0]
+    assert personal_risk(out, inst.agents[0], cls) == best.risks_after[0]
 
 
 def test_epsilon_threshold_filters_small_gains():
@@ -353,8 +353,7 @@ def test_engine_floats_keep_normalized_arithmetic():
     space = GridLabels((0, 1, 2))
     report = check_strategyproof(mean_mechanism(), inst, 1, space, epsilon=0.1)
     assert report == reference_audit(mean_mechanism(), inst, 1, space, 1, epsilon=0.1)
-    # float risks scaled by |S_i| and divided back do not round-trip here;
-    # ungrouped, since float label sums are only approximately a signature
+    # float risks scaled by |S_i| and divided back do not round-trip here
     floats = constant_instance([[0.45, 0.1, 0.56], [2.71, 0.23, 0.48]])
     space = ProjectedConstant((0.78, 0.89, 1.14, 2.77))
     mech = ungrouped(mean_mechanism())
@@ -362,6 +361,33 @@ def test_engine_floats_keep_normalized_arithmetic():
         report = check_group_strategyproof(mech, floats, 0, space, size)
         assert report == reference_audit(mech, floats, 0, space, size)
         assert report.violations
+
+
+def test_mean_float_reports_are_their_own_signature():
+    # equal float label sums need not give equal float means: 1.14 three
+    # times gains 1.1e-16, which a (sum, len) signature would hide
+    floats = constant_instance([[0.45, 0.1, 0.56], [2.71, 0.23, 0.48]])
+    space = ProjectedConstant((0.78, 0.89, 1.14, 2.77))
+    for size in (1, 2):
+        grouped = check_group_strategyproof(mean_mechanism(), floats, 0, space, size)
+        assert grouped == check_group_strategyproof(ungrouped(mean_mechanism()), floats, 0, space, size)
+    assert len(check_strategyproof(mean_mechanism(), floats, 0, space).violations) == 3
+
+
+def test_literal_indicator_srda_is_caught_and_plain_srda_is_not():
+    # every binary instance with m in {1, 3} and n in {2, 3}, at both advices
+    plain, literal = srda_mechanism(1), srda_mechanism(1, literal_indicator=True)
+    audited = 0
+    for m in (1, 3):
+        space = AllBinaryVectors(m)
+        for n in (2, 3):
+            for vectors in product(product((0, 1), repeat=m), repeat=n):
+                inst = shared_binary_instance(vectors)
+                for advice in (0, 1):
+                    assert check_strategyproof(plain, inst, advice, space).ok
+                    assert not check_strategyproof(literal, inst, advice, space).ok
+                    audited += 1
+    assert audited == 1176
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ exit codes, corpus handling."""
 import io
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from advicemech import (
+    MECHANISMS,
     constant_instance,
     gen_S,
     linear_instance,
@@ -145,29 +147,41 @@ def test_run_degenerate_linear_exits_4(tmp_path):
     assert "zero" in err
 
 
+GAMMA_ROWS = [
+    ("run", "0", "pfa"),
+    ("run", "abc", "pfa"),
+    ("run", "3", "pfa"),
+    ("run", "1/0", "pfa"),
+    ("sweep", "0", "pfa"),
+    ("sweep", "abc", "pfa"),
+    ("sweep", "1,-1/2", "pfa"),
+    ("sweep", ",", "pfa"),
+    ("audit", "0", "pfa"),
+    ("audit", "1/2,5/2", "pfa"),
+    # srda and srda-two-labeling take gamma in (0, 1] only
+    ("run", "2", "srda"),
+    ("audit", "2", "srda"),
+    ("sweep", "2", "srda"),
+    ("run", "2", "srda-two-labeling"),
+    ("audit", "2", "srda-two-labeling"),
+    ("sweep", "1/2,2", "srda-two-labeling"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, gamma",
-    [
-        ("run", "0"),
-        ("run", "abc"),
-        ("run", "3"),
-        ("run", "1/0"),
-        ("sweep", "0"),
-        ("sweep", "abc"),
-        ("sweep", "1,-1/2"),
-        ("sweep", ","),
-        ("audit", "0"),
-        ("audit", "1/2,5/2"),
-    ],
+    "command, gamma, mechanism",
+    GAMMA_ROWS,
+    ids=[f"{c}-{g}" if m == "pfa" else f"{c}-{g}-{m}" for c, g, m in GAMMA_ROWS],
 )
-def test_bad_gamma_is_a_parse_error(tmp_path, command, gamma):
-    path = write(tmp_path, "inst.json", constant_instance([[0], [1]]))
+def test_bad_gamma_is_a_parse_error(tmp_path, command, gamma, mechanism):
+    instance = constant_instance([[0], [1]]) if mechanism == "pfa" else shared_binary_instance([(1,), (0,)])
+    path = write(tmp_path, "inst.json", instance)
     extra = {
         "run": ["--advice", "0"],
         "sweep": [],
-        "audit": ["--advice", "0", "--space", "grid:0,1"],
+        "audit": ["--advice", "0"] + (["--space", "grid:0,1"] if mechanism == "pfa" else []),
     }[command]
-    code, out, err = run_cli(command, path, "--mechanism", "pfa", "--gamma", gamma, *extra)
+    code, out, err = run_cli(command, path, "--mechanism", mechanism, "--gamma", gamma, *extra)
     assert code == 2
     assert len(err.splitlines()) == 1
     assert "gamma" in err
@@ -184,6 +198,8 @@ def test_bad_gamma_is_a_parse_error(tmp_path, command, gamma):
         ("sweep", "--tolerance=x"),
         ("sweep", "--tolerance=-1"),
         ("sweep", "--tolerance=nan"),
+        ("audit", "--max-coalition=0"),
+        ("audit", "--max-coalition=-1"),
     ],
 )
 def test_bad_epsilon_or_tolerance_is_a_parse_error(tmp_path, command, option):
@@ -194,6 +210,77 @@ def test_bad_epsilon_or_tolerance_is_a_parse_error(tmp_path, command, option):
     assert len(err.splitlines()) == 1
     assert option.split("=")[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, keyword",
+    [
+        (["run", "--mechanism", "srda", "--advice", "abc"], 2, "advice"),
+        (["run", "--mechanism", "srda", "--advice", "0.5"], 2, "advice"),
+        (["audit", "--mechanism", "srda", "--advice", "c1.5"], 2, "advice"),
+        (["audit", "--mechanism", "srda", "--advice", "0", "--space", "grid:0,1,5"], 3, "--space"),
+        (["audit", "--mechanism", "srda", "--advice", "0", "--space", "projected"], 3, "--space"),
+        (["audit", "--mechanism", "pfa-two-labeling", "--advice", "1", "--space", "grid:0,1"], 3, "--space"),
+    ],
+)
+def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keyword):
+    path = write(tmp_path, "inst.json", shared_binary_instance([(1, 0, 1), (0, 0, 0)]))
+    got, out, err = run_cli(argv[0], path, *argv[1:])
+    assert got == code
+    assert len(err.splitlines()) == 1
+    assert keyword in err
+    assert "Traceback" not in err
+
+
+FITTING_INSTANCES = {
+    "pfa": constant_instance([[0], [1, 2], [2]]),
+    "lpfa": linear_instance([[(1, 1)], [(2, 1), (-1, 2)]]),
+    "srda": shared_binary_instance([(1, 0, 1), (0, 0, 0)]),
+    "pfa-two-labeling": shared_binary_instance([(1, 0, 1), (0, 1, 0)], ((0, 0, 1), (1, 1, 0))),
+    "srda-two-labeling": shared_binary_instance([(1, 0, 1), (0, 1, 0)], ((0, 0, 1), (1, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "audit", "sweep"])
+@pytest.mark.parametrize("name", sorted(FITTING_INSTANCES))
+def test_registry_gamma_range_holds_on_every_command(tmp_path, command, name):
+    family = MECHANISMS[name]
+    path = write(tmp_path, "inst.json", FITTING_INSTANCES[name])
+    extra = [] if command == "sweep" else ["--advice", "0"]
+    top = format_number(family.gamma_max)
+    code, out, err = run_cli(command, path, "--mechanism", name, "--gamma", top, *extra)
+    assert (code, err) == (0, "")
+    if command == "sweep":
+        assert out.strip().splitlines()[1].endswith("true")
+    above = format_number(family.gamma_max + F(1, 100))
+    code, out, err = run_cli(command, path, "--mechanism", name, "--gamma", above, *extra)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "gamma" in err and "Traceback" not in err
+
+
+def test_mechanism_choices_are_the_registry(capsys):
+    assert set(MECHANISMS) == {*FITTING_INSTANCES, "mean"}
+    for command in ("run", "audit", "sweep"):
+        with pytest.raises(SystemExit):
+            main([command, "x", "--mechanism", "nope", "--advice", "0"])
+        err = capsys.readouterr().err
+        assert all(f"'{name}'" in err for name in MECHANISMS)
+
+
+def test_readme_guarantee_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            rows[cells[0].split("`")[1]] = cells
+    assert set(rows) == set(MECHANISMS)
+    for name, family in MECHANISMS.items():
+        if family.robust is not None:
+            _, _, gamma_range, consistency, robustness = rows[name]
+            assert gamma_range == f"`(0, {family.gamma_max}]`"
+            assert (consistency, robustness) == ("`1+g`", f"`1+{family.robust}/g`")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +431,30 @@ def test_sweep_header_and_pass_column(tmp_path):
         "sweep", str(corpus), "--mechanism", "pfa", "--gamma", "0.5,1,2"
     )
     assert out2 == out
+
+
+def test_sweep_default_gammas_stay_in_the_mechanism_range(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write(corpus, "a.json", shared_binary_instance([(1, 0, 1), (0, 0, 0), (1, 1, 1)]))
+    code, out, err = run_cli("sweep", str(corpus), "--mechanism", "srda")
+    assert (code, err) == (0, "")
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1/2", "1"]
+    assert all(r[-1] == "true" for r in rows)
+
+
+def test_sweep_pfa_on_a_finite_domain_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    domain = ValueDomain.finite([0, 1, 2])
+    write(corpus, "a.json", constant_instance([[0], [1], [2, 2]], domain))
+    write(corpus, "b.json", constant_instance([[0, 1], [2]], ValueDomain.finite([0, 2])))
+    write(corpus, "c.json", constant_instance([[0], [5]]))
+    code, out, err = run_cli("sweep", str(corpus), "--mechanism", "pfa")
+    assert (code, err) == (0, "")
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith("true") for row in rows)
 
 
 def test_sweep_srda_bound_columns(tmp_path):

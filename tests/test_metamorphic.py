@@ -1,0 +1,73 @@
+"""Metamorphic properties of the mechanisms, exact on rationals: pfa is
+equivariant under translation and positive scaling of labels and advice,
+lpfa's slope and advice scale inversely with x, and srda's lottery flips
+when 0 and 1 swap in the labels and the advice."""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from advicemech import (
+    PfaConfig,
+    constant_instance,
+    linear_instance,
+    lpfa,
+    pfa,
+    shared_binary_instance,
+    srda,
+)
+
+EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 4))
+positive = st.builds(F, st.integers(1, 30), st.integers(1, 7))
+gammas = st.sampled_from((F(1, 4), F(1, 2), F(2, 3), 1, F(3, 2), 2))
+srda_gammas = st.sampled_from((F(1, 4), F(1, 2), F(2, 3), 1))
+
+
+def label_lists(values):
+    return st.lists(st.lists(values, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+@EXAMPLES
+@given(gammas, label_lists(rationals), rationals, rationals)
+def test_pfa_translation_equivariant(gamma, labels, advice, c):
+    cfg = PfaConfig(gamma)
+    shifted = constant_instance([[y + c for y in agent] for agent in labels])
+    expected = pfa(cfg, constant_instance(labels), advice).value + c
+    assert pfa(cfg, shifted, advice + c).value == expected
+
+
+@EXAMPLES
+@given(gammas, label_lists(rationals), rationals, positive)
+def test_pfa_positive_scaling_equivariant(gamma, labels, advice, k):
+    cfg = PfaConfig(gamma)
+    scaled = constant_instance([[k * y for y in agent] for agent in labels])
+    expected = k * pfa(cfg, constant_instance(labels), advice).value
+    assert pfa(cfg, scaled, k * advice).value == expected
+
+
+@EXAMPLES
+@given(
+    gammas,
+    label_lists(st.tuples(st.builds(F, st.integers(-6, 6), st.integers(1, 3)), rationals)),
+    rationals,
+    positive,
+)
+def test_lpfa_x_scaling_divides_slope_and_advice(gamma, pairs, advice, k):
+    scaled = linear_instance([[(k * x, y) for x, y in agent] for agent in pairs])
+    expected = lpfa(gamma, linear_instance(pairs), advice).slope / k
+    assert lpfa(gamma, scaled, advice / k).slope == expected
+
+
+@EXAMPLES
+@given(srda_gammas, st.sampled_from((1, 3, 5)), st.data(), st.sampled_from((0, 1)))
+def test_srda_label_swap_complements_the_lottery(gamma, m, data, advice):
+    # m odd: no agent agrees with exactly half the points, so none is indifferent
+    vectors = data.draw(
+        st.lists(st.tuples(*[st.sampled_from((0, 1))] * m), min_size=1, max_size=5)
+    )
+    swapped = [tuple(1 - y for y in v) for v in vectors]
+    p1 = srda(gamma, shared_binary_instance(vectors), advice).probability(1)
+    assert srda(gamma, shared_binary_instance(swapped), 1 - advice).probability(1) == 1 - p1
