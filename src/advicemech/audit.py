@@ -29,12 +29,12 @@ normalized arithmetic of the risks themselves.
 class it accepts, its gamma range, its constructor and its guarantee.  The
 CLI, the sweeps and `error_interpolation_check` read it.
 
-Ratio loops (`MechanismFamily.frontier_row`, `error_interpolation_check`)
-compile each instance once per frontier row (`CompiledInstance`) and
-compute its signature profile and `brute_force_optimal_risk` once as
-well; `brute_force_optimal_risk` stays the independent check of the
-optimum.  A ratio query then costs one mechanism outcome (a cache lookup
-or one fit) plus one bisect.
+Ratio loops compile an instance (`CompiledInstance`) and run
+`brute_force_optimal_risk`, the independent check of the optimum, once:
+per sweep in `consistency_robustness_sweep` (with the optimal functions
+and advice grid; `frontier_row` is the sweep at one gamma), per query
+function in `ratio_queries`.  A ratio query then costs one mechanism
+outcome (a cache lookup or one fit) plus one bisect.
 """
 
 from __future__ import annotations
@@ -620,8 +620,11 @@ def ratio_queries(mechanism, instance: Instance):
     mechanism outcome (a cache lookup or one fit) and one O(log N) risk.
     Nothing outlives the returned function.
     """
-    compiled = CompiledInstance(instance)
-    best = brute_force_optimal_risk(instance)
+    return _ratio(mechanism, instance, CompiledInstance(instance), brute_force_optimal_risk(instance))
+
+
+def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
+    """advice -> ratio on `instance`, given its compiled form and optimum."""
     profile = mechanism.profile(instance)
 
     def ratio(advice):
@@ -685,10 +688,14 @@ class MechanismFamily:
     make: callable
     robust: int | None
 
-    def mechanism(self, gamma, cls) -> AuditableMechanism:
-        """The mechanism at gamma for instances of class `cls`."""
+    def check_class(self, cls) -> None:
+        """Raise ClassMismatchError unless the family accepts class `cls`."""
         if not isinstance(cls, self.function_class):
             raise ClassMismatchError(f"{self.name} needs a {self.function_class.__name__} instance")
+
+    def mechanism(self, gamma, cls) -> AuditableMechanism:
+        """The mechanism at gamma for instances of class `cls`."""
+        self.check_class(cls)
         return self.make(gamma, cls)
 
     def bounds(self, gamma) -> tuple:
@@ -698,22 +705,9 @@ class MechanismFamily:
         return 1 + gamma, 1 + exact_div(self.robust, gamma)
 
     def frontier_row(self, gamma, corpus, grid_points=21, tolerance=0) -> FrontierRow:
-        """Worst ratios over the corpus, one mechanism per function class."""
-        bc, br = self.bounds(gamma)
-        mechs = {}
-        consistency = 0
-        robustness = 0
-        for instance in corpus:
-            cls = instance.function_class
-            if cls not in mechs:
-                mechs[cls] = self.mechanism(gamma, cls)
-            ratio = ratio_queries(mechs[cls], instance)
-            for advice in optimal_functions(instance):
-                consistency = max(consistency, ratio(advice))
-            for advice in advice_grid(instance, grid_points):
-                robustness = max(robustness, ratio(advice))
-        ok = consistency <= bc + tolerance and robustness <= br + tolerance
-        return FrontierRow(gamma, consistency, robustness, bc, br, ok)
+        """Worst ratios over the corpus at one gamma: the sweep at [gamma]."""
+        (row,) = consistency_robustness_sweep(self, [gamma], corpus, grid_points, tolerance)
+        return row
 
 
 MECHANISMS = {
@@ -737,11 +731,35 @@ MECHANISMS = {
 def consistency_robustness_sweep(
     family: MechanismFamily, gammas, corpus, grid_points=21, tolerance=0
 ):
-    """Worst measured ratios per gamma next to the theoretical bounds."""
+    """Worst measured ratios per gamma next to the theoretical bounds.  Each
+    instance is prepared once per sweep, after the bound and class checks;
+    rows are built one gamma at a time, so one gamma's caches are held."""
     corpus = list(corpus)
-    return [
-        family.frontier_row(g, corpus, grid_points, tolerance) for g in gammas
+    if not corpus:
+        raise ValueError("an empty corpus certifies nothing")
+    gammas = list(gammas)
+    bounds = [family.bounds(g) for g in gammas]
+    for instance in corpus:
+        family.check_class(instance.function_class)
+    prepared = [
+        (instance, CompiledInstance(instance), brute_force_optimal_risk(instance),
+         optimal_functions(instance), advice_grid(instance, grid_points))
+        for instance in corpus
     ]
+    rows = []
+    for gamma, (bc, br) in zip(gammas, bounds):
+        mechs = {}
+        consistency = robustness = 0
+        for instance, compiled, best, optimal, grid in prepared:
+            cls = instance.function_class
+            if cls not in mechs:
+                mechs[cls] = family.mechanism(gamma, cls)
+            ratio = _ratio(mechs[cls], instance, compiled, best)
+            consistency = max(consistency, *map(ratio, optimal))
+            robustness = max(robustness, *map(ratio, grid))
+        ok = consistency <= bc + tolerance and robustness <= br + tolerance
+        rows.append(FrontierRow(gamma, consistency, robustness, bc, br, ok))
+    return rows
 
 
 def pfa_family() -> MechanismFamily:

@@ -153,6 +153,8 @@ def _corpus(path) -> list:
             ]
         else:
             names = sorted(f.name for f in p.glob("*.json"))
+        if not names:
+            raise InstanceParseError(f"{manifest if manifest.exists() else p} lists no instance")
         return [(name, load_instance(p / name)) for name in names]
     return [(p.name, load_instance(p))]
 
@@ -248,10 +250,10 @@ def cmd_gen(args, out, err) -> int:
     elif fam == "s-linear":
         instance = hardness.gen_S_linear(args.n, args.k, args.t, parse_number(args.z))
     elif fam == "voting-table":
-        prefs = []
-        for block in args.preferences.split(","):
-            order = tuple(int(tok) for tok in block.strip().split(">"))
-            prefs.append(order)
+        try:
+            prefs = [tuple(map(int, block.split(">"))) for block in args.preferences.split(",")]
+        except ValueError:
+            raise InstanceParseError(f"--preferences {args.preferences!r} is not like 2>1>3") from None
         instance = hardness.voting_instance(prefs)
     elif fam == "randomized-lb":
         instance = hardness.gen_randomized_lb(args.k, args.variant, n=args.n)

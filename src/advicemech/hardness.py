@@ -81,6 +81,8 @@ def gen_S_linear(n: int, k: int, t: int, z: Real) -> Instance:
     """
     if not 0 <= k <= n:
         raise InvalidInstanceError("need 0 <= k <= n")
+    if t < 1:
+        raise InvalidInstanceError("block parameter t must be at least 1")
     heavy = (t + 1) * z
     flat = [((t, 0), (t + 1, 0))] * k + [((t, 0), (t + 1, heavy))] * (n - k)
     return linear_instance(flat)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .model import (
     AgentDataset,
+    CompiledInstance,
     ConstantClass,
     Instance,
     InvalidInstanceError,
@@ -156,22 +157,19 @@ def sup_personal_gap(agent: AgentModel, dataset: AgentDataset) -> Real:
 def sup_global_gap(agents, instance: Instance) -> Real:
     """Exact sup over all constants of the global risk gap; requires the
     equal per-agent sample sizes that `sample_instance` produces."""
-    agents = list(agents)
-    sizes = {len(a) for a in instance.agents}
-    if len(sizes) != 1:
+    return _global_gap(list(agents), CompiledInstance(instance))
+
+
+def _global_gap(agents, compiled: CompiledInstance) -> Real:
+    """`sup_global_gap` on a compiled instance: one bisect per breakpoint."""
+    if len({len(a) for a in compiled.instance.agents}) != 1:
         raise InvalidInstanceError("global gap needs equal per-agent sample sizes")
-    breaks = sorted(
-        {y for a in agents for y in a.label_values()}
-        | {y for a in instance.agents for y in a.labels}
-    )
-    gap = max(
-        abs(statistical_global_risk(b, agents) - global_risk(b, instance))
-        for b in breaks
-    )
+    labels = compiled.instance.all_labels()
+    breaks = sorted({y for a in agents for y in a.label_values()} | set(labels))
+    gap = max(abs(statistical_global_risk(b, agents) - compiled.risk(b)) for b in breaks)
     stat_mean = sum(
         p * a.label_of(x) for a in agents for x, p in a.support
     ) / len(agents)
-    labels = instance.all_labels()
     emp_mean = sum(labels, start=Fraction(0)) / len(labels)
     return max(gap, abs(stat_mean - emp_mean))
 
@@ -246,15 +244,16 @@ def composition_experiment(
     for t in range(trials):
         trial_seed = seed + t
         inst = sample_instance(agents, m, trial_seed)
+        compiled = CompiledInstance(inst)
         labels = sorted(set(inst.all_labels()))
-        risks = {c: global_risk(c, inst) for c in labels}
+        risks = {c: compiled.risk(c) for c in labels}
         emp_best = max(c for c in labels if risks[c] == min(risks.values()))
         choice = pfa(PfaConfig(Fraction(gamma)), inst, emp_best).value
         personal_ok = all(
             sup_personal_gap(a, d) <= Fraction(epsilon) / 2
             for a, d in zip(agents, inst.agents)
         )
-        global_ok = sup_global_gap(agents, inst) <= Fraction(epsilon) / 2
+        global_ok = _global_gap(agents, compiled) <= Fraction(epsilon) / 2
         achieved = statistical_global_risk(choice, agents)
         bound = alpha * best_stat + (alpha + 1) / 2 * Fraction(epsilon)
         rows.append(

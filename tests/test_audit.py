@@ -8,11 +8,13 @@ from itertools import combinations, product
 import pytest
 
 from advicemech import (
+    MECHANISMS,
     AllBinaryVectors,
     AuditableMechanism,
     GridLabels,
     ProjectedConstant,
     SpaceTooLargeError,
+    advice_grid,
     approximation_ratio,
     brute_force_optimal_risk,
     check_group_strategyproof,
@@ -21,7 +23,10 @@ from advicemech import (
     constant_instance,
     error_interpolation_check,
     gen_S,
+    gen_S_linear,
+    linear_instance,
     mean_mechanism,
+    optimal_functions,
     pfa_family,
     pfa_mechanism,
     shared_binary_instance,
@@ -29,7 +34,7 @@ from advicemech import (
     srda_mechanism,
 )
 from advicemech.audit import AuditReport, Violation
-from advicemech.model import ValueDomain, personal_risk
+from advicemech.model import ClassMismatchError, ValueDomain, personal_risk
 
 
 def ungrouped(mech):
@@ -447,6 +452,84 @@ def test_srda_sweep_bounds():
     for r in rows:
         assert r.bound_robustness == 1 + 1 / r.gamma
         assert r.ok
+
+
+def reference_sweep(family, gammas, corpus, grid_points=21):
+    """The sweep rebuilt from the per-query path: every ratio is one
+    `approximation_ratio` call, with the mechanism rebuilt per instance."""
+    rows = []
+    for gamma in gammas:
+        bc, br = family.bounds(gamma)
+        consistency = robustness = 0
+        for inst in corpus:
+            mech = family.mechanism(gamma, inst.function_class)
+            for advice in optimal_functions(inst):
+                consistency = max(consistency, approximation_ratio(mech, inst, advice))
+            for advice in advice_grid(inst, grid_points):
+                robustness = max(robustness, approximation_ratio(mech, inst, advice))
+        rows.append((gamma, consistency, robustness, bc, br, consistency <= bc and robustness <= br))
+    return rows
+
+
+def typed(values):
+    return [(v, type(v)) for v in values]
+
+
+TWO_LABELINGS = ((0, 0, 1, 1), (1, 1, 0, 1))
+SWEEP_CORPORA = {
+    "pfa": [
+        gen_S(3, 1, 3, 4),
+        constant_instance([[0, 1], [3], [F(5, 2), 4, 4]]),
+        constant_instance([[0], [1], [2, 2]], ValueDomain.finite([0, 1, 2])),
+        constant_instance([[0, 1], [2]], ValueDomain.finite([0, 2])),
+        constant_instance([[3], [3]]),  # zero optimum
+        constant_instance([[3], [3]], ValueDomain.finite([0, 3])),
+        constant_instance([[0.5, 1.25], [2.0], [0.25]]),  # float labels
+    ],
+    "lpfa": [
+        gen_S_linear(3, 1, 3, 4),
+        linear_instance([[(1, 1)], [(2, 1), (-1, 2)]]),
+        linear_instance([[(F(1, 2), F(3, 4)), (0, 5)], [(-2, F(7, 4))], [(3, 0), (1, -1)]]),
+        linear_instance([[(2, 4)], [(1, 2)]]),  # zero optimum
+    ],
+    "pfa-two-labeling": [
+        shared_binary_instance([(1, 0, 1, 0), (0, 1, 0, 1)], TWO_LABELINGS),
+        shared_binary_instance([(1, 1, 0, 1)] * 2 + [(0, 0, 1, 1)], TWO_LABELINGS),
+        shared_binary_instance([(1, 0, 1), (0, 1, 0), (1, 1, 1)], ((0, 0, 1), (1, 1, 0))),
+    ],
+}
+SWEEP_CORPORA["srda-two-labeling"] = SWEEP_CORPORA["pfa-two-labeling"]
+SWEEP_GAMMAS = (F(1, 4), F(1, 2), F(2, 3), 1, F(3, 2), 2)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CORPORA))
+def test_sweep_equals_the_per_query_path(name):
+    family = MECHANISMS[name]
+    gammas = [g for g in SWEEP_GAMMAS if g <= family.gamma_max]
+    corpus = SWEEP_CORPORA[name]
+    for grid_points in (21, 4):
+        rows = consistency_robustness_sweep(family, gammas, corpus, grid_points)
+        expected = reference_sweep(family, gammas, corpus, grid_points)
+        assert [
+            typed([r.gamma, r.consistency, r.robustness, r.bound_consistency, r.bound_robustness, r.ok])
+            for r in rows
+        ] == [typed(row) for row in expected]
+        assert [family.frontier_row(g, corpus, grid_points) for g in gammas] == rows
+
+
+@pytest.mark.parametrize(
+    "name, corpus, error",
+    [
+        ("pfa", [], ValueError),
+        ("mean", [constant_instance([[0], [1]])], ClassMismatchError),
+        # preparing this instance would raise DegenerateLinearInstance
+        ("pfa", [constant_instance([[0]]), linear_instance([[(0, 1)], [(0, 5)]])], ClassMismatchError),
+        ("lpfa", [shared_binary_instance([(1, 0)])], ClassMismatchError),
+    ],
+)
+def test_sweep_refusals_come_before_instance_work(name, corpus, error):
+    with pytest.raises(error):
+        consistency_robustness_sweep(MECHANISMS[name], [1], corpus)
 
 
 def test_error_interpolation_mid_eta_example():

@@ -232,6 +232,38 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, keyword",
+    [
+        (["sweep", "{empty}", "--mechanism", "pfa"], "lists no instance"),
+        (["audit", "{empty}", "--mechanism", "pfa", "--advice", "0"], "lists no instance"),
+        (["sweep", "{manifest}", "--mechanism", "pfa"], "manifest.txt"),
+        (["audit", "{manifest}", "--mechanism", "pfa", "--advice", "0"], "manifest.txt"),
+        (["gen", "voting-table", "--preferences", "a>b"], "--preferences"),
+        (["gen", "voting-table", "--preferences", "1>2>3,"], "--preferences"),
+        (["gen", "s-linear", "--t", "0"], "t must be at least 1"),
+        (["gen", "s", "--t", "0"], "t must be at least 1"),
+    ],
+    ids=[
+        "sweep-empty-dir", "audit-empty-dir", "sweep-empty-manifest", "audit-empty-manifest",
+        "gen-preferences-letters", "gen-preferences-trailing-comma", "gen-s-linear-t0", "gen-s-t0",
+    ],
+)
+def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no instance here", encoding="utf-8")
+    listed = tmp_path / "listed"
+    listed.mkdir()
+    write(listed, "a.json", constant_instance([[0], [1]]))
+    (listed / "manifest.txt").write_text("\n\n", encoding="utf-8")
+    paths = {"{empty}": str(empty), "{manifest}": str(listed)}
+    code, out, err = run_cli(*[paths.get(arg, arg) for arg in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert keyword in err and "Traceback" not in err
+
+
 FITTING_INSTANCES = {
     "pfa": constant_instance([[0], [1, 2], [2]]),
     "lpfa": linear_instance([[(1, 1)], [(2, 1), (-1, 2)]]),

@@ -116,6 +116,14 @@ def test_gen_S_linear_maps_back_to_gen_S():
     assert mapped.total_mapped_weight == gen_S(2, 1, 2, 5).total_points
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_gen_S_linear_refuses_t_below_one_as_gen_S_does(t):
+    with pytest.raises(InvalidInstanceError):
+        gen_S(2, 1, t, 5)
+    with pytest.raises(InvalidInstanceError):
+        gen_S_linear(2, 1, t, 5)
+
+
 def test_gen_S_linear_optimal_slope_zero():
     rng = random.Random(6)
     for _ in range(20):

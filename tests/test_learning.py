@@ -8,8 +8,10 @@ import pytest
 
 from advicemech import (
     AgentModel,
+    PfaConfig,
     composition_experiment,
     global_risk,
+    pfa,
     required_sample_size,
     risk_gap_experiment,
     sample_instance,
@@ -19,6 +21,7 @@ from advicemech import (
     sup_global_gap,
     sup_personal_gap,
 )
+from advicemech.learning import CompositionTrial
 from advicemech.model import InvalidInstanceError, LinearClass
 
 
@@ -170,6 +173,58 @@ def test_composition_trials_hold_under_gap_precondition():
     held = [r for r in rows if r.gaps_ok]
     assert held, "no trial met the gap precondition; experiment is vacuous"
     assert all(r.ok for r in held)
+
+
+def seeded_agents(seed, count=4):
+    rng = random.Random(seed)
+    agents = []
+    for _ in range(count):
+        xs = rng.sample(range(10), rng.randint(2, 4))
+        weights = [rng.randint(1, 5) for _ in xs]
+        support = tuple((x, F(w, sum(weights))) for x, w in zip(xs, weights))
+        agents.append(AgentModel(support, tuple((x, F(rng.randint(0, 16), 4)) for x in xs)))
+    return agents
+
+
+def reference_global_gap(agents, inst):
+    """sup_global_gap with one `global_risk` scan per breakpoint."""
+    breaks = {y for a in agents for y in a.label_values()} | set(inst.all_labels())
+    gap = max(abs(statistical_global_risk(b, agents) - global_risk(b, inst)) for b in breaks)
+    stat_mean = sum(p * a.label_of(x) for a in agents for x, p in a.support) / len(agents)
+    labels = inst.all_labels()
+    return max(gap, abs(stat_mean - sum(labels, start=F(0)) / len(labels)))
+
+
+def reference_composition(agents, gamma, epsilon, delta, trials, seed):
+    m = required_sample_size(len(agents), epsilon, delta)
+    _, best_stat = statistical_optimal_constant(agents)
+    alpha = 1 + F(gamma)
+    rows = []
+    for t in range(trials):
+        inst = sample_instance(agents, m, seed + t)
+        risks = {c: global_risk(c, inst) for c in set(inst.all_labels())}
+        emp_best = max(c for c, r in risks.items() if r == min(risks.values()))
+        choice = pfa(PfaConfig(F(gamma)), inst, emp_best).value
+        gaps_ok = all(
+            sup_personal_gap(a, d) <= epsilon / 2 for a, d in zip(agents, inst.agents)
+        ) and reference_global_gap(agents, inst) <= epsilon / 2
+        achieved = statistical_global_risk(choice, agents)
+        bound = alpha * best_stat + (alpha + 1) / 2 * epsilon
+        rows.append(CompositionTrial(t, seed + t, gaps_ok, achieved, bound, achieved <= bound))
+    return rows, m
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20])
+def test_compiled_gaps_and_composition_equal_the_global_risk_reference(seed):
+    agents = seeded_agents(seed)
+    for m in (1, 5, 12):
+        inst = sample_instance(agents, m, seed=seed + m)
+        got = sup_global_gap(agents, inst)
+        expected = reference_global_gap(agents, inst)
+        assert (got, type(got)) == (expected, type(expected))
+    for gamma, epsilon in ((1, F(1, 2)), (F(1, 3), F(3, 4))):
+        got = composition_experiment(agents, gamma, epsilon, F(1, 10), trials=6, seed=seed)
+        assert got == reference_composition(agents, gamma, epsilon, F(1, 10), 6, seed)
 
 
 def test_statistical_misreport_gain_bounded_by_epsilon():

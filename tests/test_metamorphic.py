@@ -1,7 +1,8 @@
 """Metamorphic properties of the mechanisms, exact on rationals: pfa is
 equivariant under translation and positive scaling of labels and advice,
 lpfa's slope and advice scale inversely with x, and srda's lottery flips
-when 0 and 1 swap in the labels and the advice."""
+when 0 and 1 swap in the labels and the advice.  On quarter-grid data the
+float path of pfa and lpfa agrees with the exact path within 1e-9."""
 
 from fractions import Fraction as F
 
@@ -21,6 +22,7 @@ from advicemech import (
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 4))
+quarters = st.builds(F, st.integers(-40, 40), st.just(4))
 positive = st.builds(F, st.integers(1, 30), st.integers(1, 7))
 gammas = st.sampled_from((F(1, 4), F(1, 2), F(2, 3), 1, F(3, 2), 2))
 srda_gammas = st.sampled_from((F(1, 4), F(1, 2), F(2, 3), 1))
@@ -71,3 +73,19 @@ def test_srda_label_swap_complements_the_lottery(gamma, m, data, advice):
     swapped = [tuple(1 - y for y in v) for v in vectors]
     p1 = srda(gamma, shared_binary_instance(vectors), advice).probability(1)
     assert srda(gamma, shared_binary_instance(swapped), 1 - advice).probability(1) == 1 - p1
+
+
+@EXAMPLES
+@given(gammas, label_lists(quarters), quarters)
+def test_pfa_float_path_matches_exact(gamma, labels, advice):
+    exact = pfa(PfaConfig(gamma), constant_instance(labels), advice).value
+    floats = constant_instance([[float(y) for y in agent] for agent in labels])
+    assert abs(pfa(PfaConfig(gamma), floats, float(advice)).value - exact) <= 1e-9
+
+
+@EXAMPLES
+@given(gammas, label_lists(st.tuples(quarters.filter(bool), quarters)), quarters)
+def test_lpfa_float_path_matches_exact(gamma, pairs, advice):
+    exact = lpfa(gamma, linear_instance(pairs), advice).slope
+    floats = linear_instance([[(float(x), float(y)) for x, y in agent] for agent in pairs])
+    assert abs(lpfa(gamma, floats, float(advice)).slope - exact) <= 1e-9
