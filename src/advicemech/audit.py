@@ -17,13 +17,31 @@ sums, srda and the two-labeling wrappers from the count of agents siding
 with the second labeling), so an outcome-cache miss builds no instance.
 
 `check_strategyproof` and `check_group_strategyproof` are one engine,
-`_audit`, at coalition size 1 and up to `max_coalition`.  Its inner loop
-on exact inputs is integer-only wherever labels and outcomes are
-integers: each agent's loss table maps an outcome to its unnormalized
-loss sum (risk times |S_i|), and a member gains when
-`before_sum - after_sum > epsilon*|S_i|`, so a risk or a gain is divided
-out only for a violation or a new max_gain.  Inputs with a float keep the
-normalized arithmetic of the risks themselves.
+`_audit`, at coalition size 1 and up to `max_coalition`, built from three
+pieces:
+
+- A plan (`_Plan`), kept one per mechanism, prepares an instance and a
+  space once for audits at every advice: the signature profile, report
+  counts and budgets, loss tables, pools, and per coalition the sorted
+  signatures of the agents outside it ("others").
+- An outcome row holds the outcome of each joint report of a coalition,
+  in product order of its members' pools, and nothing else.  Registered
+  mechanisms are anonymous (the outcome depends on the multiset of
+  signatures), so on exact inputs a row is shared by every instance with
+  the same class, advice, others and member pool signatures, and its
+  outcomes are cached by the sorted full profile.  A mechanism without signature or not
+  declared anonymous, a float label, x or report, or a float advice builds
+  its rows afresh, with outcomes cached by the profile in agent order,
+  since a float sum depends on the order of summation.
+- Gains are computed once per distinct outcome of a row, not per joint
+  report.  On exact inputs they stay on integers wherever labels and
+  outcomes are: each agent's loss table maps an outcome to its
+  unnormalized loss sum (risk times |S_i|), and a member gains when
+  `before_sum - after_sum > epsilon*|S_i|`, so a risk or a gain is
+  divided out only for a violation or a new max_gain.  A float epsilon,
+  advice or risk keeps the normalized arithmetic of the risks themselves.
+  Joints are enumerated again only for a row with a violating outcome, so
+  violations keep coalition order and product order.
 
 `MECHANISMS` is the one table of mechanisms: per CLI name, the function
 class it accepts, its gamma range, its constructor and its guarantee.  The
@@ -41,10 +59,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb, prod
 
 from .classification import (
+    SRDA_GAMMA_MAX,
     check_srda_inputs,
     disagreement_points,
     pfa_two_labeling,
@@ -78,6 +97,7 @@ from .model import (
     personal_risk,
 )
 from .regression import (
+    PFA_GAMMA_MAX,
     PfaConfig,
     check_pfa_inputs,
     confidence_weight,
@@ -178,7 +198,15 @@ class AuditableMechanism:
     class `cls` with that profile, raising the same errors `fn` raises;
     cache misses then skip building the reported instance.  A fit may
     return None to leave a profile to `fn`.
+
+    `anonymous`, set by the registry's constructors, declares that on exact
+    inputs the outcome depends on the multiset of signatures only, not on
+    which agent reports which, and that signatures sort; audits then share
+    outcome rows across instances and key their outcomes by the sorted
+    profile.
     """
+
+    anonymous = False
 
     def __init__(self, fn, name: str, signature=None, fit=None):
         self.fn = fn
@@ -188,6 +216,9 @@ class AuditableMechanism:
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
         self._risk_cache = {}
         self._group_cache = {}
+        self._rows = {}  # class -> {(others, pool signatures) -> {advice -> row}}
+        self._outcomes = {}  # one object per distinct audited outcome
+        self._plan = None  # the _Plan of the instance audited last
 
     def true_personal_risk(self, outcome, agent, cls, scale=1):
         """Expected personal risk of an outcome against an agent's true
@@ -197,10 +228,7 @@ class AuditableMechanism:
         table = self.loss_table(agent, cls, scale)
         r = table.get(outcome)
         if r is None:
-            r = personal_risk(outcome, agent, cls)
-            if scale != 1:
-                r = _integral(r * scale)
-            table[outcome] = r
+            r = table[outcome] = _integral(personal_risk(outcome, agent, cls) * scale)
         return r
 
     def loss_table(self, agent, cls, scale) -> dict:
@@ -243,14 +271,14 @@ class AuditableMechanism:
         return self.fn(build(), advice) if out is None else out
 
     def grouped_reports(self, space, agent, cls):
-        """One representative report per signature class, or None when the
-        mechanism declares no signature.
+        """One (signature, representative report) per signature class; every
+        report, with signature None, when the mechanism declares none.
 
         Every misreport space enumerates reports from an agent's public x
         values and size alone, so the grouping is cached per (space, xs).
         """
         if self._signature is None:
-            return None
+            return tuple((None, tuple(labels)) for labels in space.reports(agent))
         key = (space, agent.xs, cls)
         groups = self._group_cache.get(key)
         if groups is None:
@@ -262,6 +290,23 @@ class AuditableMechanism:
             groups = tuple(seen.items())
             self._group_cache[key] = groups
         return groups
+
+    def plan(self, instance: Instance, space) -> "_Plan":
+        """The audit plan of `instance` under `space`; one is kept, the
+        last one built."""
+        plan = self._plan
+        if plan is None or plan.instance is not instance or not (
+            plan.space is space or plan.space == space
+        ):
+            plan = self._plan = _Plan(self, instance, space)
+        return plan
+
+
+def _anonymous(mechanism: AuditableMechanism, gamma=None) -> AuditableMechanism:
+    """`mechanism` declared anonymous, unless gamma is a float: a float
+    weight makes a fit's sums depend on the order of the profile."""
+    mechanism.anonymous = not isinstance(gamma, float)
+    return mechanism
 
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
@@ -286,7 +331,7 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
             memo[key] = sig
         return sig
 
-    return AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit)
+    return _anonymous(AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit), gamma)
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
@@ -305,7 +350,7 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
             raise ClassMismatchError("linear-class instance required")
         return lpfa_fit(lam, profile, advice)
 
-    return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
+    return _anonymous(AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit), gamma)
 
 
 def mean_mechanism() -> AuditableMechanism:
@@ -327,7 +372,7 @@ def mean_mechanism() -> AuditableMechanism:
             total = sum(s for s, _ in profile)
             return ConstantChoice(exact_div(total, sum(m for _, m in profile)))
 
-    return AuditableMechanism(fn, "mean-baseline", signature, fit)
+    return _anonymous(AuditableMechanism(fn, "mean-baseline", signature, fit))
 
 
 def _side_signature(literal_indicator: bool = False):
@@ -364,9 +409,9 @@ def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism
     def fn(instance, advice):
         return srda(gamma, instance, advice, literal_indicator)
 
-    return AuditableMechanism(
+    return _anonymous(AuditableMechanism(
         fn, f"srda(gamma={gamma})", _side_signature(literal_indicator), _srda_fit(gamma, False)
-    )
+    ), gamma)
 
 
 def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
@@ -378,17 +423,19 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
         choice = pfa_fit(PfaConfig(gamma, BINARY_DOMAIN), [(int(s), m) for (s,) in profile], advice)
         return LabelingChoice(int(choice.value))
 
-    return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
+    return _anonymous(
+        AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit), gamma
+    )
 
 
 def srda_two_labeling_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
     def fn(instance, advice):
         return srda_two_labeling(gamma, instance, advice, literal_indicator)
 
-    return AuditableMechanism(
+    return _anonymous(AuditableMechanism(
         fn, f"srda-two-labeling(gamma={gamma})",
         _side_signature(literal_indicator), _srda_fit(gamma, True),
-    )
+    ), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +463,14 @@ class AuditReport:
         return not self.violations
 
 
-def _space_budget(space, instance: Instance, max_coalition: int = 1) -> int:
-    """Joint reports of every coalition of at most `max_coalition` agents."""
-    counts = [space.count(a) for a in instance.agents]
-    return sum(
-        prod(counts[i] for i in coalition)
-        for size in range(1, max_coalition + 1)
-        for coalition in combinations(range(instance.n), size)
-    )
-
-
 def _integral(x):
     """An integral Fraction as an int, so the gain loop stays on ints."""
     return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def _exact(values) -> bool:
+    """No float among `values`."""
+    return not any(map(isinstance, values, repeat(float)))
 
 
 def _joint_report(instance: Instance, coalition, joint) -> Instance:
@@ -437,95 +479,208 @@ def _joint_report(instance: Instance, coalition, joint) -> Instance:
     return instance
 
 
+class _Plan:
+    """An instance and a misreport space prepared for audits at many advice
+    values: the signature profile, the outcome cache of the class, each
+    agent's report count and loss tables, the budget per coalition bound
+    and, once a budget has passed, the pools and every coalition's member
+    pools, the sorted signatures of the agents outside it ("others") and
+    its row slot.
+
+    A slot is the mechanism's `{advice: row}` under (class, others, the
+    member pools' signatures), so every instance whose coalition has the
+    same others and pool signatures shares its rows.  Only an anonymous
+    mechanism on an `exact` plan (no float label, x or report) has slots;
+    otherwise every audit builds its rows afresh."""
+
+    def __init__(self, mechanism, instance, space):
+        agents = instance.agents
+        self.instance = instance
+        self.space = space
+        self.cls = instance.function_class
+        self.view = mechanism.cache_view(self.cls)
+        self.profile = mechanism.profile(instance)
+        self.exact = _exact(v for a in agents for p in a.points for v in (p.x, p.y))
+        self.counts = [space.count(a) for a in agents]
+        self.budgets = {}
+        self.scales = ([len(a) for a in agents], [1] * len(agents))
+        self.tables = [None, None]
+        self.pools = None
+        self.rows = None  # the mechanism's rows of the class, when shared
+        self.coalitions = {}
+
+    def budget(self, max_coalition: int) -> int:
+        """Joint reports of every coalition of at most `max_coalition` agents."""
+        budget = self.budgets.get(max_coalition)
+        if budget is None:
+            budget = self.budgets[max_coalition] = sum(
+                prod(self.counts[i] for i in coalition)
+                for size in range(1, max_coalition + 1)
+                for coalition in combinations(range(len(self.counts)), size)
+            )
+        return budget
+
+    def outcome(self, mechanism, profile, advice, build):
+        """The outcome of a signature profile through the outcome cache, or
+        `fn` on the built instance for a mechanism without signature."""
+        if mechanism._signature is None:
+            return mechanism.fn(build(), advice)
+        key = (profile, advice)
+        out = self.view.get(key)
+        if out is None:
+            out = mechanism.fill(self.cls, profile, advice, build)
+            out = self.view[key] = mechanism._outcomes.setdefault(out, out)
+        return out
+
+    def loss_tables(self, mechanism):
+        """(scales, loss tables): first the unnormalized sums (scale |S_i|),
+        then the normalized risks (scale 1)."""
+        for k, scales in enumerate(self.scales):
+            if self.tables[k] is None:
+                self.tables[k] = [
+                    mechanism.loss_table(a, self.cls, s)
+                    for a, s in zip(self.instance.agents, scales)
+                ]
+            yield scales, self.tables[k]
+
+    def build_pools(self, mechanism) -> None:
+        """Every agent's pool, once a budget has passed; a float report
+        makes the plan inexact."""
+        if self.pools is not None:
+            return
+        self.pools = [
+            mechanism.grouped_reports(self.space, a, self.cls) for a in self.instance.agents
+        ]
+        self.exact = self.exact and _exact(
+            chain.from_iterable(labels for pool in self.pools for _, labels in pool)
+        )
+        if self.exact and mechanism.anonymous and mechanism._signature is not None:
+            self.rows = mechanism._rows.setdefault(self.cls, {})
+
+    def coalition_rows(self, size: int) -> list:
+        """(coalition, member pools, others, slot) of every coalition of
+        `size`, in `combinations` order; others and slot are None unless
+        rows are shared."""
+        entries = self.coalitions.get(size)
+        if entries is not None:
+            return entries
+        n = len(self.counts)
+        entries = self.coalitions[size] = []
+        for coalition in combinations(range(n), size):
+            members = tuple(self.pools[i] for i in coalition)
+            others = slot = None
+            if self.rows is not None:
+                others = tuple(sorted(self.profile[j] for j in range(n) if j not in coalition))
+                # a row depends on the pools' signatures, not on their reports
+                sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
+                slot = self.rows.setdefault((others, sigs), {})
+            entries.append((coalition, members, others, slot))
+        return entries
+
+
+def _row(mechanism, plan: _Plan, coalition, members, others, advice) -> tuple:
+    """The outcome of every joint report of `coalition`, in product order of
+    its member pools, as (distinct outcomes in order of first appearance,
+    the index of each joint's outcome among them).  With `others` the
+    outcome cache is keyed by the sorted full profile, the same for every
+    instance that shares the row; without, by the instance's own order."""
+    instance = plan.instance
+    distinct = {}
+    index = []
+    for joint in product(*members):
+        if others is not None:
+            profile = tuple(sorted(others + tuple(sig for sig, _ in joint)))
+        else:
+            profile = list(plan.profile)
+            for i, (sig, _) in zip(coalition, joint):
+                profile[i] = sig
+            profile = tuple(profile)
+        out = plan.outcome(
+            mechanism, profile, advice, lambda: _joint_report(instance, coalition, joint)
+        )
+        index.append(distinct.setdefault(out, len(distinct)))
+    return tuple(distinct), tuple(index)
+
+
 def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditReport:
     """The audit engine behind both public audits: every joint report of
     every coalition of at most `max_coalition` agents, one representative
     per signature class.  A violation is a joint report after which every
     member's true risk drops by at least epsilon and some member's by
     strictly more (at size one: a gain above epsilon).  Member i compares
-    risks times s_i (|S_i| on exact inputs, else 1) against the bars
-    epsilon*s_i and max_gain*s_i, the latter recomputed when max_gain grows.
+    its drop d_i in risk times s_i (|S_i| on exact inputs, else 1) against
+    the bar epsilon*s_i, and max_gain is kept as the pair (d, s) of the
+    largest d/s seen, compared by cross-multiplication, so nothing is
+    divided until a violation is recorded or the report is returned.
+
+    Gains are computed once per distinct outcome of a coalition's row; the
+    joints are enumerated again only for a row holding a violation, so
+    violations come in coalition order and, within one, in product order.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    budget = _space_budget(space, instance, max_coalition)
+    plan = mechanism.plan(instance, space)
+    budget = plan.budget(max_coalition)
     if budget > EVALUATION_BUDGET:
         raise SpaceTooLargeError(
             f"{budget} candidate evaluations exceed the budget of {EVALUATION_BUDGET}"
         )
-    cls = instance.function_class
+    cls = plan.cls
     agents = instance.agents
-    n = instance.n
-    base_profile = mechanism.profile(instance)
-    base = mechanism.outcome(instance, advice, profile=base_profile)
+    base = plan.outcome(mechanism, plan.profile, advice, lambda: instance)
+    plan.build_pools(mechanism)
     risk = mechanism.true_personal_risk
-    for scales in ([len(a) for a in agents], [1] * n):
-        tables = [mechanism.loss_table(a, cls, s) for a, s in zip(agents, scales)]
+    for scales, tables in plan.loss_tables(mechanism):
         before = [
-            t[base] if base in t else risk(base, a, cls, s)
+            risk(base, a, cls, s) if (b := t.get(base)) is None else b
             for t, a, s in zip(tables, agents, scales)
         ]
-        if not any(isinstance(v, float) for v in (epsilon, advice, *before)):
+        if plan.exact and _exact((epsilon, advice, *before)):
             break  # else the second pass: every scale 1, as normalized risks
-    eps_bars = [_integral(epsilon * s) for s in scales]
-    max_bars = [0] * n
-    pools = [mechanism.grouped_reports(space, a, cls) for a in agents]
-    have_sigs = mechanism._signature is not None
-    view = mechanism.cache_view(cls)
-    view_get = view.get
+    eps_bars = [_integral(epsilon * s) for s in scales] if epsilon else [0] * len(scales)
+    top, top_scale = 0, 1  # max_gain is top / top_scale
     violations = []
-    max_gain = 0
     for size in range(1, max_coalition + 1):
-        for coalition in combinations(range(n), size):
-            candidates = [
-                pools[i] if have_sigs
-                else ((None, tuple(labels)) for labels in space.reports(agents[i]))
-                for i in coalition
-            ]
-            joints = product(*candidates) if size > 1 else ((c,) for c in candidates[0])
-            for joint in joints:
-                if have_sigs:
-                    profile = list(base_profile)
-                    for i, (sig, _) in zip(coalition, joint):
-                        profile[i] = sig
-                    key = (tuple(profile), advice)
-                    out = view_get(key)
-                    if out is None:
-                        out = view[key] = mechanism.fill(
-                            cls, key[0], advice,
-                            lambda: _joint_report(instance, coalition, joint),
-                        )
-                else:
-                    out = mechanism.fn(_joint_report(instance, coalition, joint), advice)
-                if out is base or out == base:
-                    continue  # unchanged outcome, all gains exactly zero
-                members = []  # (agent, loss after, drop)
-                gains = False
+        for coalition, members, others, slot in plan.coalition_rows(size):
+            if slot is None or isinstance(advice, float):
+                row = _row(mechanism, plan, coalition, members, None, advice)
+            else:
+                row = slot.get(advice)
+                if row is None:
+                    row = slot[advice] = _row(mechanism, plan, coalition, members, others, advice)
+            outcomes, index = row
+            found = {}  # outcome index -> (risks before, risks after, gain)
+            for k, out in enumerate(outcomes):
+                if out is base:
+                    continue  # outcomes are interned; every drop here is 0
+                gains = []  # (agent, loss after, drop)
+                grows = strict = False
+                weak = True
                 for i in coalition:
                     after = tables[i].get(out)
                     if after is None:
                         after = risk(out, agents[i], cls, scales[i])
                     d = before[i] - after
-                    members.append((i, after, d))
-                    gains = gains or d > 0
-                if not gains:
-                    continue  # max_gain and every epsilon bar are >= 0
-                if any(d > max_bars[i] for i, _, d in members):
-                    max_gain = max(exact_div(d, scales[i]) for i, _, d in members)
-                    max_bars = [_integral(max_gain * s) for s in scales]
-                if all(d >= eps_bars[i] for i, _, d in members) and any(
-                    d > eps_bars[i] for i, _, d in members
-                ):
-                    violations.append(
-                        Violation(
-                            coalition,
-                            tuple(labels for _, labels in joint),
-                            tuple(exact_div(before[i], scales[i]) for i, _, _ in members),
-                            tuple(exact_div(a, scales[i]) for i, a, _ in members),
-                            max(exact_div(d, scales[i]) for i, _, d in members),
-                        )
+                    gains.append((i, after, d))
+                    grows = grows or d * top_scale > top * scales[i]
+                    weak = weak and d >= eps_bars[i]
+                    strict = strict or d > eps_bars[i]
+                if grows:
+                    for i, _, d in gains:
+                        if d * top_scale > top * scales[i]:
+                            top, top_scale = d, scales[i]
+                if weak and strict:
+                    found[k] = (
+                        tuple(exact_div(before[i], scales[i]) for i, _, _ in gains),
+                        tuple(exact_div(a, scales[i]) for i, a, _ in gains),
+                        max(exact_div(d, scales[i]) for i, _, d in gains),
                     )
-    return AuditReport(tuple(violations), max_gain, budget)
+            if found:
+                for joint, k in zip(product(*members), index):
+                    if k in found:
+                        reports = tuple(labels for _, labels in joint)
+                        violations.append(Violation(coalition, reports, *found[k]))
+    return AuditReport(tuple(violations), exact_div(top, top_scale) if top else 0, budget)
 
 
 def check_strategyproof(
@@ -641,7 +796,10 @@ def approximation_ratio(mechanism, instance: Instance, advice) -> Real:
 
 def advice_grid(instance: Instance, points: int = 21) -> tuple:
     """Evenly spaced advice values spanning the instance's label range
-    (mapped y/x range for linear instances), exact when labels are exact."""
+    (mapped y/x range for linear instances), exact when labels are exact.
+    Fewer than 2 points span no range and raise ValueError."""
+    if points < 2:
+        raise ValueError(f"an advice grid needs at least 2 points, got {points}")
     cls = instance.function_class
     if isinstance(cls, LabelingsClass):
         return tuple(range(len(cls.labelings)))
@@ -656,7 +814,7 @@ def advice_grid(instance: Instance, points: int = 21) -> tuple:
         if not cls.domain.is_reals:
             return cls.domain.values
     lo, hi = min(values), max(values)
-    if lo == hi or points < 2:
+    if lo == hi:
         return (lo,)
     if not isinstance(lo, float) and not isinstance(hi, float):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -713,17 +871,25 @@ class MechanismFamily:
 MECHANISMS = {
     family.name: family
     for family in (
-        MechanismFamily("pfa", ConstantClass, 2, lambda g, cls: pfa_mechanism(g, cls.domain), 4),
-        MechanismFamily("lpfa", LinearClass, 2, lambda g, cls: lpfa_mechanism(g), 4),
-        MechanismFamily("srda", LabelingsClass, 1, lambda g, cls: srda_mechanism(g), 1),
         MechanismFamily(
-            "pfa-two-labeling", LabelingsClass, 2, lambda g, cls: pfa_two_labeling_mechanism(g), 4
+            "pfa", ConstantClass, PFA_GAMMA_MAX, lambda g, cls: pfa_mechanism(g, cls.domain), 4
+        ),
+        MechanismFamily("lpfa", LinearClass, PFA_GAMMA_MAX, lambda g, cls: lpfa_mechanism(g), 4),
+        MechanismFamily(
+            "srda", LabelingsClass, SRDA_GAMMA_MAX, lambda g, cls: srda_mechanism(g), 1
         ),
         MechanismFamily(
-            "srda-two-labeling", LabelingsClass, 1, lambda g, cls: srda_two_labeling_mechanism(g), 1
+            "pfa-two-labeling", LabelingsClass, PFA_GAMMA_MAX,
+            lambda g, cls: pfa_two_labeling_mechanism(g), 4,
         ),
-        # the baseline ignores gamma; the CLI still parses one in (0, 2]
-        MechanismFamily("mean", ConstantClass, 2, lambda g, cls: mean_mechanism(), None),
+        MechanismFamily(
+            "srda-two-labeling", LabelingsClass, SRDA_GAMMA_MAX,
+            lambda g, cls: srda_two_labeling_mechanism(g), 1,
+        ),
+        # the baseline ignores gamma; the CLI still parses one in pfa's range
+        MechanismFamily(
+            "mean", ConstantClass, PFA_GAMMA_MAX, lambda g, cls: mean_mechanism(), None
+        ),
     )
 }
 

@@ -86,12 +86,17 @@ def preference_summary(
     return BinaryPreferenceSummary(P, 1 - P)
 
 
+# The gamma range (0, SRDA_GAMMA_MAX] of srda and the two-labeling srda.
+SRDA_GAMMA_MAX = 1
+
+
 def check_srda_inputs(gamma: Real, cls, advice: int) -> Real:
     """gamma as srda computes with it; raises ValueError for a gamma outside
-    (0, 1] and ClassMismatchError unless srda accepts the class and advice."""
+    (0, SRDA_GAMMA_MAX] and ClassMismatchError unless srda accepts the class
+    and advice."""
     gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
+    if not 0 < gamma <= SRDA_GAMMA_MAX:
+        raise ValueError(f"gamma must lie in (0, {SRDA_GAMMA_MAX}]")
     _require_c0c1(cls)
     disagreement_points(cls, advice)  # checks the advice
     return gamma

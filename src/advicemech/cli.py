@@ -90,11 +90,11 @@ def _parse_advice(raw, instance):
         try:
             index = int(tok)
         except ValueError:
-            raise InstanceParseError(f"advice {raw!r} is not a labeling index") from None
+            raise InstanceParseError(f"--advice {raw!r} is not a labeling index") from None
         if not 0 <= index < len(cls.labelings):
             raise ClassMismatchError(f"labeling index {index} out of range")
         return index
-    return parse_number(raw)
+    return _parse_fraction(raw, "--advice", ok=lambda v: True)
 
 
 def _describe(outcome) -> str:
@@ -269,6 +269,8 @@ def cmd_gen(args, out, err) -> int:
 
 
 def cmd_sweep(args, out, err) -> int:
+    if args.grid_points < 2:
+        raise InstanceParseError(f"--grid-points {args.grid_points} lies outside [2, inf)")
     corpus = [inst for _, inst in _corpus(args.corpus)]
     family = audit_mod.MECHANISMS[args.mechanism]
     if args.gamma is None:

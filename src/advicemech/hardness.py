@@ -20,6 +20,7 @@ from .model import (
     linear_instance,
     shared_binary_instance,
 )
+from .regression import PFA_GAMMA_MAX
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ def lb_parameters(gamma, scale: int = 1) -> tuple:
     k = 2*scale*p; t = ceil(n*(gamma+2)).  Requires rational gamma.
     """
     gamma = Fraction(gamma)
-    if not 0 < gamma <= 2:
-        raise ValueError("gamma must lie in (0, 2]")
+    if not 0 < gamma <= PFA_GAMMA_MAX:
+        raise ValueError(f"gamma must lie in (0, {PFA_GAMMA_MAX}]")
     ratio = gamma / (gamma + 2)
     p, q = ratio.numerator, ratio.denominator
     n = 2 * scale * q

@@ -416,6 +416,15 @@ class LabelingLottery:
             raise InvalidInstanceError("lottery probabilities must sum to one")
         object.__setattr__(self, "branches", branches)
 
+    def __hash__(self):
+        # hashed once, when first asked: audits key loss tables by outcome,
+        # a Fraction's hash is slow, and most lotteries are never hashed
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.branches)
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def probability(self, index: int) -> Real:
         return sum(p for i, p in self.branches if i == index)
 

@@ -38,10 +38,15 @@ class DegenerateLinearInstance(InvalidInstanceError):
     """Every slope fits equally well: all input x values are zero."""
 
 
+# The gamma range (0, PFA_GAMMA_MAX] of `confidence_weight`, so of pfa, lpfa
+# and the two-labeling pfa.
+PFA_GAMMA_MAX = 2
+
+
 def confidence_weight(gamma: Real) -> Real:
     """The advice copy factor lambda = (2 - gamma) / (2 + gamma)."""
-    if not 0 < gamma <= 2:
-        raise ValueError("gamma must lie in (0, 2]")
+    if not 0 < gamma <= PFA_GAMMA_MAX:
+        raise ValueError(f"gamma must lie in (0, {PFA_GAMMA_MAX}]")
     if isinstance(gamma, float):
         return (2 - gamma) / (2 + gamma)
     return Fraction(2 - Fraction(gamma), 2 + Fraction(gamma))
@@ -181,7 +186,9 @@ def map_to_constant_instance(instance: Instance) -> MappedLinearInstance:
     )
 
 
-SLOPE_INVISIBLE = ("slope-invisible",)
+# The empty projection: it sorts before every (slope, weight) pair, so a
+# profile of projections sorts.
+SLOPE_INVISIBLE = ()
 
 
 def linear_projection(xs, labels):

@@ -25,6 +25,7 @@ from advicemech import (
     gen_S,
     gen_S_linear,
     linear_instance,
+    lpfa_mechanism,
     mean_mechanism,
     optimal_functions,
     pfa_family,
@@ -34,7 +35,7 @@ from advicemech import (
     srda_mechanism,
 )
 from advicemech.audit import AuditReport, Violation
-from advicemech.model import ClassMismatchError, ValueDomain, personal_risk
+from advicemech.model import ClassMismatchError, Instance, ValueDomain, personal_risk
 
 
 def ungrouped(mech):
@@ -341,6 +342,87 @@ def test_engine_matches_the_definition_at_every_coalition_size():
     assert len(kinds) == 6
 
 
+def permuted(instance, order):
+    return Instance(tuple(instance.agents[i] for i in order), instance.function_class)
+
+
+# kind -> (mechanism factory, instance A, an unrelated instance, advice, space, epsilon)
+WARM_CASES = {
+    "pfa": (
+        lambda: pfa_mechanism(F(1, 2)), constant_instance([[0, 2], [1], [2, 2, 0]]),
+        constant_instance([[1], [0, 0, 2]]), 1, GridLabels((0, 1, 2)), 0,
+    ),
+    "pfa-even": (
+        lambda: pfa_mechanism(2), constant_instance([[0, 2], [0, 0], [1]]),
+        constant_instance([[2, 2], [0]]), 0, GridLabels((0, 1, 2)), 0,
+    ),
+    "pfa-finite": (
+        lambda: pfa_mechanism(1, ValueDomain.finite((0, 2))),
+        constant_instance([[0, 1], [2], [1, 1, 2]], ValueDomain.finite((0, 2))),
+        constant_instance([[2], [0, 0]], ValueDomain.finite((0, 2))), 2, GridLabels((0, 1, 2)), 0,
+    ),
+    # float epsilon on exact labels: shared rows, normalized gains
+    "pfa-float-epsilon": (
+        lambda: pfa_mechanism(2), constant_instance([[0, 2], [0, 0], [1]]),
+        constant_instance([[1], [2, 0]]), 0, GridLabels((0, 1, 2)), 0.1,
+    ),
+    "mean": (
+        mean_mechanism, constant_instance([[0, 1], [2], [2, 2, 1]]),
+        constant_instance([[1], [0, 2]]), 1, GridLabels((0, 1, 2)), 0,
+    ),
+    "mean-float-epsilon": (
+        mean_mechanism, constant_instance([[0, 1], [2], [2, 2, 1]]),
+        constant_instance([[1], [0, 2]]), 1, GridLabels((0, 1, 2)), 0.1,
+    ),
+    # float labels or reports: no row is shared across agent orders
+    "mean-float-labels": (
+        mean_mechanism, constant_instance([[0.45, 0.1, 0.56], [2.71, 0.23, 0.48], [0.3]]),
+        constant_instance([[0.78], [1.14, 2.77]]), 0, GridLabels((0, 1, 2)), 0,
+    ),
+    "mean-float-reports": (
+        mean_mechanism, constant_instance([[0, 1], [2], [2, 2, 1]]),
+        constant_instance([[1], [0, 2]]), 0, ProjectedConstant((0.78, 0.89, 1.14, 2.77)), 0,
+    ),
+    "pfa-float-advice": (
+        lambda: pfa_mechanism(F(1, 2)), constant_instance([[0, 2], [1], [2, 2, 0]]),
+        constant_instance([[1], [0, 0, 2]]), 0.5, GridLabels((0, 1, 2)), 0,
+    ),
+    # an agent whose x are all zero has the empty projection
+    "lpfa": (
+        lambda: lpfa_mechanism(1), linear_instance([[(0, 1), (1, 2)], [(2, 1)], [(0, 3)]]),
+        linear_instance([[(1, 0)], [(0, 2)]]), 1, GridLabels((0, 1, 2)), 0,
+    ),
+    "srda": (
+        lambda: srda_mechanism(F(1, 2)), shared_binary_instance([(1, 0, 1), (0, 0, 1), (1, 1, 0)]),
+        shared_binary_instance([(0, 1, 1), (1, 1, 1)]), 1, AllBinaryVectors(3), 0,
+    ),
+}
+
+
+# the cases whose steps record violations: mean, and pfa coalitions on
+# instances with an even-sized agent
+WARM_VIOLATIONS = {
+    "mean", "mean-float-epsilon", "mean-float-labels", "mean-float-reports",
+    "pfa", "pfa-even", "pfa-float-advice",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WARM_CASES))
+def test_warm_engine_matches_the_definition(kind):
+    # one mechanism object: A, A with its agents permuted, an unrelated
+    # instance, then A again unilaterally and in coalitions on one plan
+    factory, inst, other, advice, space, epsilon = WARM_CASES[kind]
+    mech = factory()
+    steps = [(inst, 1), (permuted(inst, (2, 0, 1)), 1), (other, 2), (inst, 1), (inst, 2)]
+    recorded = 0
+    for instance, size in steps:
+        expected = reference_audit(mech, instance, advice, space, size, epsilon)
+        grouped = check_group_strategyproof(mech, instance, advice, space, size, epsilon)
+        assert grouped == first_per_signature(mech, instance, expected), (kind, instance, size)
+        recorded += len(grouped.violations)
+    assert (recorded > 0) == (kind in WARM_VIOLATIONS)
+
+
 def test_engine_exact_gains_in_mean_violations():
     inst = constant_instance([[0, 1], [2], [2, 2, 1]])
     space = GridLabels((0, 1, 2))
@@ -515,6 +597,16 @@ def test_sweep_equals_the_per_query_path(name):
             for r in rows
         ] == [typed(row) for row in expected]
         assert [family.frontier_row(g, corpus, grid_points) for g in gammas] == rows
+
+
+def test_advice_grid_needs_two_points():
+    inst = gen_S(3, 1, 2, 5)
+    for points in (-3, 0, 1):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            advice_grid(inst, points)
+    labels = inst.all_labels()
+    assert advice_grid(inst, 2) == (min(labels), max(labels))
+    assert len(advice_grid(inst, 21)) == 21
 
 
 @pytest.mark.parametrize(

@@ -200,11 +200,25 @@ def test_bad_gamma_is_a_parse_error(tmp_path, command, gamma, mechanism):
         ("sweep", "--tolerance=nan"),
         ("audit", "--max-coalition=0"),
         ("audit", "--max-coalition=-1"),
+        # fewer than 2 grid points measured robustness at one advice only
+        ("sweep", "--grid-points=-3"),
+        ("sweep", "--grid-points=0"),
+        ("sweep", "--grid-points=1"),
+        ("run", "--advice=nan"),
+        ("run", "--advice=inf"),
+        ("run", "--advice=1/0"),
+        ("run", "--advice=abc"),
+        ("audit", "--advice=nan"),
+        ("audit", "--advice=inf"),
+        ("audit", "--advice=1/0"),
+        ("audit", "--advice=abc"),
     ],
 )
 def test_bad_epsilon_or_tolerance_is_a_parse_error(tmp_path, command, option):
     path = write(tmp_path, "inst.json", constant_instance([[0], [1]]))
-    extra = ["--advice", "0", "--space", "grid:0,1"] if command == "audit" else []
+    extra = ["--space", "grid:0,1"] if command == "audit" else []
+    if command != "sweep" and not option.startswith("--advice="):
+        extra = ["--advice", "0", *extra]
     code, out, err = run_cli(command, path, "--mechanism", "pfa", option, *extra)
     assert code == 2
     assert len(err.splitlines()) == 1

@@ -1,16 +1,23 @@
 """Metamorphic properties of the mechanisms, exact on rationals: pfa is
 equivariant under translation and positive scaling of labels and advice,
 lpfa's slope and advice scale inversely with x, and srda's lottery flips
-when 0 and 1 swap in the labels and the advice.  On quarter-grid data the
-float path of pfa and lpfa agrees with the exact path within 1e-9."""
+when 0 and 1 swap in the labels and the advice.  Every registered
+mechanism is anonymous: permuting the agents leaves its outcome unchanged,
+which is what lets an audit share outcome rows across instances.  On
+quarter-grid data the float path of pfa and lpfa agrees with the exact
+path within 1e-9."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advicemech import (
+    MECHANISMS,
+    Instance,
     PfaConfig,
+    ValueDomain,
     constant_instance,
     linear_instance,
     lpfa,
@@ -89,3 +96,69 @@ def test_lpfa_float_path_matches_exact(gamma, pairs, advice):
     exact = lpfa(gamma, linear_instance(pairs), advice).slope
     floats = linear_instance([[(float(x), float(y)) for x, y in agent] for agent in pairs])
     assert abs(lpfa(gamma, floats, float(advice)).slope - exact) <= 1e-9
+
+
+FINITE = ValueDomain.finite((-2, -1, F(1, 2), 3))
+
+
+def binary_vectors(data, m, labelings=None):
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from((0, 1))] * m), min_size=1, max_size=5))
+    return shared_binary_instance(rows, labelings)
+
+
+def two_labelings(data, m):
+    pair = data.draw(
+        st.tuples(*[st.tuples(*[st.sampled_from((0, 1))] * m)] * 2).filter(lambda p: p[0] != p[1])
+    )
+    return binary_vectors(data, m, pair)
+
+
+# registry name -> draw(data) of (instance, advice), exact labels throughout
+PERMUTATION_CASES = {
+    "pfa": lambda data: (
+        constant_instance(data.draw(label_lists(rationals))), data.draw(rationals)
+    ),
+    "pfa-finite": lambda data: (
+        constant_instance(data.draw(label_lists(rationals)), FINITE),
+        data.draw(st.sampled_from(FINITE.values)),
+    ),
+    # x = 0 points included: an agent whose x are all zero is slope-invisible
+    "lpfa": lambda data: (
+        linear_instance(
+            data.draw(label_lists(st.tuples(st.integers(-3, 3).map(F), rationals)))
+        ),
+        data.draw(rationals),
+    ),
+    "srda": lambda data: (
+        binary_vectors(data, data.draw(st.integers(1, 4))), data.draw(st.sampled_from((0, 1)))
+    ),
+    "pfa-two-labeling": lambda data: (
+        two_labelings(data, data.draw(st.integers(1, 4))), data.draw(st.sampled_from((0, 1)))
+    ),
+    "srda-two-labeling": lambda data: (
+        two_labelings(data, data.draw(st.integers(1, 4))), data.draw(st.sampled_from((0, 1)))
+    ),
+    "mean": lambda data: (
+        constant_instance(data.draw(label_lists(rationals))), data.draw(rationals)
+    ),
+}
+
+
+def test_permutation_cases_cover_the_registry():
+    assert {case.removesuffix("-finite") for case in PERMUTATION_CASES} == set(MECHANISMS)
+
+
+@pytest.mark.parametrize("case", sorted(PERMUTATION_CASES))
+@EXAMPLES
+@given(data=st.data())
+def test_permuting_agents_keeps_every_registered_outcome(case, data):
+    family = MECHANISMS[case.removesuffix("-finite")]
+    instance, advice = PERMUTATION_CASES[case](data)
+    gamma = data.draw(st.sampled_from((F(1, 4), F(1, 2), F(2, 3), 1, F(3, 2), 2)).filter(
+        lambda g: g <= family.gamma_max
+    ))
+    mech = family.mechanism(gamma, instance.function_class)
+    assert mech.anonymous
+    order = data.draw(st.permutations(range(instance.n)))
+    permuted = Instance(tuple(instance.agents[i] for i in order), instance.function_class)
+    assert mech.fn(permuted, advice) == mech.fn(instance, advice)
