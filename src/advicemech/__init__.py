@@ -99,18 +99,6 @@ from .audit import (
     srda_two_labeling_family,
     srda_two_labeling_mechanism,
 )
-from .learning import (
-    AgentModel,
-    composition_experiment,
-    required_sample_size,
-    risk_gap_experiment,
-    sample_instance,
-    statistical_global_risk,
-    statistical_optimal_constant,
-    statistical_personal_risk,
-    sup_global_gap,
-    sup_personal_gap,
-)
 from .formats import (
     InstanceParseError,
     load_instance,
@@ -119,3 +107,26 @@ from .formats import (
 )
 
 __version__ = "0.1.0"
+
+# The distribution-level names, imported from `learning` on first use
+# (PEP 562): no CLI command needs them.
+_LEARNING = frozenset({
+    "AgentModel",
+    "composition_experiment",
+    "required_sample_size",
+    "risk_gap_experiment",
+    "sample_instance",
+    "statistical_global_risk",
+    "statistical_optimal_constant",
+    "statistical_personal_risk",
+    "sup_global_gap",
+    "sup_personal_gap",
+})
+
+
+def __getattr__(name):
+    if name in _LEARNING:
+        from . import learning
+
+        return getattr(learning, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

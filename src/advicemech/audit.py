@@ -93,6 +93,7 @@ from .model import (
     erm_constant,
     exact_div,
     global_risk,
+    loss_sum,
     optimal_constant_set,
     personal_risk,
 )
@@ -222,13 +223,14 @@ class AuditableMechanism:
 
     def true_personal_risk(self, outcome, agent, cls, scale=1):
         """Expected personal risk of an outcome against an agent's true
-        data, times `scale` (an integral value as an int), kept across
-        audit calls in the agent's loss table `_risk_cache[(points, cls,
-        scale)]`.  Scale |S_i| gives the unnormalized loss sum."""
+        data, times `scale` (1 or |S_i|), kept across audit calls in the
+        agent's loss table `_risk_cache[(points, cls, scale)]`.  Scale |S_i|
+        gives `loss_sum`, the unnormalized loss sum, an int when integral."""
         table = self.loss_table(agent, cls, scale)
         r = table.get(outcome)
         if r is None:
-            r = table[outcome] = _integral(personal_risk(outcome, agent, cls) * scale)
+            risk = loss_sum if scale == len(agent) else personal_risk
+            r = table[outcome] = risk(outcome, agent, cls)
         return r
 
     def loss_table(self, agent, cls, scale) -> dict:
@@ -260,9 +262,10 @@ class AuditableMechanism:
         cls = instance.function_class
         key = (self.profile(instance) if profile is None else profile, advice)
         view = self.cache_view(cls)
-        if key not in view:
-            view[key] = self.fill(cls, key[0], advice, lambda: instance)
-        return view[key]
+        out = view.get(key)
+        if out is None:
+            out = view[key] = self.fill(cls, key[0], advice, lambda: instance)
+        return out
 
     def fill(self, cls, profile, advice, build):
         """The uncached outcome for a signature profile: `fit`'s answer, or
@@ -778,9 +781,22 @@ def ratio_queries(mechanism, instance: Instance):
     return _ratio(mechanism, instance, CompiledInstance(instance), brute_force_optimal_risk(instance))
 
 
+class _Profile(tuple):
+    """A signature profile that hashes once: a ratio loop looks it up once
+    per advice, and a Fraction's hash is slow."""
+
+    def __new__(cls, signatures):
+        profile = super().__new__(cls, signatures)
+        profile.hash = tuple.__hash__(profile)
+        return profile
+
+    def __hash__(self):
+        return self.hash
+
+
 def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
     """advice -> ratio on `instance`, given its compiled form and optimum."""
-    profile = mechanism.profile(instance)
+    profile = _Profile(mechanism.profile(instance))
 
     def ratio(advice):
         return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)

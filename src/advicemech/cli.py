@@ -7,8 +7,9 @@ bounds come from the same entry.
 
 stdout carries data (tab-separated key/value lines or TSV tables); stderr
 carries diagnostics.  Exit codes: 0 success (audit: no violations found),
-1 audit violations, 2 parse error (a malformed file or an option value
-outside its documented range), 3 class/advice mismatch (a mechanism,
+1 audit violations, 2 parse error (a malformed or unreadable file, an
+option value outside its documented range, a usage error, or an `--out`
+file that cannot be written), 3 class/advice mismatch (a mechanism,
 advice or misreport space that does not fit the instance's class), 4
 degenerate instance, 5 evaluation budget exceeded (an audit space too
 large to enumerate).
@@ -29,6 +30,7 @@ from .formats import (
     format_number,
     load_instance,
     parse_number,
+    read_text,
     serialize_instance,
 )
 from .model import (
@@ -116,6 +118,18 @@ def _emit(out, key, value):
     out.write(f"{key}\t{value}\n")
 
 
+def _write(path, text, out=None):
+    """`text` to the --out file `path` when one is given, then to `out`; a
+    failed write is a parse error naming --out, with nothing on `out`."""
+    if path:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InstanceParseError(f"--out {path}: cannot write: {exc.strerror or exc}") from exc
+    if out is not None:
+        out.write(text)
+
+
 def cmd_run(args, out, err) -> int:
     instance = load_instance(args.instance)
     family = audit_mod.MECHANISMS[args.mechanism]
@@ -146,11 +160,7 @@ def _corpus(path) -> list:
     if p.is_dir():
         manifest = p / "manifest.txt"
         if manifest.exists():
-            names = [
-                line.strip()
-                for line in manifest.read_text().splitlines()
-                if line.strip()
-            ]
+            names = [line.strip() for line in read_text(manifest).splitlines() if line.strip()]
         else:
             names = sorted(f.name for f in p.glob("*.json"))
         if not names:
@@ -229,10 +239,7 @@ def cmd_audit(args, out, err) -> int:
                 ]
             )
         )
-    text = "\n".join(body) + "\n"
-    out.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write(args.out, "\n".join(body) + "\n", out)
     return EXIT_OK if not violations else EXIT_VIOLATIONS
 
 
@@ -261,7 +268,7 @@ def cmd_gen(args, out, err) -> int:
         raise InstanceParseError(f"unknown family {fam!r}")
     text = serialize_instance(instance)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
         err.write(f"wrote {args.out}\n")
     else:
         out.write(text)
@@ -296,15 +303,21 @@ def cmd_sweep(args, out, err) -> int:
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    out.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write(args.out, "\n".join(lines) + "\n", out)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, like every other parse error,
+    are one stderr line and exit 2 (raised as SystemExit)."""
+
+    def error(self, message):
+        message = " ".join(message.splitlines())
+        self.exit(EXIT_PARSE, f"parse error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="advicemech",
         description="strategyproof fitting mechanisms with advice: run, audit, generate, sweep",
     )

@@ -137,6 +137,17 @@ def serialize_instance(instance: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`; a file that cannot be read
+    (missing, a directory, not UTF-8) is an InstanceParseError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+    except OSError as exc:
+        raise InstanceParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(read_text(path))

@@ -27,6 +27,7 @@ from .model import (
     REALS,
     exact_div,
     global_risk,
+    personal_risk,
 )
 from .regression import PfaConfig, pfa
 
@@ -133,10 +134,6 @@ def required_sample_size(n: int, epsilon, delta, constant=8) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _empirical_personal(f, dataset: AgentDataset) -> Real:
-    return exact_div(sum(abs(f - p.y) for p in dataset.points), len(dataset))
-
-
 def sup_personal_gap(agent: AgentModel, dataset: AgentDataset) -> Real:
     """Exact sup over all constants of |statistical - empirical| risk.
 
@@ -146,7 +143,7 @@ def sup_personal_gap(agent: AgentModel, dataset: AgentDataset) -> Real:
     """
     breaks = sorted(set(agent.label_values()) | set(dataset.labels))
     gap = max(
-        abs(statistical_personal_risk(b, agent) - _empirical_personal(b, dataset))
+        abs(statistical_personal_risk(b, agent) - personal_risk(b, dataset, ConstantClass(REALS)))
         for b in breaks
     )
     stat_mean = sum(p * agent.label_of(x) for x, p in agent.support)
@@ -201,7 +198,7 @@ def risk_gap_experiment(agents, m: int, trials: int, seed: int, epsilon=None,
             global_gap = sup_global_gap(agents, inst)
         else:
             personal = max(
-                abs(statistical_personal_risk(f, a) - _empirical_personal(f, d))
+                abs(statistical_personal_risk(f, a) - personal_risk(f, d, ConstantClass(REALS)))
                 for a, d in zip(agents, inst.agents)
                 for f in f_grid
             )

@@ -1,11 +1,17 @@
 """Core data model: strategic datasets, exact risk functionals, and the
 weighted-median fitting oracle.
 
-Everything here is a pure function of immutable inputs.  Arithmetic is
-type-generic: feed `int`/`fractions.Fraction` labels and every risk,
-median and ratio comes out exact; feed `float` labels and the same code
-runs as a fast approximate path.  All acceptance-grade computations in
-the test suite use the exact path.
+Everything here is a pure function of immutable inputs.  Feed `int` or
+`fractions.Fraction` values and every risk, median and ratio comes out
+exact; feed a `float` anywhere and the same functions run a plain
+approximate path.  All acceptance-grade computations in the test suite use
+the exact path.
+
+Exact risks are computed on Python ints: a loss sum is accumulated as an
+integer numerator over one common denominator (the lcm of the query's and
+the data's denominators), and one `Fraction` is built per answer.  A float
+has no `denominator`, so meeting one sends a risk to the float path, which
+is the plain `Fraction`/`float` arithmetic of the loss formula.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Real = Union[int, float, Fraction]
@@ -38,7 +45,17 @@ def exact_div(num: Real, den: Real) -> Real:
     """num/den staying rational whenever both operands are rational."""
     if isinstance(num, float) or isinstance(den, float):
         return num / den
-    return Fraction(num) / Fraction(den)
+    return Fraction(num.numerator * den.denominator, num.denominator * den.numerator)
+
+
+def _common(values) -> tuple:
+    """(D, ints): the lcm D of the values' denominators and every value
+    times D, an int.  A float has no denominator: AttributeError."""
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    if d == 1:
+        return 1, [v.numerator for v in values]
+    return d, [v.numerator * (d // b) for v, b in zip(values, dens)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +288,14 @@ class WeightedSample:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple((v, w) for v, w in self.entries)
+        entries = tuple(map(tuple, self.entries))
         total = 0
         for v, w in entries:
-            _check_finite(v, "sample value")
-            _check_finite(w, "sample weight")
-            if w < 0:
-                raise InvalidInstanceError("weights must be nonnegative")
+            if w < 0 or isinstance(v, float) or isinstance(w, float):
+                _check_finite(v, "sample value")
+                _check_finite(w, "sample weight")
+                if w < 0:
+                    raise InvalidInstanceError("weights must be nonnegative")
             total += w
         if not entries or total <= 0:
             raise InvalidInstanceError("total weight must be positive")
@@ -293,7 +311,17 @@ class WeightedSample:
 
     def risk(self, a: Real) -> Real:
         """Average weighted absolute loss of the constant a."""
-        return exact_div(sum(w * abs(a - v) for v, w in self.entries), self.total_weight)
+        try:
+            dv, values = _common([v for v, _ in self.entries])
+            _, weights = _common([w for _, w in self.entries])
+            den = lcm(a.denominator, dv)
+            p, b = a.numerator * (den // a.denominator), den // dv
+        except AttributeError:  # a float
+            return exact_div(sum(w * abs(a - v) for v, w in self.entries), self.total_weight)
+        # the weights' common denominator cancels from the ratio
+        return Fraction(
+            sum([w * abs(p - b * v) for v, w in zip(values, weights)]), den * sum(weights)
+        )
 
 
 def weighted_median_bounds(sample: WeightedSample) -> tuple:
@@ -302,21 +330,32 @@ def weighted_median_bounds(sample: WeightedSample) -> tuple:
     lo is the smallest sample value carrying at least half the total weight
     at or below it, hi the largest carrying at least half at or above it.
     Comparisons are done doubled so integer weights never hit division.
+    An exact sample is sorted and summed as ints over the common
+    denominators of its values and of its weights.  Entries sort by (value,
+    weight), ties in sample order; a zero weight is never an end.
     """
-    items = sorted((v, w) for v, w in sample.entries if w > 0)
-    total = sum(w for _, w in items)
+    entries = sample.entries
+    values = [v for v, _ in entries]
+    weights = [w for _, w in entries]
+    try:
+        _, values = _common(values)
+        _, weights = _common(weights)
+    except AttributeError:  # a float: sort and sum the entries themselves
+        pass
+    order = sorted(zip(values, weights, range(len(entries))))
+    total = sum([w for _, w, _ in order])
     lo = hi = None
     acc = 0
-    for v, w in items:
+    for _, w, j in order:
         acc += w
         if 2 * acc >= total:
-            lo = v
+            lo = entries[j][0]
             break
     acc = 0
-    for v, w in reversed(items):
+    for _, w, j in reversed(order):
         acc += w
         if 2 * acc >= total:
-            hi = v
+            hi = entries[j][0]
             break
     return lo, hi
 
@@ -466,30 +505,88 @@ def _bare_function(f, cls: FunctionClass):
     return f
 
 
+def _loss_sum(g, cls: FunctionClass, datasets) -> tuple:
+    """The loss sum of the bare function g over the points of `datasets`
+    (tuples of LabeledPoints, a labeling's index restarting in each) as
+    ints (num, den): the sum is num/den.  den is the lcm of g's and the
+    labels' denominators, for linear points with g's denominator times the
+    lcm of the x denominators in place of g's.  A float has no denominator:
+    AttributeError."""
+    if isinstance(cls, LabelingsClass):
+        labeling = cls.labelings[g]
+        return sum(labeling[j] != p.y for pts in datasets for j, p in enumerate(pts)), 1
+    points = [p for pts in datasets for p in pts]
+    dy, ys = _common([p.y for p in points])
+    if isinstance(cls, ConstantClass):
+        q = g.denominator
+        den = lcm(q, dy)
+        a, b = g.numerator * (den // q), den // dy
+        return sum([abs(a - b * y) for y in ys]), den
+    if isinstance(cls, LinearClass):
+        dx, xs = _common([p.x for p in points])
+        q = g.denominator * dx
+        den = lcm(q, dy)
+        a, b = g.numerator * (den // q), den // dy
+        return sum([abs(a * x - b * y) for x, y in zip(xs, ys)]), den
+    raise ClassMismatchError(f"unknown function class {cls!r}")
+
+
+def _lottery_sum(f: "LabelingLottery", cls: FunctionClass, branch_sum) -> tuple:
+    """sum of p * (the loss sum of branch i) over the lottery's branches, as
+    ints (num, den), given `branch_sum(i)` as ints (num, den).  A float
+    probability has no denominator: AttributeError."""
+    num, den = 0, 1
+    for i, p in f.branches:
+        if p != 0:
+            n, d = branch_sum(_bare_function(i, cls))
+            d *= p.denominator
+            common = lcm(den, d)
+            num = num * (common // den) + p.numerator * n * (common // d)
+            den = common
+    return num, den
+
+
+def _risk_sum(f, cls: FunctionClass, datasets) -> tuple:
+    """`_loss_sum` of f, a bare function or a lottery."""
+    if isinstance(f, LabelingLottery):
+        return _lottery_sum(f, cls, lambda i: _loss_sum(i, cls, datasets))
+    return _loss_sum(_bare_function(f, cls), cls, datasets)
+
+
+def _risk(f, cls: FunctionClass, datasets, size: int) -> Real:
+    """Average loss of f over the `size` points of `datasets`: one Fraction
+    from the integer loss sum, or on a float the loss formula itself."""
+    try:
+        num, den = _risk_sum(f, cls, datasets)
+    except AttributeError:  # a float
+        if isinstance(f, LabelingLottery):
+            return sum(p * _risk(i, cls, datasets, size) for i, p in f.branches if p != 0)
+        g = _bare_function(f, cls)
+        total = sum(_point_loss(g, cls, p, j) for pts in datasets for j, p in enumerate(pts))
+        return exact_div(total, size)
+    return Fraction(num, den * size)
+
+
 def personal_risk(f, agent: AgentDataset, cls: FunctionClass) -> Real:
     """Average loss of f on one agent's data; lotteries in closed form."""
-    if isinstance(f, LabelingLottery):
-        return sum(
-            p * personal_risk(i, agent, cls) for i, p in f.branches if p != 0
-        )
-    g = _bare_function(f, cls)
-    total = sum(_point_loss(g, cls, p, j) for j, p in enumerate(agent.points))
-    return exact_div(total, len(agent))
+    return _risk(f, cls, (agent.points,), len(agent))
+
+
+def loss_sum(f, agent: AgentDataset, cls: FunctionClass) -> Real:
+    """`personal_risk` times |S_i|, the agent's loss sum: an int when it is
+    integral, and on a float the product itself."""
+    try:
+        num, den = _risk_sum(f, cls, (agent.points,))
+    except AttributeError:  # a float
+        return personal_risk(f, agent, cls) * len(agent)
+    whole, rest = divmod(num, den)
+    return Fraction(num, den) if rest else whole
 
 
 def global_risk(f, instance: Instance) -> Real:
     """Average loss of f over the full multiset; lotteries in closed form."""
     cls = instance.function_class
-    if isinstance(f, LabelingLottery):
-        return sum(
-            p * global_risk(i, instance) for i, p in f.branches if p != 0
-        )
-    g = _bare_function(f, cls)
-    total = 0
-    for agent in instance.agents:
-        for j, p in enumerate(agent.points):
-            total += _point_loss(g, cls, p, j)
-    return exact_div(total, instance.total_points)
+    return _risk(f, cls, [a.points for a in instance.agents], instance.total_points)
 
 
 def mapped_entries(xs, labels):
@@ -507,22 +604,21 @@ def mapped_entries(xs, labels):
     return tuple(entries), offset
 
 
-def _is_exact(v) -> bool:
-    return not isinstance(v, float)
-
-
 class CompiledInstance:
     """One instance prepared for many exact `global_risk` queries.
 
-    Constant class: the labels, sorted, each of weight 1.  Linear class:
-    the `mapped_entries` of every agent, sorted, plus their offset.  With
-    prefix sums W_k of weight and V_k of weight*value over the sorted
-    values, the loss of a is a*W_k - V_k + (V - V_k) - a*(W - W_k) for
-    k = bisect_right(values, a): one bisect per query instead of a scan of
-    every point.  The prefix form is exact only on rationals, so an
-    instance or a query with a float in it is answered by `global_risk`
-    itself.  Labelings class: one risk per labeling, computed up front;
-    lotteries use the closed form, as in `global_risk`.
+    Constant class: the labels, each of weight 1.  Linear class: the
+    `mapped_entries` of every agent plus their offset.  The instance is
+    scaled once to ints: values V_j over D, the lcm of their denominators,
+    and weights W_j and the offset over E, the lcm of theirs.  Sorted by
+    value, with prefix sums W_k of W_j and V_k of W_j*V_j, a query a = p/q
+    has k = bisect_right(values, (p*D)//q) values at or below it and the
+    loss sum (p*D*(2*W_k - W) + q*(V - 2*V_k + offset*D)) / (q*D*E): one
+    bisect, integer arithmetic and one Fraction per query instead of a
+    scan of every point.  An instance or a query with a float in it is
+    answered by `global_risk` itself.  Labelings class: the loss count of
+    each labeling, computed up front; lotteries use the closed form, as in
+    `global_risk`.
     """
 
     def __init__(self, instance: Instance):
@@ -530,46 +626,60 @@ class CompiledInstance:
         self.instance = instance
         self.function_class = cls
         self.size = instance.total_points
-        self.labeling_risks = None
+        self.labeling_sums = None
         self.values = None
         if isinstance(cls, LabelingsClass):
-            self.labeling_risks = tuple(
-                global_risk(i, instance) for i in range(len(cls.labelings))
+            datasets = [a.points for a in instance.agents]
+            self.labeling_sums = tuple(
+                _loss_sum(i, cls, datasets)[0] for i in range(len(cls.labelings))
             )
             return
         if not isinstance(cls, (ConstantClass, LinearClass)):
             raise ClassMismatchError(f"unknown function class {cls!r}")
         points = [p for agent in instance.agents for p in agent.points]
-        if not all(_is_exact(p.y) and _is_exact(p.x) for p in points):
-            return
         if isinstance(cls, ConstantClass):
             pairs, offset = [(p.y, 1) for p in points], 0
         else:
             pairs, offset = mapped_entries([p.x for p in points], [p.y for p in points])
-            pairs = list(pairs)
-        pairs.sort(key=lambda pair: pair[0])
-        self.offset = offset
-        self.values = [v for v, _ in pairs]
-        self.weight_prefix = weights = [0]
-        self.value_prefix = sums = [0]
-        for v, w in pairs:
-            weights.append(weights[-1] + w)
-            sums.append(sums[-1] + w * v)
+        try:
+            d, values = _common([v for v, _ in pairs])
+            e, (offset, *weights) = _common([offset, *(w for _, w in pairs)])
+        except AttributeError:  # a float
+            return
+        self.scale = d, e
+        self.offset = offset * d
+        self.values = []
+        self.weight_prefix = weight_sums = [0]
+        self.value_prefix = value_sums = [0]
+        for v, w in sorted(zip(values, weights)):
+            self.values.append(v)
+            weight_sums.append(weight_sums[-1] + w)
+            value_sums.append(value_sums[-1] + w * v)
+
+    def _query_sum(self, a) -> tuple:
+        """The loss sum of the bare function a as ints (num, den)."""
+        if self.labeling_sums is not None:
+            return self.labeling_sums[a], 1
+        p, q = a.numerator, a.denominator
+        d, e = self.scale
+        k = bisect_right(self.values, p * d // q)
+        w_k, v_k = self.weight_prefix[k], self.value_prefix[k]
+        w, v = self.weight_prefix[-1], self.value_prefix[-1]
+        return p * d * (2 * w_k - w) + q * (v - 2 * v_k + self.offset), q * d * e
 
     def risk(self, f) -> Real:
         """Exactly `global_risk(f, instance)`; lotteries in closed form."""
-        if isinstance(f, LabelingLottery):
-            return sum(p * self.risk(i) for i, p in f.branches if p != 0)
-        a = _bare_function(f, self.function_class)
-        if self.labeling_risks is not None:
-            return self.labeling_risks[a]
-        if self.values is None or not _is_exact(a):
-            return global_risk(a, self.instance)
-        k = bisect_right(self.values, a)
-        w_k, v_k = self.weight_prefix[k], self.value_prefix[k]
-        w, v = self.weight_prefix[-1], self.value_prefix[-1]
-        total = a * w_k - v_k + (v - v_k) - a * (w - w_k)
-        return exact_div(total + self.offset, self.size)
+        cls = self.function_class
+        if self.values is None and self.labeling_sums is None:
+            return global_risk(f, self.instance)
+        try:
+            if isinstance(f, LabelingLottery):
+                num, den = _lottery_sum(f, cls, self._query_sum)
+            else:
+                num, den = self._query_sum(_bare_function(f, cls))
+        except AttributeError:  # a float
+            return global_risk(f, self.instance)
+        return Fraction(num, den * self.size)
 
 
 def augmented_risk(a: Real, instance: Instance, advice: Real, lam: Real) -> Real:
@@ -592,7 +702,7 @@ def advice_error(optimum, best: Real, advice: Real, interval: bool) -> Real:
     0 for optimal advice and +inf otherwise."""
     if interval:
         lo, hi = optimum
-        dist = max(lo - advice, advice - hi, 0)
+        dist = lo - advice if advice < lo else advice - hi if advice > hi else 0
     else:
         dist = min(abs(advice - c) for c in optimum)
     if best == 0:

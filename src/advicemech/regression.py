@@ -26,6 +26,7 @@ from .model import (
     Real,
     ValueDomain,
     WeightedSample,
+    _common,
     advice_error,
     erm_constant,
     mapped_entries,
@@ -91,18 +92,25 @@ def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
 
     Over the reals with a rational lam = p/q the weights are scaled to the
     integers |S_i|*q and p*|S| (scaling leaves the median unchanged) and
-    the upper median is read off the sorted entries directly."""
+    the upper median is read off the sorted entries directly, sorting exact
+    values as ints over their common denominator."""
     entries = list(projections)
     lam = cfg.lam
     if cfg.domain.is_reals and isinstance(lam, Fraction):
         p, q = lam.numerator, lam.denominator
         size = sum(s for _, s in entries)
         items = [(b, s * q) for b, s in entries] + ([(advice, p * size)] if p else [])
+        try:
+            _, keys = _common([b for b, _ in items])
+        except AttributeError:  # a float
+            keys = [b for b, _ in items]
+        # descending by (value, weight); -j keeps tied pairs in entry order
+        order = sorted(zip(keys, (w for _, w in items), range(0, -len(items), -1)), reverse=True)
         acc = 0
-        for value, weight in sorted(items, reverse=True):
+        for _, weight, j in order:
             acc += weight
             if 2 * acc >= (p + q) * size:
-                return ConstantChoice(value)
+                return ConstantChoice(items[-j][0])
     advice_weight = lam * sum(size for _, size in entries)
     if advice_weight > 0:
         entries.append((advice, advice_weight))

@@ -3,6 +3,10 @@ exit codes, corpus handling."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -25,7 +29,11 @@ from advicemech.model import ValueDomain
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
-    code = main(list(argv), out=out, err=err)
+    try:
+        with redirect_stderr(err):
+            code = main(list(argv), out=out, err=err)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -257,10 +265,25 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         (["gen", "voting-table", "--preferences", "1>2>3,"], "--preferences"),
         (["gen", "s-linear", "--t", "0"], "t must be at least 1"),
         (["gen", "s", "--t", "0"], "t must be at least 1"),
+        # paths that cannot be read or written
+        (["run", "{dir}", "--mechanism", "pfa", "--advice", "0"], "cannot read"),
+        (["sweep", "{names_dir}", "--mechanism", "pfa"], "cannot read"),
+        (["audit", "{names_dir}", "--mechanism", "pfa", "--advice", "0"], "cannot read"),
+        (["run", "{latin1}", "--mechanism", "pfa", "--advice", "0"], "not UTF-8"),
+        (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--out", "{missing}"], "--out"),
+        (["sweep", "{inst}", "--mechanism", "pfa", "--out", "{missing}"], "--out"),
+        (["gen", "s", "--out", "{dir}"], "--out"),
+        # argparse's own usage errors, one line
+        (["run", "{inst}", "--mechanism", "pfa", "--advice", "0", "--seed", "x"], "--seed"),
+        (["gen", "s", "--variant", "bogus"], "--variant"),
+        (["sweep", "{inst}"], "--mechanism"),
     ],
     ids=[
         "sweep-empty-dir", "audit-empty-dir", "sweep-empty-manifest", "audit-empty-manifest",
         "gen-preferences-letters", "gen-preferences-trailing-comma", "gen-s-linear-t0", "gen-s-t0",
+        "run-directory", "sweep-manifest-names-directory", "audit-manifest-names-directory",
+        "run-not-utf8", "audit-out-missing-dir", "sweep-out-missing-dir", "gen-out-directory",
+        "run-seed-not-int", "gen-variant-not-a-choice", "sweep-mechanism-missing",
     ],
 )
 def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):
@@ -271,7 +294,17 @@ def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):
     listed.mkdir()
     write(listed, "a.json", constant_instance([[0], [1]]))
     (listed / "manifest.txt").write_text("\n\n", encoding="utf-8")
-    paths = {"{empty}": str(empty), "{manifest}": str(listed)}
+    names_dir = tmp_path / "names_dir"
+    (names_dir / "sub").mkdir(parents=True)
+    (names_dir / "manifest.txt").write_text("sub\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"class": "constant", "agents": [["0"]], "note": "é"}'.encode("latin-1"))
+    paths = {
+        "{empty}": str(empty), "{manifest}": str(listed), "{dir}": str(listed),
+        "{names_dir}": str(names_dir), "{latin1}": str(latin1),
+        "{inst}": write(tmp_path, "inst.json", constant_instance([[0], [1]])),
+        "{missing}": str(tmp_path / "missing" / "out.tsv"),
+    }
     code, out, err = run_cli(*[paths.get(arg, arg) for arg in argv])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
@@ -312,6 +345,23 @@ def test_mechanism_choices_are_the_registry(capsys):
             main([command, "x", "--mechanism", "nope", "--advice", "0"])
         err = capsys.readouterr().err
         assert all(f"'{name}'" in err for name in MECHANISMS)
+
+
+def test_cli_import_leaves_learning_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys, advicemech.cli\n"
+        "print('advicemech.learning' in sys.modules)\n"
+        "from advicemech import composition_experiment, AgentModel\n"
+        "print('advicemech.learning' in sys.modules, composition_experiment.__module__)\n"
+        "try:\n    import advicemech; advicemech.no_such_name\n"
+        "except AttributeError:\n    print('AttributeError')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split("\n")[:3] == ["False", "True advicemech.learning", "AttributeError"]
 
 
 def test_readme_guarantee_table_matches_the_registry():

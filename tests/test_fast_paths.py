@@ -19,7 +19,9 @@ from advicemech import (
     GridLabels,
     LabelingChoice,
     LabelingLottery,
+    LabelingsClass,
     LinearChoice,
+    LinearClass,
     PfaConfig,
     ValueDomain,
     advice_grid,
@@ -31,6 +33,7 @@ from advicemech import (
     gen_S,
     gen_S_final,
     gen_S_linear,
+    WeightedSample,
     global_risk,
     linear_instance,
     lpfa,
@@ -42,13 +45,15 @@ from advicemech import (
     pfa_mechanism,
     pfa_two_labeling,
     pfa_two_labeling_mechanism,
+    personal_risk,
     shared_binary_instance,
     srda,
     srda_mechanism,
     srda_two_labeling,
     srda_two_labeling_mechanism,
+    weighted_median_bounds,
 )
-from advicemech.model import CompiledInstance
+from advicemech.model import CompiledInstance, exact_div, loss_sum
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -192,6 +197,161 @@ def test_unanimous_float_labels_keep_ratio_one():
     lin = linear_instance([[(2.0, 0.2)] * 5, [(1.0, 0.1)] * 5])
     row = lpfa_family().frontier_row(1, [lin])
     assert row.consistency == 1 and row.ok
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against plain per-point sums written here
+# ---------------------------------------------------------------------------
+
+
+def plain_risk(f, datasets, cls):
+    """The average loss of f over the points of `datasets`, summed point by
+    point in plain Fraction arithmetic (float arithmetic when a float is
+    involved), lotteries as the probability-weighted sum of their branches."""
+    if isinstance(f, LabelingLottery):
+        return sum(p * plain_risk(i, datasets, cls) for i, p in f.branches if p != 0)
+    g = f.value if isinstance(f, ConstantChoice) else f.slope if isinstance(f, LinearChoice) else f
+    g = f.index if isinstance(f, LabelingChoice) else g
+    exact = lambda v: v if isinstance(v, float) else F(v)  # noqa: E731
+    total, count = 0, 0
+    for points in datasets:
+        for j, p in enumerate(points):
+            if isinstance(cls, LabelingsClass):
+                total += 0 if cls.labelings[g][j] == p.y else 1
+            elif isinstance(cls, LinearClass):
+                total += abs(exact(g) * exact(p.x) - exact(p.y))
+            else:
+                total += abs(exact(g) - exact(p.y))
+            count += 1
+    return total / count if isinstance(total, float) else F(total) / count
+
+
+def assert_kernel_matches(instance, queries):
+    """global_risk, CompiledInstance.risk and every agent's personal_risk
+    against `plain_risk`: equal exactly, and a float exactly when the
+    plain sum is one; every agent's loss_sum is its risk times |S_i|, an
+    int when that is integral."""
+    cls = instance.function_class
+    compiled = CompiledInstance(instance)
+    everyone = [a.points for a in instance.agents]
+    for f in queries:
+        expected = plain_risk(f, everyone, cls)
+        for got in (global_risk(f, instance), compiled.risk(f)):
+            assert got == expected and type(got) is type(expected), (f, got, expected)
+        for agent in instance.agents:
+            expected = plain_risk(f, [agent.points], cls)
+            got = personal_risk(f, agent, cls)
+            assert got == expected and type(got) is type(expected), (f, got, expected)
+            total = loss_sum(f, agent, cls)
+            assert total == expected * len(agent), (f, total, expected)
+            if not isinstance(expected, float) and (expected * len(agent)).denominator == 1:
+                assert type(total) is int, (f, total)
+
+
+exact_values = st.one_of(
+    st.integers(-12, 12), st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+)
+wide_queries = st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+
+
+@EXAMPLES
+@given(label_lists(exact_values), st.lists(st.one_of(exact_values, wide_queries), max_size=4))
+def test_kernel_constant_against_plain_sums(label_lists_, probes):
+    inst = constant_instance(label_lists_)
+    grid = advice_grid(inst, 21) if len(set(inst.all_labels())) > 1 else ()
+    queries = [*probes, *grid, *inst.all_labels()[:3], ConstantChoice(F(-7, 3))]
+    assert_kernel_matches(inst, queries)
+
+
+@EXAMPLES
+@given(
+    label_lists(st.tuples(st.one_of(st.just(0), xs_with_zero), exact_values)),
+    st.lists(st.one_of(exact_values, wide_queries), max_size=4),
+)
+def test_kernel_linear_against_plain_sums(pair_lists, probes):
+    inst = linear_instance(pair_lists)
+    queries = [*probes, *advice_grid(inst, 21), 0, LinearChoice(F(5, 2))]
+    assert_kernel_matches(inst, queries)
+
+
+@EXAMPLES
+@given(st.data())
+def test_kernel_lotteries_against_plain_sums(data):
+    m = data.draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(0, 1)] * m)
+    menu = data.draw(st.lists(vector, min_size=2, max_size=4, unique=True))
+    inst = shared_binary_instance(data.draw(st.lists(vector, min_size=1, max_size=5)), menu)
+    weights = data.draw(
+        st.lists(st.integers(0, 10**6), min_size=len(menu), max_size=len(menu)).filter(any)
+    )
+    lottery = LabelingLottery(tuple((i, F(w, sum(weights))) for i, w in enumerate(weights)))
+    floats = LabelingLottery(((0, 0.25), (1, 0.75)))
+    assert_kernel_matches(inst, [*range(len(menu)), LabelingChoice(1), lottery, floats])
+
+
+finite_floats = st.floats(-1000, 1000, allow_nan=False)
+
+
+@EXAMPLES
+@given(
+    label_lists(st.one_of(exact_values, finite_floats)),
+    st.lists(st.one_of(exact_values, finite_floats), min_size=1, max_size=4),
+)
+def test_kernel_float_inputs_keep_the_float_path(label_lists_, probes):
+    inst = constant_instance(label_lists_)
+    assert_kernel_matches(inst, probes + [0.5])
+    lin = linear_instance(
+        [[(0.5 if isinstance(y, float) else F(1, 3), y) for y in labels] for labels in label_lists_]
+    )
+    assert_kernel_matches(lin, probes + [0.5])
+
+
+@EXAMPLES
+@given(
+    st.one_of(exact_values, wide_queries, finite_floats),
+    st.one_of(exact_values, wide_queries, finite_floats).filter(lambda d: d != 0),
+)
+def test_exact_div_against_plain_division(num, den):
+    got = exact_div(num, den)
+    if isinstance(num, float) or isinstance(den, float):
+        assert type(got) is float and got == num / den
+    else:
+        assert type(got) is F and got == F(num) / F(den)
+
+
+sample_weights = st.one_of(
+    st.just(0), st.integers(1, 5), st.builds(F, st.integers(0, 9), st.integers(1, 6))
+)
+
+
+@EXAMPLES
+@given(
+    st.lists(
+        st.tuples(exact_values, sample_weights), min_size=1, max_size=8
+    ).filter(lambda entries: sum(w for _, w in entries) > 0),
+    st.one_of(exact_values, wide_queries),
+)
+def test_median_oracle_and_sample_risk_against_plain_fractions(entries, a):
+    sample = WeightedSample(tuple(entries))
+    total = sum(F(w) for _, w in entries)
+    assert sample.risk(a) == sum(F(w) * abs(F(a) - F(v)) for v, w in entries) / total
+    # the plain oracle: sort the (value, weight) pairs, drop zero weights,
+    # and walk up (lo) and down (hi) until half the weight is passed
+    items = sorted((v, w) for v, w in entries if w > 0)
+    acc, lo = 0, None
+    for v, w in items:
+        acc += w
+        if 2 * acc >= total:
+            lo = v
+            break
+    acc, hi = 0, None
+    for v, w in reversed(items):
+        acc += w
+        if 2 * acc >= total:
+            hi = v
+            break
+    got = weighted_median_bounds(sample)
+    assert got == (lo, hi) and tuple(map(type, got)) == (type(lo), type(hi))
 
 
 # ---------------------------------------------------------------------------
