@@ -37,12 +37,12 @@ from .regression import (
     PfaConfig,
     advice_error_linear,
     advice_error_mapped,
-    agent_projection,
     confidence_weight,
     lpfa,
     map_to_constant_instance,
     optimal_slope_set,
     pfa,
+    projection,
 )
 from .classification import (
     BinaryPreferenceSummary,

@@ -87,28 +87,26 @@ from .model import (
     LinearClass,
     Real,
     ValueDomain,
-    WeightedSample,
     advice_error,
     c0c1_class,
-    erm_constant,
+    class_entries,
     exact_div,
     global_risk,
     loss_sum,
     optimal_constant_set,
+    optimal_set,
     personal_risk,
 )
 from .regression import (
     PFA_GAMMA_MAX,
     PfaConfig,
     check_pfa_inputs,
-    confidence_weight,
-    linear_projection,
     lpfa,
     lpfa_fit,
     mapped_optimal_set,
-    optimal_slope_set,
     pfa,
     pfa_fit,
+    projection,
 )
 
 
@@ -215,10 +213,11 @@ class AuditableMechanism:
         self._signature = signature
         self._fit = fit
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
+        self._view = (None, None)  # the class last asked for and its entry of _cache
         self._risk_cache = {}
         self._group_cache = {}
         self._rows = {}  # class -> {(others, pool signatures) -> {advice -> row}}
-        self._outcomes = {}  # one object per distinct audited outcome
+        self._outcomes = {}  # one object per distinct cached outcome
         self._plan = None  # the _Plan of the instance audited last
 
     def true_personal_risk(self, outcome, agent, cls, scale=1):
@@ -251,20 +250,24 @@ class AuditableMechanism:
         cls = instance.function_class
         return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
 
-    def cache_view(self, cls) -> dict:
-        """The outcome cache of class `cls`: (profile, advice) -> outcome."""
-        return self._cache.setdefault(cls, {})
-
-    def outcome(self, instance: Instance, advice, profile=None):
-        """The outcome on `instance`, cached by its signature profile."""
+    def outcome(self, instance: Instance, advice, profile=None, build=None):
+        """The outcome on `instance`, cached by the signature profile
+        (`profile`, by default the instance's own) and interned: one object
+        per distinct outcome.  `fn` runs on `build()`, by default
+        `instance`, without a signature or when the fit leaves the profile
+        to it."""
+        build = build or (lambda: instance)
         if self._signature is None:
-            return self.fn(instance, advice)
+            return self.fn(build(), advice)
         cls = instance.function_class
         key = (self.profile(instance) if profile is None else profile, advice)
-        view = self.cache_view(cls)
+        if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
+            self._view = (cls, self._cache.setdefault(cls, {}))
+        view = self._view[1]
         out = view.get(key)
         if out is None:
-            out = view[key] = self.fill(cls, key[0], advice, lambda: instance)
+            out = self.fill(cls, key[0], advice, build)
+            out = view[key] = self._outcomes.setdefault(out, out)
         return out
 
     def fill(self, cls, profile, advice, build):
@@ -313,9 +316,10 @@ def _anonymous(mechanism: AuditableMechanism, gamma=None) -> AuditableMechanism:
 
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
-    """pfa whose signature is the agent's projection (b_i, |S_i|), so a
+    """pfa whose signature is the agent's `projection` (b_i, |S_i|), so a
     cache miss is one fit over the profile."""
     cfg = PfaConfig(gamma, domain)
+    constant = ConstantClass(domain)  # the memo is keyed by labels alone, not by cls
     memo = {}
 
     def fn(instance, advice):
@@ -329,29 +333,27 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
         key = tuple(sorted(labels))
         sig = memo.get(key)
         if sig is None:
-            b = erm_constant(cfg.domain, WeightedSample.from_values(labels))
-            sig = (b, len(labels))
-            memo[key] = sig
+            sig = memo[key] = projection(domain, constant, xs, labels)
         return sig
 
     return _anonymous(AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit), gamma)
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
-    """lpfa whose signature is the agent's `linear_projection`, so a cache
-    miss is one fit over the profile."""
-    lam = confidence_weight(gamma)
+    """lpfa whose signature is the agent's `projection`, so a cache miss is
+    one fit over the profile."""
+    cfg = PfaConfig(gamma)
 
     def fn(instance, advice):
         return lpfa(gamma, instance, advice)
 
     def signature(xs, labels, cls):
-        return linear_projection(xs, labels)
+        return projection(REALS, LinearClass(), xs, labels)
 
     def fit(cls, profile, advice):
         if not isinstance(cls, LinearClass):
             raise ClassMismatchError("linear-class instance required")
-        return lpfa_fit(lam, profile, advice)
+        return lpfa_fit(cfg, profile, advice)
 
     return _anonymous(AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit), gamma)
 
@@ -484,11 +486,10 @@ def _joint_report(instance: Instance, coalition, joint) -> Instance:
 
 class _Plan:
     """An instance and a misreport space prepared for audits at many advice
-    values: the signature profile, the outcome cache of the class, each
-    agent's report count and loss tables, the budget per coalition bound
-    and, once a budget has passed, the pools and every coalition's member
-    pools, the sorted signatures of the agents outside it ("others") and
-    its row slot.
+    values: the signature profile, each agent's report count and loss
+    tables, the budget per coalition bound and, once a budget has passed,
+    the pools and every coalition's member pools, the sorted signatures of
+    the agents outside it ("others") and its row slot.
 
     A slot is the mechanism's `{advice: row}` under (class, others, the
     member pools' signatures), so every instance whose coalition has the
@@ -501,7 +502,6 @@ class _Plan:
         self.instance = instance
         self.space = space
         self.cls = instance.function_class
-        self.view = mechanism.cache_view(self.cls)
         self.profile = mechanism.profile(instance)
         self.exact = _exact(v for a in agents for p in a.points for v in (p.x, p.y))
         self.counts = [space.count(a) for a in agents]
@@ -522,18 +522,6 @@ class _Plan:
                 for coalition in combinations(range(len(self.counts)), size)
             )
         return budget
-
-    def outcome(self, mechanism, profile, advice, build):
-        """The outcome of a signature profile through the outcome cache, or
-        `fn` on the built instance for a mechanism without signature."""
-        if mechanism._signature is None:
-            return mechanism.fn(build(), advice)
-        key = (profile, advice)
-        out = self.view.get(key)
-        if out is None:
-            out = mechanism.fill(self.cls, profile, advice, build)
-            out = self.view[key] = mechanism._outcomes.setdefault(out, out)
-        return out
 
     def loss_tables(self, mechanism):
         """(scales, loss tables): first the unnormalized sums (scale |S_i|),
@@ -598,8 +586,8 @@ def _row(mechanism, plan: _Plan, coalition, members, others, advice) -> tuple:
             for i, (sig, _) in zip(coalition, joint):
                 profile[i] = sig
             profile = tuple(profile)
-        out = plan.outcome(
-            mechanism, profile, advice, lambda: _joint_report(instance, coalition, joint)
+        out = mechanism.outcome(
+            instance, advice, profile, lambda: _joint_report(instance, coalition, joint)
         )
         index.append(distinct.setdefault(out, len(distinct)))
     return tuple(distinct), tuple(index)
@@ -630,7 +618,7 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
         )
     cls = plan.cls
     agents = instance.agents
-    base = plan.outcome(mechanism, plan.profile, advice, lambda: instance)
+    base = mechanism.outcome(instance, advice, plan.profile)
     plan.build_pools(mechanism)
     risk = mechanism.true_personal_risk
     for scales, tables in plan.loss_tables(mechanism):
@@ -743,23 +731,15 @@ def brute_force_optimal_risk(instance: Instance) -> Real:
 def optimal_functions(instance: Instance) -> tuple:
     """A finite set of exactly-optimal functions, used as 'correct advice'.
 
-    For interval-valued optima this is the pair of interval endpoints.
+    For interval-valued optima these are the interval's distinct endpoints.
     """
     cls = instance.function_class
-    if isinstance(cls, ConstantClass):
-        opt, _ = optimal_constant_set(instance)
-        if cls.domain.is_reals:
-            lo, hi = opt
-            return (lo,) if lo == hi else (lo, hi)
-        return opt
-    if isinstance(cls, LinearClass):
-        (lo, hi), _ = optimal_slope_set(instance)
-        return (lo,) if lo == hi else (lo, hi)
     if isinstance(cls, LabelingsClass):
         risks = [global_risk(i, instance) for i in range(len(cls.labelings))]
         best = min(risks)
         return tuple(i for i, r in enumerate(risks) if r == best)
-    raise TypeError(f"unknown function class {cls!r}")
+    opt, _ = optimal_set(instance)
+    return tuple(dict.fromkeys(opt))
 
 
 def risk_ratio(achieved: Real, best: Real) -> Real:
@@ -819,16 +799,10 @@ def advice_grid(instance: Instance, points: int = 21) -> tuple:
     cls = instance.function_class
     if isinstance(cls, LabelingsClass):
         return tuple(range(len(cls.labelings)))
-    if isinstance(cls, LinearClass):
-        values = [
-            exact_div(p.y, p.x) for a in instance.agents for p in a.points if p.x != 0
-        ]
-        if not values:
-            values = [0]
-    else:
-        values = instance.all_labels()
-        if not cls.domain.is_reals:
-            return cls.domain.values
+    if isinstance(cls, ConstantClass) and not cls.domain.is_reals:
+        return cls.domain.values
+    xs = [x for a in instance.agents for x in a.xs]
+    values = [v for v, _ in class_entries(cls, xs, instance.all_labels())[0]] or [0]
     lo, hi = min(values), max(values)
     if lo == hi:
         return (lo,)

@@ -36,15 +36,15 @@ from .formats import (
 from .model import (
     ClassMismatchError,
     ConstantChoice,
+    DegenerateLinearInstance,
     InvalidInstanceError,
     LabelingChoice,
     LabelingLottery,
     LabelingsClass,
     LinearChoice,
-    LinearClass,
+    check_nondegenerate,
     global_risk,
 )
-from .regression import DegenerateLinearInstance, map_to_constant_instance
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -136,8 +136,7 @@ def cmd_run(args, out, err) -> int:
     gamma = _parse_gamma(str(args.gamma), family)
     advice = _parse_advice(args.advice, instance)
     mech = family.mechanism(gamma, instance.function_class)
-    if isinstance(instance.function_class, LinearClass):
-        map_to_constant_instance(instance)  # refuses an instance whose x are all zero
+    check_nondegenerate(instance)
     outcome = mech(instance, advice)
     achieved = global_risk(outcome, instance)
     best = audit_mod.brute_force_optimal_risk(instance)
@@ -206,6 +205,7 @@ def cmd_audit(args, out, err) -> int:
         ]
         for gamma in gammas:
             mech = family.mechanism(gamma, instance.function_class)
+            check_nondegenerate(instance)
             for advice in advices:
                 space = _space(args.space, instance, advice)
                 report = audit_mod.check_group_strategyproof(

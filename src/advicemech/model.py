@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -34,6 +35,10 @@ class InvalidInstanceError(ValueError):
 
 class ClassMismatchError(ValueError):
     """Raised when a function/advice does not belong to the instance's class."""
+
+
+class DegenerateLinearInstance(InvalidInstanceError):
+    """Every slope fits equally well: all input x values are zero."""
 
 
 def _check_finite(x: Real, what: str) -> None:
@@ -180,11 +185,11 @@ class AgentDataset:
     def from_labels(cls, labels: Iterable[Real]) -> "AgentDataset":
         return cls(tuple(LabeledPoint(0, y) for y in labels))
 
-    @property
+    @cached_property
     def labels(self) -> tuple:
         return tuple(p.y for p in self.points)
 
-    @property
+    @cached_property
     def xs(self) -> tuple:
         return tuple(p.x for p in self.points)
 
@@ -361,62 +366,71 @@ def weighted_median_bounds(sample: WeightedSample) -> tuple:
 
 
 def erm_constant(domain: ValueDomain, sample: WeightedSample) -> Real:
-    """The largest minimizer over `domain` of the weighted absolute loss.
-
-    For the real line this is the upper end of the weighted-median interval.
-    For a finite domain, convexity makes it enough to inspect the domain
-    values inside the interval plus the nearest neighbours on either side.
-    Ties always break toward the largest value.
-    """
+    """The largest minimizer over `domain` of the weighted absolute loss:
+    the upper end of the weighted-median interval for the real line, the
+    largest of `_domain_optima` for a finite domain."""
     lo, hi = weighted_median_bounds(sample)
-    if domain.is_reals:
-        return hi
-    vals = domain.values
-    left = bisect_left(vals, lo)
-    right = bisect_right(vals, hi)
+    return hi if domain.is_reals else _domain_optima(domain.values, sample, lo, hi)[-1]
+
+
+def _domain_optima(vals, sample: WeightedSample, lo, hi) -> tuple:
+    """The values of the sorted finite domain `vals` minimizing the
+    sample's loss, ascending, given its weighted-median interval [lo, hi].
+    By convexity these are the domain values inside the interval, or when
+    there are none, whichever of the nearest neighbours on either side
+    ties for the least loss."""
+    left, right = bisect_left(vals, lo), bisect_right(vals, hi)
     if left < right:
-        # domain values inside [lo, hi] all attain the minimum risk
-        return vals[right - 1]
-    candidates = []
-    if left > 0:
-        candidates.append(vals[left - 1])
-    if left < len(vals):
-        candidates.append(vals[left])
-    best = None
-    best_risk = None
-    for c in candidates:  # ascending, so >= keeps the largest tie
-        r = sample.risk(c)
-        if best is None or r <= best_risk:
-            best, best_risk = c, r
-    return best
+        return vals[left:right]
+    near = vals[max(left - 1, 0) : left + 1]
+    risks = [sample.risk(c) for c in near]
+    return tuple(c for c, r in zip(near, risks) if r == min(risks))
+
+
+def class_entries(cls: FunctionClass, xs, labels) -> tuple:
+    """The weighted sample a regression class fits one dataset by, as
+    (entries, offset).  Constant class: each label with weight 1.  Linear
+    class: each point (x, y) with x != 0 becomes the value y/x of weight
+    |x|, since |a*x - y| = |x| * |a - y/x|, and each x = 0 point adds |y|
+    to the offset, the loss no slope can change."""
+    if isinstance(cls, ConstantClass):
+        return tuple((y, 1) for y in labels), 0
+    if not isinstance(cls, LinearClass):
+        raise ClassMismatchError(f"constant or linear class required, got {cls!r}")
+    points = tuple(zip(xs, labels))
+    entries = tuple((exact_div(y, x), abs(x)) for x, y in points if x != 0)
+    return entries, sum(abs(y) for x, y in points if x == 0)
+
+
+def check_nondegenerate(instance: Instance) -> None:
+    """Raise DegenerateLinearInstance for a linear instance whose x are all
+    zero: every slope is optimal there, so no ratio or optimum is defined."""
+    if isinstance(instance.function_class, LinearClass) and not any(any(a.xs) for a in instance.agents):
+        raise DegenerateLinearInstance("all x values are zero; every slope is optimal")
+
+
+def optimal_set(instance: Instance):
+    """(representatives, optimal_risk) of a regression instance, from its
+    pooled `class_entries`: the interval ends (lo, hi) of the optimal
+    constants on the real line or of the optimal slopes, or the tuple of
+    optimal values of a finite domain.  A linear instance whose x are all
+    zero raises DegenerateLinearInstance."""
+    cls = instance.function_class
+    check_nondegenerate(instance)
+    xs = [x for a in instance.agents for x in a.xs]
+    sample = WeightedSample(class_entries(cls, xs, instance.all_labels())[0])
+    lo, hi = weighted_median_bounds(sample)
+    if isinstance(cls, LinearClass) or cls.domain.is_reals:
+        return (lo, hi), global_risk(hi, instance)
+    opt = _domain_optima(cls.domain.values, sample, lo, hi)
+    return opt, global_risk(opt[0], instance)
 
 
 def optimal_constant_set(instance: Instance):
-    """The set of unconstrained-risk minimizers within the instance's domain.
-
-    Returns (representatives, optimal_risk) where `representatives` is either
-    the interval endpoints (lo, hi) for a real-line domain or the tuple of
-    optimal domain values for a finite domain.
-    """
-    cls = instance.function_class
-    if not isinstance(cls, ConstantClass):
+    """`optimal_set` of a constant-class instance."""
+    if not isinstance(instance.function_class, ConstantClass):
         raise ClassMismatchError("constant-class instance required")
-    sample = WeightedSample.from_values(instance.all_labels())
-    lo, hi = weighted_median_bounds(sample)
-    if cls.domain.is_reals:
-        return (lo, hi), sample.risk(hi)
-    vals = cls.domain.values
-    left = bisect_left(vals, lo)
-    right = bisect_right(vals, hi)
-    candidates = set(vals[left:right])
-    if left > 0:
-        candidates.add(vals[left - 1])
-    if right < len(vals):
-        candidates.add(vals[right])
-    risks = {c: sample.risk(c) for c in candidates}
-    best = min(risks.values())
-    opt = tuple(sorted(c for c, r in risks.items() if r == best))
-    return opt, best
+    return optimal_set(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -589,26 +603,10 @@ def global_risk(f, instance: Instance) -> Real:
     return _risk(f, cls, [a.points for a in instance.agents], instance.total_points)
 
 
-def mapped_entries(xs, labels):
-    """The homogeneous-linear mapping of one dataset: each point (x, y) with
-    x != 0 becomes the value y/x of weight |x|, since
-    |a*x - y| = |x| * |a - y/x|; the x = 0 points add |y| to a fixed
-    offset.  Returns (entries, offset)."""
-    entries = []
-    offset = 0
-    for x, y in zip(xs, labels):
-        if x == 0:
-            offset += abs(y)
-        else:
-            entries.append((exact_div(y, x), abs(x)))
-    return tuple(entries), offset
-
-
 class CompiledInstance:
     """One instance prepared for many exact `global_risk` queries.
 
-    Constant class: the labels, each of weight 1.  Linear class: the
-    `mapped_entries` of every agent plus their offset.  The instance is
+    Constant and linear class: the `class_entries` of the instance.  It is
     scaled once to ints: values V_j over D, the lcm of their denominators,
     and weights W_j and the offset over E, the lcm of theirs.  Sorted by
     value, with prefix sums W_k of W_j and V_k of W_j*V_j, a query a = p/q
@@ -634,13 +632,8 @@ class CompiledInstance:
                 _loss_sum(i, cls, datasets)[0] for i in range(len(cls.labelings))
             )
             return
-        if not isinstance(cls, (ConstantClass, LinearClass)):
-            raise ClassMismatchError(f"unknown function class {cls!r}")
-        points = [p for agent in instance.agents for p in agent.points]
-        if isinstance(cls, ConstantClass):
-            pairs, offset = [(p.y, 1) for p in points], 0
-        else:
-            pairs, offset = mapped_entries([p.x for p in points], [p.y for p in points])
+        xs = [x for agent in instance.agents for x in agent.xs]
+        pairs, offset = class_entries(cls, xs, instance.all_labels())
         try:
             d, values = _common([v for v, _ in pairs])
             e, (offset, *weights) = _common([offset, *(w for _, w in pairs)])

@@ -4,7 +4,8 @@
 weighted-median value and then taking a weighted median of those
 projections augmented with fractional copies of the advice.  `lpfa`
 lifts the same pipeline to homogeneous linear functions through the
-|x|-weighted y/x mapping.
+|x|-weighted y/x mapping (`model.class_entries`): it is `pfa_fit` on the
+agents' mapped projections, each weighted by the agent's total |x|.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from functools import cached_property
 
 from .model import (
     REALS,
-    AgentDataset,
     ClassMismatchError,
     ConstantChoice,
     ConstantClass,
+    DegenerateLinearInstance,
     Instance,
-    InvalidInstanceError,
     LinearChoice,
     LinearClass,
     Real,
@@ -28,15 +28,13 @@ from .model import (
     WeightedSample,
     _common,
     advice_error,
+    check_nondegenerate,
+    class_entries,
     erm_constant,
-    mapped_entries,
+    exact_div,
+    optimal_set,
     weighted_median_bounds,
 )
-from .model import exact_div
-
-
-class DegenerateLinearInstance(InvalidInstanceError):
-    """Every slope fits equally well: all input x values are zero."""
 
 
 # The gamma range (0, PFA_GAMMA_MAX] of `confidence_weight`, so of pfa, lpfa
@@ -71,9 +69,22 @@ class PfaConfig:
         return confidence_weight(self.gamma)
 
 
-def agent_projection(domain: ValueDomain, agent: AgentDataset) -> Real:
-    """The agent's personal-risk-minimizing constant (largest tie-break)."""
-    return erm_constant(domain, WeightedSample.from_values(agent.labels))
+# The empty projection: it sorts before every (value, weight) pair, so a
+# profile of projections sorts.
+SLOPE_INVISIBLE = ()
+
+
+def projection(domain: ValueDomain, cls, xs, labels):
+    """An agent's projection under class `cls`: the largest minimizer over
+    `domain` of its `class_entries`' weighted loss, and their total weight,
+    |S_i| for a constant agent and the total |x| for a linear one.
+    SLOPE_INVISIBLE for a linear agent whose x are all zero: it cannot
+    move the slope."""
+    entries, _ = class_entries(cls, xs, labels)
+    if not entries:
+        return SLOPE_INVISIBLE
+    sample = WeightedSample(entries)
+    return erm_constant(domain, sample), sample.total_weight
 
 
 def check_pfa_inputs(cfg: PfaConfig, cls, advice: Real) -> None:
@@ -87,30 +98,35 @@ def check_pfa_inputs(cfg: PfaConfig, cls, advice: Real) -> None:
 
 def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
     """The fit step of pfa: the weighted median (largest tie-break) of the
-    per-agent projections (b_i, |S_i|) plus the advice with weight
-    lam * |S|.  Inputs are assumed checked by `check_pfa_inputs`.
+    per-agent projections (b_i, w_i), w_i = |S_i| for constant agents,
+    plus the advice with weight lam * sum(w_i).  Inputs are assumed
+    checked by `check_pfa_inputs`.
 
-    Over the reals with a rational lam = p/q the weights are scaled to the
-    integers |S_i|*q and p*|S| (scaling leaves the median unchanged) and
-    the upper median is read off the sorted entries directly, sorting exact
-    values as ints over their common denominator."""
+    Over the reals with a rational lam = p/q and exact entries, values
+    and weights are scaled to ints over one common denominator, the
+    weights then to W_i*q and p*W, W the sum of the W_i (scaling leaves the
+    median unchanged), and the upper median is read off the entries sorted
+    by their int values.  A float takes the median oracle."""
     entries = list(projections)
     lam = cfg.lam
     if cfg.domain.is_reals and isinstance(lam, Fraction):
         p, q = lam.numerator, lam.denominator
-        size = sum(s for _, s in entries)
-        items = [(b, s * q) for b, s in entries] + ([(advice, p * size)] if p else [])
+        values = [b for b, _ in entries] + [advice]
         try:
-            _, keys = _common([b for b, _ in items])
+            _, keys = _common(values + [s for _, s in entries])
         except AttributeError:  # a float
-            keys = [b for b, _ in items]
-        # descending by (value, weight); -j keeps tied pairs in entry order
-        order = sorted(zip(keys, (w for _, w in items), range(0, -len(items), -1)), reverse=True)
-        acc = 0
-        for _, weight, j in order:
-            acc += weight
-            if 2 * acc >= (p + q) * size:
-                return ConstantChoice(items[-j][0])
+            pass
+        else:
+            keys, sizes = keys[: len(values)], keys[len(values) :]
+            size = sum(sizes)
+            weights = [s * q for s in sizes] + [p * size]
+            # descending by (value, weight); -j keeps tied pairs in entry order
+            order = sorted(zip(keys, weights, range(0, -len(keys), -1)), reverse=True)
+            acc = 0
+            for _, weight, j in order:
+                acc += weight
+                if 2 * acc >= (p + q) * size:
+                    return ConstantChoice(values[-j])
     advice_weight = lam * sum(size for _, size in entries)
     if advice_weight > 0:
         entries.append((advice, advice_weight))
@@ -124,12 +140,9 @@ def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:
     the advice enters with weight lam * |S| and the weighted median of the
     result (largest tie-break) is returned.
     """
-    check_pfa_inputs(cfg, instance.function_class, advice)
-    return pfa_fit(
-        cfg,
-        [(agent_projection(cfg.domain, agent), len(agent)) for agent in instance.agents],
-        advice,
-    )
+    cls = instance.function_class
+    check_pfa_inputs(cfg, cls, advice)
+    return pfa_fit(cfg, [projection(cfg.domain, cls, a.xs, a.labels) for a in instance.agents], advice)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +163,6 @@ class MappedLinearInstance:
     agent_samples: tuple  # one WeightedSample or None per agent
     risk_offset: Real
     total_mapped_weight: Real
-    original_points: int
 
     def pooled_sample(self) -> WeightedSample:
         entries = []
@@ -159,70 +171,34 @@ class MappedLinearInstance:
                 entries.extend(s.entries)
         return WeightedSample(tuple(entries))
 
-    def linear_risk(self, slope: Real) -> Real:
-        """Risk of x -> slope*x on the original instance, offset included."""
-        heavy = sum(
-            w * abs(slope - v)
-            for s in self.agent_samples
-            if s is not None
-            for v, w in s.entries
-        )
-        return exact_div(heavy, self.original_points) + self.risk_offset
-
 
 def map_to_constant_instance(instance: Instance) -> MappedLinearInstance:
-    """Turn a homogeneous-linear instance into weighted constant-fitting data.
-
-    Each point (x, y) with x != 0 becomes the value y/x carrying weight |x|;
-    non-integer x values are handled by the weights directly.
-    """
-    if not isinstance(instance.function_class, LinearClass):
+    """Turn a homogeneous-linear instance into weighted constant-fitting data:
+    each agent's `class_entries`.  Raises DegenerateLinearInstance when all
+    x are zero."""
+    cls = instance.function_class
+    if not isinstance(cls, LinearClass):
         raise ClassMismatchError("linear-class instance required")
+    check_nondegenerate(instance)
     samples = []
     offset_sum = 0
     total_weight = 0
     for agent in instance.agents:
-        entries, offset = mapped_entries(agent.xs, agent.labels)
+        entries, offset = class_entries(cls, agent.xs, agent.labels)
         offset_sum += offset
         total_weight += sum(w for _, w in entries)
         samples.append(WeightedSample(entries) if entries else None)
-    if total_weight == 0:
-        raise DegenerateLinearInstance("all x values are zero; every slope is optimal")
-    size = instance.total_points
     return MappedLinearInstance(
-        tuple(samples), exact_div(offset_sum, size), total_weight, size
+        tuple(samples), exact_div(offset_sum, instance.total_points), total_weight
     )
 
 
-# The empty projection: it sorts before every (slope, weight) pair, so a
-# profile of projections sorts.
-SLOPE_INVISIBLE = ()
-
-
-def linear_projection(xs, labels):
-    """An agent's projection for lpfa: the weighted median (largest
-    tie-break) of its y/x values with |x| weights, and its total |x|.
-    SLOPE_INVISIBLE for an agent whose x values are all zero: it cannot
-    move the slope."""
-    entries, _ = mapped_entries(xs, labels)
-    if not entries:
-        return SLOPE_INVISIBLE
-    sample = WeightedSample(entries)
-    return erm_constant(REALS, sample), sample.total_weight
-
-
-def lpfa_fit(lam: Real, projections, advice_slope: Real) -> LinearChoice:
-    """The fit step of lpfa from the agents' `linear_projection`s, with
-    advice copy factor `lam`; slope-invisible agents are skipped.  With
-    every agent slope-invisible all x are zero, every slope is optimal, and
-    the advice slope is returned."""
-    entries = [proj for proj in projections if proj != SLOPE_INVISIBLE]
-    if not entries:
-        return LinearChoice(advice_slope)
-    advice_weight = lam * sum(weight for _, weight in entries)
-    if advice_weight > 0:
-        entries.append((advice_slope, advice_weight))
-    return LinearChoice(erm_constant(REALS, WeightedSample(tuple(entries))))
+def lpfa_fit(cfg: PfaConfig, projections, advice_slope: Real) -> LinearChoice:
+    """The fit step of lpfa: `pfa_fit` on the agents' slope-visible
+    `projection`s.  With every agent slope-invisible all x are zero, every
+    slope is optimal, and the advice slope is returned."""
+    visible = [proj for proj in projections if proj != SLOPE_INVISIBLE]
+    return LinearChoice(pfa_fit(cfg, visible, advice_slope).value if visible else advice_slope)
 
 
 def lpfa(gamma: Real, instance: Instance, advice_slope: Real) -> LinearChoice:
@@ -235,21 +211,19 @@ def lpfa(gamma: Real, instance: Instance, advice_slope: Real) -> LinearChoice:
     constant mechanism actually sees.  A fully degenerate instance (all
     x = 0) returns the advice slope: every slope is optimal there.
     """
-    lam = confidence_weight(gamma)
-    if not isinstance(instance.function_class, LinearClass):
+    cfg = PfaConfig(gamma)
+    cls = instance.function_class
+    if not isinstance(cls, LinearClass):
         raise ClassMismatchError("linear-class instance required")
-    return lpfa_fit(
-        lam,
-        [linear_projection(agent.xs, agent.labels) for agent in instance.agents],
-        advice_slope,
-    )
+    return lpfa_fit(cfg, [projection(REALS, cls, a.xs, a.labels) for a in instance.agents], advice_slope)
 
 
 def optimal_slope_set(instance: Instance):
-    """Minimizing slopes as an interval, plus the optimal linear risk."""
-    mapped = map_to_constant_instance(instance)
-    lo, hi = weighted_median_bounds(mapped.pooled_sample())
-    return (lo, hi), mapped.linear_risk(hi)
+    """Minimizing slopes as an interval, plus the optimal linear risk: the
+    `optimal_set` of a linear-class instance."""
+    if not isinstance(instance.function_class, LinearClass):
+        raise ClassMismatchError("linear-class instance required")
+    return optimal_set(instance)
 
 
 def mapped_optimal_set(instance: Instance):

@@ -155,6 +155,16 @@ def test_run_degenerate_linear_exits_4(tmp_path):
     assert "zero" in err
 
 
+def test_audit_and_sweep_refuse_a_degenerate_linear_instance_like_run(tmp_path):
+    path = write(tmp_path, "inst.json", linear_instance([[(0, 1), (0, 2)], [(0, 3)]]))
+    _, _, run_err = run_cli("run", path, "--mechanism", "lpfa", "--advice", "0")
+    for argv in (("audit", path, "--mechanism", "lpfa", "--advice", "0"),
+                 ("sweep", path, "--mechanism", "lpfa")):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (4, "", run_err), argv
+    assert run_err == "degenerate instance: all x values are zero; every slope is optimal\n"
+
+
 GAMMA_ROWS = [
     ("run", "0", "pfa"),
     ("run", "abc", "pfa"),

@@ -28,7 +28,9 @@ from advicemech import (
     approximation_ratio,
     check_group_strategyproof,
     check_strategyproof,
+    confidence_weight,
     constant_instance,
+    erm_constant,
     error_interpolation_check,
     gen_S,
     gen_S_final,
@@ -397,6 +399,24 @@ def test_pfa_fit_matches_pfa_on_every_misreport(gamma):
             )
 
 
+def median_oracle_lpfa(gamma, instance, advice):
+    """lpfa through the weighted-median oracle alone: each agent's upper
+    weighted median of y/x by |x|, then the upper weighted median of those
+    by the agents' total |x| and of the advice at lam times their sum."""
+    entries = []
+    for a in instance.agents:
+        own = [(exact_div(y, x), abs(x)) for x, y in zip(a.xs, a.labels) if x != 0]
+        if own:
+            sample = WeightedSample(tuple(own))
+            entries.append((erm_constant(REALS, sample), sample.total_weight))
+    if not entries:
+        return LinearChoice(advice)
+    advice_weight = confidence_weight(gamma) * sum(w for _, w in entries)
+    if advice_weight > 0:
+        entries.append((advice, advice_weight))
+    return LinearChoice(erm_constant(REALS, WeightedSample(tuple(entries))))
+
+
 @pytest.mark.parametrize("gamma", [F(1, 4), 1, 2])
 def test_lpfa_fit_matches_lpfa_on_every_misreport(gamma):
     rng = random.Random(12)
@@ -405,6 +425,16 @@ def test_lpfa_fit_matches_lpfa_on_every_misreport(gamma):
     corpus = [
         linear_instance([[(0, 1), (0, -2)], [(0, 5)]]),  # every agent slope-invisible
         linear_instance([[(0, 1), (0, 3)], [(2, 1)], [(-1, 2), (0, 1)]]),
+        # float x: float values and weights leave pfa_fit's integer branch
+        linear_instance([[(0.5, 1), (1.5, -2)], [(2.0, 3), (0, 1)], [(-0.25, 0)]]),
+        linear_instance([[(0.1, 1), (0.2, 1)], [(0.3, 3)], [(1, 2)]]),
+        # at gamma 1 and advice 0, float sums of the integer branch's scaled
+        # weights round differently from the oracle's
+        linear_instance([[(0.25, 0)], [(0.3, 1)], [(1.1, -2)]]),
+        linear_instance([[(0.7, 1)], [(0.3, 3)], [(0.5, -2)]]),
+        # float projections that tie: equal weights on both sides of the median
+        linear_instance([[(0.5, F(1, 2))], [(0.5, 3)], [(0.5, 0)], [(0.5, -2)]]),
+        linear_instance([[(0.25, 3)], [(0.25, 3)], [(0.25, 0), (0.25, 0)]]),
     ]
     for _ in range(5):
         corpus.append(
@@ -416,10 +446,11 @@ def test_lpfa_fit_matches_lpfa_on_every_misreport(gamma):
             )
         )
     for inst in corpus:
-        assert_fit_matches(
-            mech, lambda reported, advice: lpfa(gamma, reported, advice),
-            inst, (F(-3, 2), 0, 2), GridLabels(levels),
-        )
+        for plain in (lpfa, median_oracle_lpfa):
+            assert_fit_matches(
+                mech, lambda reported, advice: plain(gamma, reported, advice),
+                inst, (F(-3, 2), 0, 2), GridLabels(levels),
+            )
 
 
 def test_mean_fit_matches_the_plain_average_on_every_misreport():

@@ -201,6 +201,31 @@ def test_erm_matches_grid_brute_force():
         assert erm_constant(domain, sample) == brute_force_erm(levels, sample)
 
 
+def test_finite_domain_optimum_matches_brute_force():
+    # sparse integer domains against labels on a finer grid: the median
+    # interval often holds no domain value, and its two neighbours can tie
+    rng = random.Random(71)
+    cases = [([F(1, 2)], (0, 1)), ([-1, 3], (-2, 1, 5)), ([F(5, 2), F(5, 2), 7], (2, 3, 9))]
+    for _ in range(400):
+        labels = [F(rng.randint(-16, 16), rng.choice((1, 2, 4))) for _ in range(rng.randint(1, 6))]
+        cases.append((labels, rng.sample(range(-5, 6), rng.randint(1, 4))))
+    outside = ties = 0
+    for labels, values in cases:
+        domain = ValueDomain.finite(values)
+        sample = WeightedSample.from_values(labels)
+        risks = [sample.risk(c) for c in domain.values]
+        minimizers = tuple(c for c, r in zip(domain.values, risks) if r == min(risks))
+        assert erm_constant(domain, sample) == brute_force_erm(domain.values, sample)
+        assert brute_force_erm(domain.values, sample) == minimizers[-1]
+        inst = constant_instance([labels], domain)
+        assert optimal_constant_set(inst) == (minimizers, min(risks))
+        lo, hi = weighted_median_bounds(sample)
+        if not any(lo <= c <= hi for c in domain.values):
+            outside += 1
+            ties += len(minimizers) == 2
+    assert outside > 100 and ties > 5, (outside, ties)
+
+
 def test_single_peak_ordering():
     rng = random.Random(5)
     for _ in range(200):
