@@ -50,9 +50,9 @@ CLI, the sweeps and `error_interpolation_check` read it.
 Ratio loops compile an instance (`CompiledInstance`) and run
 `brute_force_optimal_risk`, the independent check of the optimum, once:
 per sweep in `consistency_robustness_sweep` (with the optimal functions
-and advice grid; `frontier_row` is the sweep at one gamma), per query
-function in `ratio_queries`.  A ratio query then costs one mechanism
-outcome (a cache lookup or one fit) plus one bisect.
+and advice grid; `frontier_row` is the sweep at one gamma), per call in
+`approximation_ratio` and `error_interpolation_check`.  A ratio query then
+costs one mechanism outcome (a cache lookup or one fit) plus one bisect.
 """
 
 from __future__ import annotations
@@ -468,11 +468,6 @@ class AuditReport:
         return not self.violations
 
 
-def _integral(x):
-    """An integral Fraction as an int, so the gain loop stays on ints."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-
-
 def _exact(values) -> bool:
     """No float among `values`."""
     return not any(map(isinstance, values, repeat(float)))
@@ -628,7 +623,7 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
         ]
         if plan.exact and _exact((epsilon, advice, *before)):
             break  # else the second pass: every scale 1, as normalized risks
-    eps_bars = [_integral(epsilon * s) for s in scales] if epsilon else [0] * len(scales)
+    eps_bars = [epsilon * s for s in scales]
     top, top_scale = 0, 1  # max_gain is top / top_scale
     violations = []
     for size in range(1, max_coalition + 1):
@@ -750,17 +745,6 @@ def risk_ratio(achieved: Real, best: Real) -> Real:
     return exact_div(achieved, best)
 
 
-def ratio_queries(mechanism, instance: Instance):
-    """advice -> approximation ratio of `mechanism` on `instance`.
-
-    The instance is compiled, the mechanism's signature profile computed
-    and `brute_force_optimal_risk` run once, here; each query is then one
-    mechanism outcome (a cache lookup or one fit) and one O(log N) risk.
-    Nothing outlives the returned function.
-    """
-    return _ratio(mechanism, instance, CompiledInstance(instance), brute_force_optimal_risk(instance))
-
-
 class _Profile(tuple):
     """A signature profile that hashes once: a ratio loop looks it up once
     per advice, and a Fraction's hash is slow."""
@@ -775,7 +759,8 @@ class _Profile(tuple):
 
 
 def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
-    """advice -> ratio on `instance`, given its compiled form and optimum."""
+    """advice -> ratio on `instance`, given its compiled form and optimum: one
+    outcome and one bisect per query.  Nothing outlives the returned function."""
     profile = _Profile(mechanism.profile(instance))
 
     def ratio(advice):
@@ -787,7 +772,8 @@ def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real
 def approximation_ratio(mechanism, instance: Instance, advice) -> Real:
     """Mechanism risk (expected, for lotteries) over the brute-force optimum,
     by the `risk_ratio` conventions."""
-    return ratio_queries(mechanism, instance)(advice)
+    best = brute_force_optimal_risk(instance)
+    return _ratio(mechanism, instance, CompiledInstance(instance), best)(advice)
 
 
 def advice_grid(instance: Instance, points: int = 21) -> tuple:
@@ -806,10 +792,7 @@ def advice_grid(instance: Instance, points: int = 21) -> tuple:
     lo, hi = min(values), max(values)
     if lo == hi:
         return (lo,)
-    if not isinstance(lo, float) and not isinstance(hi, float):
-        lo, hi = Fraction(lo), Fraction(hi)
-        return tuple(lo + (hi - lo) * Fraction(j, points - 1) for j in range(points))
-    return tuple(lo + (hi - lo) * j / (points - 1) for j in range(points))
+    return tuple(lo + exact_div((hi - lo) * j, points - 1) for j in range(points))
 
 
 @dataclass(frozen=True)
@@ -965,7 +948,7 @@ def error_interpolation_check(
     else:
         optimum, best = optimal_constant_set(instance)
         interval = instance.function_class.domain.is_reals
-    ratio = ratio_queries(mech, instance)
+    ratio = _ratio(mech, instance, CompiledInstance(instance), brute_force_optimal_risk(instance))
     rows = []
     for advice in advice_values:
         eta = advice_error(optimum, best, advice, interval)

@@ -39,8 +39,6 @@ def parse_number(token) -> Fraction:
 
 
 def format_number(x) -> str:
-    if isinstance(x, float):
-        x = Fraction(x)
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 

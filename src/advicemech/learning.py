@@ -135,20 +135,8 @@ def required_sample_size(n: int, epsilon, delta, constant=8) -> int:
 
 
 def sup_personal_gap(agent: AgentModel, dataset: AgentDataset) -> Real:
-    """Exact sup over all constants of |statistical - empirical| risk.
-
-    Both risks are piecewise linear in the constant with breakpoints at the
-    label values, and their difference is constant beyond the extremes, so
-    the sup is attained at a breakpoint or equals the difference of means.
-    """
-    breaks = sorted(set(agent.label_values()) | set(dataset.labels))
-    gap = max(
-        abs(statistical_personal_risk(b, agent) - personal_risk(b, dataset, ConstantClass(REALS)))
-        for b in breaks
-    )
-    stat_mean = sum(p * agent.label_of(x) for x, p in agent.support)
-    emp_mean = sum(dataset.labels, start=Fraction(0)) / len(dataset)
-    return max(gap, abs(stat_mean - emp_mean))
+    """Exact sup over all constants of |statistical - empirical| risk."""
+    return _global_gap([agent], CompiledInstance(Instance((dataset,), ConstantClass(REALS))))
 
 
 def sup_global_gap(agents, instance: Instance) -> Real:
@@ -158,15 +146,17 @@ def sup_global_gap(agents, instance: Instance) -> Real:
 
 
 def _global_gap(agents, compiled: CompiledInstance) -> Real:
-    """`sup_global_gap` on a compiled instance: one bisect per breakpoint."""
+    """`sup_global_gap` on a compiled instance: one bisect per breakpoint.
+    Both risks are piecewise linear in the constant with breakpoints at the
+    label values, and their difference is constant beyond the extremes, so
+    the sup is attained at a breakpoint or equals the difference of means.
+    """
     if len({len(a) for a in compiled.instance.agents}) != 1:
         raise InvalidInstanceError("global gap needs equal per-agent sample sizes")
     labels = compiled.instance.all_labels()
     breaks = sorted({y for a in agents for y in a.label_values()} | set(labels))
     gap = max(abs(statistical_global_risk(b, agents) - compiled.risk(b)) for b in breaks)
-    stat_mean = sum(
-        p * a.label_of(x) for a in agents for x, p in a.support
-    ) / len(agents)
+    stat_mean = exact_div(sum(p * a.label_of(x) for a in agents for x, p in a.support), len(agents))
     emp_mean = sum(labels, start=Fraction(0)) / len(labels)
     return max(gap, abs(stat_mean - emp_mean))
 

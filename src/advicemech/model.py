@@ -487,13 +487,11 @@ class LabelingLottery:
 # ---------------------------------------------------------------------------
 
 
-def _point_loss(f, cls: FunctionClass, point: LabeledPoint, j: int) -> Real:
+def _point_loss(f, cls: FunctionClass, point: LabeledPoint) -> Real:
     if isinstance(cls, ConstantClass):
         return abs(f - point.y)
     if isinstance(cls, LinearClass):
         return abs(f * point.x - point.y)
-    if isinstance(cls, LabelingsClass):
-        return 0 if cls.labelings[f][j] == point.y else 1
     raise ClassMismatchError(f"unknown function class {cls!r}")
 
 
@@ -576,7 +574,7 @@ def _risk(f, cls: FunctionClass, datasets, size: int) -> Real:
         if isinstance(f, LabelingLottery):
             return sum(p * _risk(i, cls, datasets, size) for i, p in f.branches if p != 0)
         g = _bare_function(f, cls)
-        total = sum(_point_loss(g, cls, p, j) for pts in datasets for j, p in enumerate(pts))
+        total = sum(_point_loss(g, cls, p) for pts in datasets for p in pts)
         return exact_div(total, size)
     return Fraction(num, den * size)
 

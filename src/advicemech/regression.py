@@ -46,9 +46,7 @@ def confidence_weight(gamma: Real) -> Real:
     """The advice copy factor lambda = (2 - gamma) / (2 + gamma)."""
     if not 0 < gamma <= PFA_GAMMA_MAX:
         raise ValueError(f"gamma must lie in (0, {PFA_GAMMA_MAX}]")
-    if isinstance(gamma, float):
-        return (2 - gamma) / (2 + gamma)
-    return Fraction(2 - Fraction(gamma), 2 + Fraction(gamma))
+    return exact_div(2 - gamma, 2 + gamma)
 
 
 @dataclass(frozen=True)

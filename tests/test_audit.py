@@ -609,6 +609,19 @@ def test_advice_grid_needs_two_points():
     assert len(advice_grid(inst, 21)) == 21
 
 
+def test_advice_grid_values_on_float_mixed_and_exact_labels():
+    def linspace(lo, hi, points):
+        return tuple(lo + (hi - lo) * j / (points - 1) for j in range(points))
+
+    assert advice_grid(constant_instance([[0.1, 0.7], [0.35]]), 7) == linspace(0.1, 0.7, 7)
+    mixed = constant_instance([[F(1, 3), 0.7], [F(1, 2)]])
+    assert advice_grid(mixed, 7) == linspace(F(1, 3), 0.7, 7)
+    assert all(type(v) is float for v in advice_grid(mixed, 7))
+    grid = advice_grid(constant_instance([[0, 3], [F(1, 2)]]), 5)
+    assert grid == tuple(F(3 * j, 4) for j in range(5))
+    assert all(type(v) is F for v in grid)
+
+
 @pytest.mark.parametrize(
     "name, corpus, error",
     [

@@ -374,6 +374,23 @@ def test_cli_import_leaves_learning_unloaded():
     assert proc.stdout.split("\n")[:3] == ["False", "True advicemech.learning", "AttributeError"]
 
 
+def test_python_m_advicemech_cli_runs_the_command(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "advicemech.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    gen = cli("gen", "s", "--n", "3", "--k", "1", "--t", "2", "--z", "5")
+    assert gen.returncode == 0, gen.stderr
+    assert parse_instance(gen.stdout) == gen_S(3, 1, 2, 5)
+    missing = cli("run", str(tmp_path / "nope.json"), "--mechanism", "pfa", "--advice", "0")
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert len(missing.stderr.splitlines()) == 1 and missing.stderr.startswith("parse error:")
+
+
 def test_readme_guarantee_table_matches_the_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = {}

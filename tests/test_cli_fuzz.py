@@ -2,7 +2,8 @@
 valid, boundary and malformed tokens, instance files from mutated `gen`
 output.  Whatever the input, the exit code is one of 0-5, and a code of 2
 or more comes with an empty stdout, exactly one stderr line and no
-traceback.  Every defect this finds gets its own row in the table-driven
+traceback; a code of 0 or 1 comes with each command's documented stdout
+format.  Every defect this finds gets its own row in the table-driven
 tests of tests/test_cli.py."""
 
 import io
@@ -11,11 +12,11 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from advicemech import MECHANISMS
-from advicemech.cli import main
+from advicemech import MECHANISMS, parse_instance
+from advicemech.cli import GENERATORS, main
 
 FUZZ = settings(
     max_examples=400, deadline=None, derandomize=True, database=None,
@@ -107,7 +108,15 @@ OPTIONS = {
         "--out": OUT,
     },
 }
-FAMILIES = ["s", "s-chain", "s-final", "s-linear", "voting-table", "randomized-lb", "bogus"]
+FAMILIES = [*GENERATORS, "bogus"]
+
+RUN_KEYS = ["mechanism", "gamma", "advice", "choice", "mechanism_risk", "optimal_risk", "ratio"]
+AUDIT_KEYS = [
+    "mechanism", "gamma", "advice", "epsilon", "max_coalition", "instances", "candidates",
+    "violations",
+]
+AUDIT_HEADER = "agents\tmisreports\trisk_before\trisk_after\tgain\tinstance\tgamma\tadvice"
+SWEEP_HEADER = "gamma\tconsistency\trobustness\tbound_consistency\tbound_robustness\tpass"
 
 
 def mutate(doc, kind, draw):
@@ -179,6 +188,8 @@ def invocations(draw):
 
 @FUZZ
 @given(invocations())
+# the draws give no audit with violations; mean gains on this `gen s` file
+@example((["audit", "{instance}", "--mechanism", "mean", "--advice", "0"], json.dumps(BASES[0][0])))
 def test_cli_exit_code_contract(invocation):
     argv, instance = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,12 +202,39 @@ def test_cli_exit_code_contract(invocation):
             path.write_text(instance, encoding="utf-8")
         argv = [a.replace("{tmp}", tmp).replace("{instance}", str(path)) for a in argv]
         code, out, err = run(argv)
+        if argv[0] == "gen" and code == 0 and "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
     assert code in range(6), (argv, code, err)
     if code >= 2:
         assert out == "", (argv, code, out)
         assert len(err.splitlines()) == 1, (argv, code, err)
         assert "Traceback" not in err, (argv, code, err)
-    elif argv[0] == "gen":
-        assert "--out" in argv or json.loads(out)["class"]
     else:
-        assert out and all("\t" in line for line in out.splitlines()), (argv, out)
+        assert_documented_format(argv[0], code, out)
+
+
+def assert_documented_format(command, code, out):
+    """stdout of a call that exited 0 or 1 (for `gen --out`, the file
+    written), in the format README documents for `command`."""
+    if command == "gen":
+        assert code == 0
+        parse_instance(out)
+        return
+    rows = [line.split("\t") for line in out.splitlines()]
+    if command == "run":
+        assert code == 0
+        assert all(len(r) == 2 for r in rows), out
+        lottery = dict(rows)["choice"].startswith("lottery ")
+        assert [k for k, _ in rows] == RUN_KEYS + ["sampled"] * lottery, out
+    elif command == "audit":
+        assert [r[0] for r in rows[:8]] == AUDIT_KEYS, out
+        assert all(len(r) == 2 for r in rows[:8]), out
+        violations = int(rows[7][1])
+        assert code == (1 if violations else 0), out
+        assert out.splitlines()[8] == AUDIT_HEADER, out
+        assert len(rows) == 9 + violations and all(len(r) == 8 for r in rows[9:]), out
+    else:
+        assert command == "sweep" and code == 0
+        assert out.splitlines()[0] == SWEEP_HEADER, out
+        assert len(rows) > 1, out
+        assert all(len(r) == 6 and r[5] in ("true", "false") for r in rows[1:]), out

@@ -155,6 +155,9 @@ def test_single_agent_linear_personal_optimum():
 def test_r_bound_direct_value():
     assert r_bound(12, 10, 1) == F(459, 160)
     assert float(r_bound(12, 10, 1)) == 2.86875
+    # a float d takes the float formula, in this order of operations
+    assert r_bound(12, 10.0, 1) == (10.0 - 1) / 10.0 * (4 + 1 - 9 / 12) / (1 + 4 / 12)
+    assert r_bound(12, 7.3, 1) == (7.3 - 1) / 7.3 * (4 + 1 - 9 / 12) / (1 + 4 / 12)
 
 
 def test_r_bound_below_robustness_cap():

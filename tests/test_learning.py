@@ -22,7 +22,7 @@ from advicemech import (
     sup_personal_gap,
 )
 from advicemech.learning import CompositionTrial
-from advicemech.model import InvalidInstanceError, LinearClass
+from advicemech.model import REALS, ConstantClass, Instance, InvalidInstanceError, LinearClass
 
 
 def point_mass(x, y):
@@ -222,6 +222,10 @@ def test_compiled_gaps_and_composition_equal_the_global_risk_reference(seed):
         got = sup_global_gap(agents, inst)
         expected = reference_global_gap(agents, inst)
         assert (got, type(got)) == (expected, type(expected))
+        for agent, data in zip(agents, inst.agents):
+            got = sup_personal_gap(agent, data)
+            expected = reference_global_gap([agent], Instance((data,), ConstantClass(REALS)))
+            assert (got, type(got)) == (expected, type(expected))
     for gamma, epsilon in ((1, F(1, 2)), (F(1, 3), F(3, 4))):
         got = composition_experiment(agents, gamma, epsilon, F(1, 10), trials=6, seed=seed)
         assert got == reference_composition(agents, gamma, epsilon, F(1, 10), 6, seed)

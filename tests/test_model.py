@@ -158,6 +158,15 @@ def test_erm_weighted_brute_force_frozen():
     assert brute_force_erm(grid + [0, 10], sample) == 0
 
 
+def test_weighted_sample_risk_on_a_float_query_or_weight():
+    # a float has no denominator: the plain weighted average of the losses
+    sample = WeightedSample(((1, 2), (F(3, 2), 1)))
+    assert sample.risk(0.1) == (2 * abs(0.1 - 1) + 1 * abs(0.1 - F(3, 2))) / 3
+    floats = WeightedSample(((1, 0.3), (F(5, 2), 1.1)))
+    a = F(2)
+    assert floats.risk(a) == (0.3 * abs(a - 1) + 1.1 * abs(a - F(5, 2))) / (0.3 + 1.1)
+
+
 def test_erm_finite_domain_nearest():
     sample = WeightedSample(((F("0.4"), 1),))
     assert erm_constant(ValueDomain.finite([0, 1]), sample) == 0
@@ -305,6 +314,15 @@ def test_advice_error_uses_nearest_optimum_of_interval():
     inst = constant_instance([[0, 2]])
     assert advice_error_constant(inst, 1) == 0
     assert advice_error_constant(inst, 4) == F(2, 1) / global_risk(2, inst)
+
+
+def test_advice_error_on_a_finite_domain_uses_the_nearest_optimal_value():
+    # 2 and 6 are the optimal domain values, each at risk 5/2; the advice 4
+    # lies between them, where an interval of optima would cost nothing
+    inst = constant_instance([[0, 6], [2, 6]], ValueDomain.finite([0, 2, 6]))
+    assert advice_error_constant(inst, 4) == F(2) / F(5, 2)
+    assert advice_error_constant(inst, 10) == F(4) / F(5, 2)
+    assert advice_error_constant(inst, 6) == 0
 
 
 def test_optimal_constant_set_finite_domain():

@@ -94,6 +94,14 @@ def test_pfa_weighted_example():
     assert confidence_weight(F(2, 3)) == F(1, 2)
 
 
+def test_confidence_weight_on_float_and_exact_gamma():
+    assert confidence_weight(0.5) == (2 - 0.5) / (2 + 0.5)
+    assert confidence_weight(0.3) == (2 - 0.3) / (2 + 0.3)
+    for gamma in (1, F(1, 3), 2):
+        lam = confidence_weight(gamma)
+        assert type(lam) is F and lam == (2 - F(gamma)) / (2 + F(gamma))
+
+
 def test_pfa_rejects_advice_outside_domain():
     domain = ValueDomain.finite([0, 1])
     inst = constant_instance([[0], [1]], domain)
@@ -316,6 +324,14 @@ def test_advice_error_linear_examples():
     assert advice_error_linear(inst, 1) == F(3, 2)
     assert advice_error_linear(inst, 0) == 0
     assert advice_error_linear(linear_instance([[(1, 1)]]), 0) == float("inf")
+
+
+def test_advice_error_is_zero_on_an_all_zero_x_instance():
+    # every slope is optimal, so every advice slope is
+    inst = linear_instance([[(0, 1), (0, -2)], [(0, F(3, 2))]])
+    for advice in (0, F(-5, 2), 7):
+        assert advice_error_linear(inst, advice) == 0
+        assert advice_error_mapped(inst, advice) == 0
 
 
 def test_advice_error_mapped_scaling_identity():
