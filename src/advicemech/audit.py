@@ -27,21 +27,21 @@ pieces:
 - An outcome row holds the outcome of each joint report of a coalition,
   in product order of its members' pools, and nothing else.  Registered
   mechanisms are anonymous (the outcome depends on the multiset of
-  signatures), so on exact inputs a row is shared by every instance with
-  the same class, advice, others and member pool signatures, and its
-  outcomes are cached by the sorted full profile.  A mechanism without signature or not
-  declared anonymous, a float label, x or report, or a float advice builds
-  its rows afresh, with outcomes cached by the profile in agent order,
-  since a float sum depends on the order of summation.
+  signatures), so a row is shared by every instance with the same class,
+  advice, others and member pool signatures, and its outcomes are cached
+  by the sorted full profile.
 - Gains are computed once per distinct outcome of a row, not per joint
-  report.  On exact inputs they stay on integers wherever labels and
-  outcomes are: each agent's loss table maps an outcome to its
-  unnormalized loss sum (risk times |S_i|), and a member gains when
-  `before_sum - after_sum > epsilon*|S_i|`, so a risk or a gain is
-  divided out only for a violation or a new max_gain.  A float epsilon,
-  advice or risk keeps the normalized arithmetic of the risks themselves.
-  Joints are enumerated again only for a row with a violating outcome, so
-  violations keep coalition order and product order.
+  report, and stay on integers wherever labels and outcomes are: each
+  agent's loss table maps an outcome to its unnormalized loss sum (risk
+  times |S_i|), and a member gains when `before_sum - after_sum >
+  epsilon*|S_i|`, so a risk or a gain is divided out only for a violation
+  or a new max_gain.  Joints are enumerated again only for a row with a
+  violating outcome, so violations keep coalition order and product order.
+
+These caches compare keys by ==, and 0.5 == 1/2, so they hold exact work
+only.  A float anywhere (label, x, report, domain value, advice, epsilon
+or base risk) or a mechanism not declared anonymous runs the audit by its
+definition instead (`_definition`), on no cache.
 
 `MECHANISMS` is the one table of mechanisms: per CLI name, the function
 class it accepts, its gamma range, its constructor and its guarantee.  The
@@ -57,7 +57,7 @@ costs one mechanism outcome (a cache lookup or one fit) plus one bisect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb, prod
@@ -125,12 +125,15 @@ EVALUATION_BUDGET = 10**7
 @dataclass(frozen=True)
 class GridLabels:
     """Every relabeling of an agent's points with values from a fixed grid,
-    enumerated up to point order."""
+    enumerated up to point order.  `exact`: no level is a float, so a float
+    grid never equals an exact one."""
 
     levels: tuple
+    exact: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(sorted(self.levels)))
+        object.__setattr__(self, "exact", _exact(self.levels))
 
     def reports(self, agent: AgentDataset):
         return combinations_with_replacement(self.levels, len(agent))
@@ -143,12 +146,14 @@ class GridLabels:
 class ProjectedConstant:
     """Reports of |S_i| copies of a single candidate value.  For projection
     mechanisms every misreport is outcome-equivalent to one of these, so
-    this tiny space is exhaustive for them."""
+    this tiny space is exhaustive for them.  `exact` as for GridLabels."""
 
     candidates: tuple
+    exact: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", tuple(sorted(set(self.candidates))))
+        object.__setattr__(self, "exact", _exact(self.candidates))
 
     @classmethod
     def for_instance(cls, instance: Instance, advice: Real) -> "ProjectedConstant":
@@ -169,6 +174,7 @@ class AllBinaryVectors:
     """All 0/1 labelings of the m shared points."""
 
     m: int
+    exact = True
 
     def reports(self, agent: AgentDataset):
         if len(agent) != self.m:
@@ -190,7 +196,8 @@ class AuditableMechanism:
     `signature(xs, labels, cls)` must return a hashable statistic such that
     two reported datasets with equal signatures always produce the same
     mechanism outcome (holding everything else fixed).  Outcomes are cached
-    keyed by the full signature profile.
+    keyed by the full signature profile.  Without one, the report itself,
+    `(xs, labels)`, is the signature.
 
     `fit(cls, profile, advice)`, when given, computes the outcome from the
     signature profile alone and must equal `fn` on any reported instance of
@@ -200,9 +207,9 @@ class AuditableMechanism:
 
     `anonymous`, set by the registry's constructors, declares that on exact
     inputs the outcome depends on the multiset of signatures only, not on
-    which agent reports which, and that signatures sort; audits then share
-    outcome rows across instances and key their outcomes by the sorted
-    profile.
+    which agent reports which, and that signatures sort; only such a
+    mechanism's exact audits use the caches, sharing outcome rows across
+    instances and keying their outcomes by the sorted profile.
     """
 
     anonymous = False
@@ -210,7 +217,7 @@ class AuditableMechanism:
     def __init__(self, fn, name: str, signature=None, fit=None):
         self.fn = fn
         self.name = name
-        self._signature = signature
+        self.signature = signature or (lambda xs, labels, cls: (xs, tuple(labels)))
         self._fit = fit
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
         self._view = (None, None)  # the class last asked for and its entry of _cache
@@ -220,33 +227,25 @@ class AuditableMechanism:
         self._outcomes = {}  # one object per distinct cached outcome
         self._plan = None  # the _Plan of the instance audited last
 
-    def true_personal_risk(self, outcome, agent, cls, scale=1):
-        """Expected personal risk of an outcome against an agent's true
-        data, times `scale` (1 or |S_i|), kept across audit calls in the
-        agent's loss table `_risk_cache[(points, cls, scale)]`.  Scale |S_i|
-        gives `loss_sum`, the unnormalized loss sum, an int when integral."""
-        table = self.loss_table(agent, cls, scale)
+    def true_personal_risk(self, outcome, agent, cls):
+        """The agent's `loss_sum` of an outcome against its true data (the
+        personal risk times |S_i|, an int when integral), kept across audit
+        calls in the agent's loss table."""
+        table = self.loss_table(agent, cls)
         r = table.get(outcome)
         if r is None:
-            risk = loss_sum if scale == len(agent) else personal_risk
-            r = table[outcome] = risk(outcome, agent, cls)
+            r = table[outcome] = loss_sum(outcome, agent, cls)
         return r
 
-    def loss_table(self, agent, cls, scale) -> dict:
-        """The agent's loss table: outcome -> personal risk times `scale`."""
-        return self._risk_cache.setdefault((agent.points, cls, scale), {})
+    def loss_table(self, agent, cls) -> dict:
+        """The agent's loss table: outcome -> loss sum."""
+        return self._risk_cache.setdefault((agent.points, cls), {})
 
     def __call__(self, instance: Instance, advice):
         return self.fn(instance, advice)
 
-    def signature(self, xs, labels, cls):
-        if self._signature is None:
-            return None
-        return self._signature(xs, labels, cls)
-
     def profile(self, instance: Instance) -> tuple:
-        """The signature of every agent's dataset (all None without a
-        signature)."""
+        """The signature of every agent's dataset."""
         cls = instance.function_class
         return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
 
@@ -254,19 +253,22 @@ class AuditableMechanism:
         """The outcome on `instance`, cached by the signature profile
         (`profile`, by default the instance's own) and interned: one object
         per distinct outcome.  `fn` runs on `build()`, by default
-        `instance`, without a signature or when the fit leaves the profile
-        to it."""
+        `instance`, when the fit leaves the profile to it.  Without a
+        profile, an instance or advice holding a float is answered
+        uncached."""
         build = build or (lambda: instance)
-        if self._signature is None:
-            return self.fn(build(), advice)
         cls = instance.function_class
-        key = (self.profile(instance) if profile is None else profile, advice)
+        if profile is None:
+            profile = self.profile(instance)
+            if isinstance(advice, float) or not _exact_data(instance):
+                return self.fill(cls, profile, advice, build)
+        key = (profile, advice)
         if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
             self._view = (cls, self._cache.setdefault(cls, {}))
         view = self._view[1]
         out = view.get(key)
         if out is None:
-            out = self.fill(cls, key[0], advice, build)
+            out = self.fill(cls, profile, advice, build)
             out = view[key] = self._outcomes.setdefault(out, out)
         return out
 
@@ -277,24 +279,12 @@ class AuditableMechanism:
         return self.fn(build(), advice) if out is None else out
 
     def grouped_reports(self, space, agent, cls):
-        """One (signature, representative report) per signature class; every
-        report, with signature None, when the mechanism declares none.
-
-        Every misreport space enumerates reports from an agent's public x
-        values and size alone, so the grouping is cached per (space, xs).
-        """
-        if self._signature is None:
-            return tuple((None, tuple(labels)) for labels in space.reports(agent))
+        """`_groups`, cached per (space, xs, class): every misreport space
+        enumerates reports from an agent's public x values and size alone."""
         key = (space, agent.xs, cls)
         groups = self._group_cache.get(key)
         if groups is None:
-            seen = {}
-            for labels in space.reports(agent):
-                sig = self._signature(agent.xs, labels, cls)
-                if sig not in seen:
-                    seen[sig] = tuple(labels)
-            groups = tuple(seen.items())
-            self._group_cache[key] = groups
+            groups = self._group_cache[key] = _groups(self, space, agent, cls)
         return groups
 
     def plan(self, instance: Instance, space) -> "_Plan":
@@ -308,10 +298,18 @@ class AuditableMechanism:
         return plan
 
 
-def _anonymous(mechanism: AuditableMechanism, gamma=None) -> AuditableMechanism:
-    """`mechanism` declared anonymous, unless gamma is a float: a float
-    weight makes a fit's sums depend on the order of the profile."""
-    mechanism.anonymous = not isinstance(gamma, float)
+def _groups(mechanism, space, agent, cls) -> tuple:
+    """One (signature, representative report) per signature class of the
+    agent's reports under `space`, the first report of each, in order."""
+    groups = {}
+    for labels in space.reports(agent):
+        groups.setdefault(mechanism.signature(agent.xs, labels, cls), tuple(labels))
+    return tuple(groups.items())
+
+
+def _anonymous(mechanism: AuditableMechanism) -> AuditableMechanism:
+    """`mechanism` declared anonymous."""
+    mechanism.anonymous = True
     return mechanism
 
 
@@ -330,13 +328,15 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
         return pfa_fit(cfg, profile, advice)
 
     def signature(xs, labels, cls):
+        if not _exact(labels):  # 0.5 == 1/2: a float key would answer for an exact one
+            return projection(domain, constant, xs, labels)
         key = tuple(sorted(labels))
         sig = memo.get(key)
         if sig is None:
             sig = memo[key] = projection(domain, constant, xs, labels)
         return sig
 
-    return _anonymous(AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit), gamma)
+    return _anonymous(AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit))
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
@@ -355,7 +355,7 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
             raise ClassMismatchError("linear-class instance required")
         return lpfa_fit(cfg, profile, advice)
 
-    return _anonymous(AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit), gamma)
+    return _anonymous(AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit))
 
 
 def mean_mechanism() -> AuditableMechanism:
@@ -416,7 +416,7 @@ def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism
 
     return _anonymous(AuditableMechanism(
         fn, f"srda(gamma={gamma})", _side_signature(literal_indicator), _srda_fit(gamma, False)
-    ), gamma)
+    ))
 
 
 def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
@@ -429,7 +429,7 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
         return LabelingChoice(int(choice.value))
 
     return _anonymous(
-        AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit), gamma
+        AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
     )
 
 
@@ -440,7 +440,7 @@ def srda_two_labeling_mechanism(gamma, literal_indicator: bool = False) -> Audit
     return _anonymous(AuditableMechanism(
         fn, f"srda-two-labeling(gamma={gamma})",
         _side_signature(literal_indicator), _srda_fit(gamma, True),
-    ), gamma)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +473,13 @@ def _exact(values) -> bool:
     return not any(map(isinstance, values, repeat(float)))
 
 
+def _exact_data(instance: Instance) -> bool:
+    """No float among the instance's x, labels and domain values."""
+    domain = getattr(instance.function_class, "domain", REALS)
+    points = (v for a in instance.agents for p in a.points for v in (p.x, p.y))
+    return _exact(chain(domain.values or (), points))
+
+
 def _joint_report(instance: Instance, coalition, joint) -> Instance:
     for i, (_, labels) in zip(coalition, joint):
         instance = instance.with_agent_labels(i, labels)
@@ -481,16 +488,16 @@ def _joint_report(instance: Instance, coalition, joint) -> Instance:
 
 class _Plan:
     """An instance and a misreport space prepared for audits at many advice
-    values: the signature profile, each agent's report count and loss
-    tables, the budget per coalition bound and, once a budget has passed,
+    values: the signature profile and each agent's report count and, when
+    the plan is `cached`, its loss tables and, once a budget has passed,
     the pools and every coalition's member pools, the sorted signatures of
     the agents outside it ("others") and its row slot.
 
-    A slot is the mechanism's `{advice: row}` under (class, others, the
-    member pools' signatures), so every instance whose coalition has the
-    same others and pool signatures shares its rows.  Only an anonymous
-    mechanism on an `exact` plan (no float label, x or report) has slots;
-    otherwise every audit builds its rows afresh."""
+    A plan is `cached` for an anonymous mechanism on an instance and a
+    space with no float in them; only then do audits read and write the
+    mechanism's caches.  A slot is the mechanism's `{advice: row}` under
+    (class, others, the member pools' signatures), so every instance whose
+    coalition has the same others and pool signatures shares its rows."""
 
     def __init__(self, mechanism, instance, space):
         agents = instance.agents
@@ -498,55 +505,26 @@ class _Plan:
         self.space = space
         self.cls = instance.function_class
         self.profile = mechanism.profile(instance)
-        self.exact = _exact(v for a in agents for p in a.points for v in (p.x, p.y))
+        self.cached = (
+            mechanism.anonymous and getattr(space, "exact", False) and _exact_data(instance)
+        )
+        self.tables = [mechanism.loss_table(a, self.cls) for a in agents] if self.cached else None
+        self.rows = mechanism._rows.setdefault(self.cls, {}) if self.cached else None
         self.counts = [space.count(a) for a in agents]
-        self.budgets = {}
-        self.scales = ([len(a) for a in agents], [1] * len(agents))
-        self.tables = [None, None]
-        self.pools = None
-        self.rows = None  # the mechanism's rows of the class, when shared
+        self.pools = None  # set by the first audit to reach the cached gain loop
         self.coalitions = {}
 
     def budget(self, max_coalition: int) -> int:
         """Joint reports of every coalition of at most `max_coalition` agents."""
-        budget = self.budgets.get(max_coalition)
-        if budget is None:
-            budget = self.budgets[max_coalition] = sum(
-                prod(self.counts[i] for i in coalition)
-                for size in range(1, max_coalition + 1)
-                for coalition in combinations(range(len(self.counts)), size)
-            )
-        return budget
-
-    def loss_tables(self, mechanism):
-        """(scales, loss tables): first the unnormalized sums (scale |S_i|),
-        then the normalized risks (scale 1)."""
-        for k, scales in enumerate(self.scales):
-            if self.tables[k] is None:
-                self.tables[k] = [
-                    mechanism.loss_table(a, self.cls, s)
-                    for a, s in zip(self.instance.agents, scales)
-                ]
-            yield scales, self.tables[k]
-
-    def build_pools(self, mechanism) -> None:
-        """Every agent's pool, once a budget has passed; a float report
-        makes the plan inexact."""
-        if self.pools is not None:
-            return
-        self.pools = [
-            mechanism.grouped_reports(self.space, a, self.cls) for a in self.instance.agents
-        ]
-        self.exact = self.exact and _exact(
-            chain.from_iterable(labels for pool in self.pools for _, labels in pool)
+        return sum(
+            prod(self.counts[i] for i in coalition)
+            for size in range(1, max_coalition + 1)
+            for coalition in combinations(range(len(self.counts)), size)
         )
-        if self.exact and mechanism.anonymous and mechanism._signature is not None:
-            self.rows = mechanism._rows.setdefault(self.cls, {})
 
     def coalition_rows(self, size: int) -> list:
         """(coalition, member pools, others, slot) of every coalition of
-        `size`, in `combinations` order; others and slot are None unless
-        rows are shared."""
+        `size`, in `combinations` order."""
         entries = self.coalitions.get(size)
         if entries is not None:
             return entries
@@ -554,12 +532,10 @@ class _Plan:
         entries = self.coalitions[size] = []
         for coalition in combinations(range(n), size):
             members = tuple(self.pools[i] for i in coalition)
-            others = slot = None
-            if self.rows is not None:
-                others = tuple(sorted(self.profile[j] for j in range(n) if j not in coalition))
-                # a row depends on the pools' signatures, not on their reports
-                sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
-                slot = self.rows.setdefault((others, sigs), {})
+            others = tuple(sorted(self.profile[j] for j in range(n) if j not in coalition))
+            # a row depends on the pools' signatures, not on their reports
+            sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
+            slot = self.rows.setdefault((others, sigs), {})
             entries.append((coalition, members, others, slot))
         return entries
 
@@ -567,20 +543,14 @@ class _Plan:
 def _row(mechanism, plan: _Plan, coalition, members, others, advice) -> tuple:
     """The outcome of every joint report of `coalition`, in product order of
     its member pools, as (distinct outcomes in order of first appearance,
-    the index of each joint's outcome among them).  With `others` the
-    outcome cache is keyed by the sorted full profile, the same for every
-    instance that shares the row; without, by the instance's own order."""
+    the index of each joint's outcome among them).  The outcome cache is
+    keyed by the sorted full profile, the same for every instance that
+    shares the row."""
     instance = plan.instance
     distinct = {}
     index = []
     for joint in product(*members):
-        if others is not None:
-            profile = tuple(sorted(others + tuple(sig for sig, _ in joint)))
-        else:
-            profile = list(plan.profile)
-            for i, (sig, _) in zip(coalition, joint):
-                profile[i] = sig
-            profile = tuple(profile)
+        profile = tuple(sorted(others + tuple(sig for sig, _ in joint)))
         out = mechanism.outcome(
             instance, advice, profile, lambda: _joint_report(instance, coalition, joint)
         )
@@ -593,15 +563,18 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     every coalition of at most `max_coalition` agents, one representative
     per signature class.  A violation is a joint report after which every
     member's true risk drops by at least epsilon and some member's by
-    strictly more (at size one: a gain above epsilon).  Member i compares
-    its drop d_i in risk times s_i (|S_i| on exact inputs, else 1) against
-    the bar epsilon*s_i, and max_gain is kept as the pair (d, s) of the
-    largest d/s seen, compared by cross-multiplication, so nothing is
-    divided until a violation is recorded or the report is returned.
+    strictly more (at size one: a gain above epsilon).
 
-    Gains are computed once per distinct outcome of a coalition's row; the
-    joints are enumerated again only for a row holding a violation, so
-    violations come in coalition order and, within one, in product order.
+    A `cached` plan with exact advice and epsilon and exact base risks runs
+    on the caches and on loss sums: member i compares its drop d_i in risk
+    times s_i = |S_i| against the bar epsilon*s_i, and max_gain is kept as
+    the pair (d, s) of the largest d/s seen, compared by
+    cross-multiplication, so nothing is divided until a violation is
+    recorded or the report is returned.  Gains are computed once per
+    distinct outcome of a coalition's row; the joints are enumerated again
+    only for a row holding a violation, so violations come in coalition
+    order and, within one, in product order.  Every other audit runs
+    `_definition`.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -611,62 +584,90 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
         raise SpaceTooLargeError(
             f"{budget} candidate evaluations exceed the budget of {EVALUATION_BUDGET}"
         )
+    if not (plan.cached and _exact((advice, epsilon))):
+        return _definition(mechanism, plan, advice, epsilon, max_coalition, budget)
     cls = plan.cls
     agents = instance.agents
-    base = mechanism.outcome(instance, advice, plan.profile)
-    plan.build_pools(mechanism)
     risk = mechanism.true_personal_risk
-    for scales, tables in plan.loss_tables(mechanism):
-        before = [
-            risk(base, a, cls, s) if (b := t.get(base)) is None else b
-            for t, a, s in zip(tables, agents, scales)
-        ]
-        if plan.exact and _exact((epsilon, advice, *before)):
-            break  # else the second pass: every scale 1, as normalized risks
-    eps_bars = [epsilon * s for s in scales]
-    top, top_scale = 0, 1  # max_gain is top / top_scale
+    tables = plan.tables
+    base = mechanism.outcome(instance, advice, plan.profile)
+    before = [
+        risk(base, a, cls) if (b := t.get(base)) is None else b for t, a in zip(tables, agents)
+    ]
+    if not _exact(before):
+        return _definition(mechanism, plan, advice, epsilon, max_coalition, budget)
+    if plan.pools is None:
+        plan.pools = [mechanism.grouped_reports(plan.space, a, cls) for a in agents]
+    sizes = [len(a) for a in agents]
+    bars = [epsilon * s for s in sizes]
+    top, top_size = 0, 1  # max_gain is top / top_size
     violations = []
     for size in range(1, max_coalition + 1):
         for coalition, members, others, slot in plan.coalition_rows(size):
-            if slot is None or isinstance(advice, float):
-                row = _row(mechanism, plan, coalition, members, None, advice)
-            else:
-                row = slot.get(advice)
-                if row is None:
-                    row = slot[advice] = _row(mechanism, plan, coalition, members, others, advice)
+            row = slot.get(advice)
+            if row is None:
+                row = slot[advice] = _row(mechanism, plan, coalition, members, others, advice)
             outcomes, index = row
             found = {}  # outcome index -> (risks before, risks after, gain)
             for k, out in enumerate(outcomes):
                 if out is base:
                     continue  # outcomes are interned; every drop here is 0
                 gains = []  # (agent, loss after, drop)
-                grows = strict = False
+                strict = False
                 weak = True
                 for i in coalition:
                     after = tables[i].get(out)
                     if after is None:
-                        after = risk(out, agents[i], cls, scales[i])
+                        after = risk(out, agents[i], cls)
                     d = before[i] - after
                     gains.append((i, after, d))
-                    grows = grows or d * top_scale > top * scales[i]
-                    weak = weak and d >= eps_bars[i]
-                    strict = strict or d > eps_bars[i]
-                if grows:
-                    for i, _, d in gains:
-                        if d * top_scale > top * scales[i]:
-                            top, top_scale = d, scales[i]
+                    if d * top_size > top * sizes[i]:
+                        top, top_size = d, sizes[i]
+                    weak = weak and d >= bars[i]
+                    strict = strict or d > bars[i]
                 if weak and strict:
                     found[k] = (
-                        tuple(exact_div(before[i], scales[i]) for i, _, _ in gains),
-                        tuple(exact_div(a, scales[i]) for i, a, _ in gains),
-                        max(exact_div(d, scales[i]) for i, _, d in gains),
+                        tuple(exact_div(before[i], sizes[i]) for i, _, _ in gains),
+                        tuple(exact_div(a, sizes[i]) for i, a, _ in gains),
+                        max(exact_div(d, sizes[i]) for i, _, d in gains),
                     )
             if found:
                 for joint, k in zip(product(*members), index):
                     if k in found:
                         reports = tuple(labels for _, labels in joint)
                         violations.append(Violation(coalition, reports, *found[k]))
-    return AuditReport(tuple(violations), exact_div(top, top_scale) if top else 0, budget)
+    return AuditReport(tuple(violations), exact_div(top, top_size) if top else 0, budget)
+
+
+def _definition(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> AuditReport:
+    """The audit by its definition, on no cache: one representative per
+    signature class of every agent's reports (`_groups`), each joint
+    report's outcome through `fill` on the profile in agent order, and
+    gains as differences of `personal_risk`, in the arithmetic of the
+    inputs themselves."""
+    instance, cls = plan.instance, plan.cls
+    agents = instance.agents
+    base = mechanism.fill(cls, plan.profile, advice, lambda: instance)
+    before = [personal_risk(base, a, cls) for a in agents]
+    pools = [_groups(mechanism, plan.space, a, cls) for a in agents]
+    top = 0
+    violations = []
+    for size in range(1, max_coalition + 1):
+        for coalition in combinations(range(len(agents)), size):
+            for joint in product(*(pools[i] for i in coalition)):
+                sigs = dict(zip(coalition, (sig for sig, _ in joint)))
+                profile = tuple(sigs.get(j, sig) for j, sig in enumerate(plan.profile))
+                out = mechanism.fill(
+                    cls, profile, advice, lambda: _joint_report(instance, coalition, joint)
+                )
+                after = tuple(personal_risk(out, agents[i], cls) for i in coalition)
+                gains = [before[i] - r for i, r in zip(coalition, after)]
+                top = max(top, *gains)
+                if all(g >= epsilon for g in gains) and any(g > epsilon for g in gains):
+                    reports = tuple(labels for _, labels in joint)
+                    risks = tuple(before[i] for i in coalition)
+                    violations.append(Violation(coalition, reports, risks, after, max(gains)))
+    return AuditReport(tuple(violations), top, budget)
 
 
 def check_strategyproof(
@@ -760,11 +761,19 @@ class _Profile(tuple):
 
 def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
     """advice -> ratio on `instance`, given its compiled form and optimum: one
-    outcome and one bisect per query.  Nothing outlives the returned function."""
+    outcome and one bisect per query.  The outcome is cached only for an
+    exact instance and advice, else `fill`ed.  Nothing outlives the
+    returned function."""
     profile = _Profile(mechanism.profile(instance))
+    cls = instance.function_class
+    exact = compiled.values is not None or compiled.labeling_sums is not None
 
     def ratio(advice):
-        return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)
+        if exact and not isinstance(advice, float):
+            out = mechanism.outcome(instance, advice, profile)
+        else:
+            out = mechanism.fill(cls, profile, advice, lambda: instance)
+        return risk_ratio(compiled.risk(out), best)
 
     return ratio
 

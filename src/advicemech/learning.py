@@ -22,9 +22,9 @@ from .model import (
     Instance,
     InvalidInstanceError,
     LabeledPoint,
-    LinearClass,
     Real,
     REALS,
+    _point_loss,
     exact_div,
     global_risk,
     personal_risk,
@@ -70,15 +70,10 @@ class AgentModel:
         return tuple(y for _, y in self.labeler)
 
 
-def _loss(f, cls, x, y):
-    if isinstance(cls, LinearClass):
-        return abs(f * x - y)
-    return abs(f - y)
-
-
 def statistical_personal_risk(f, agent: AgentModel, cls=ConstantClass(REALS)) -> Real:
-    """Exact expected loss of f under the agent's input distribution."""
-    return sum(p * _loss(f, cls, x, agent.label_of(x)) for x, p in agent.support)
+    """Exact expected loss of f under the agent's input distribution, for a
+    constant or linear class (any other raises ClassMismatchError)."""
+    return sum(p * _point_loss(f, cls, x, agent.label_of(x)) for x, p in agent.support)
 
 
 def statistical_global_risk(f, agents, cls=ConstantClass(REALS)) -> Real:

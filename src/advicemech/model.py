@@ -316,17 +316,7 @@ class WeightedSample:
 
     def risk(self, a: Real) -> Real:
         """Average weighted absolute loss of the constant a."""
-        try:
-            dv, values = _common([v for v, _ in self.entries])
-            _, weights = _common([w for _, w in self.entries])
-            den = lcm(a.denominator, dv)
-            p, b = a.numerator * (den // a.denominator), den // dv
-        except AttributeError:  # a float
-            return exact_div(sum(w * abs(a - v) for v, w in self.entries), self.total_weight)
-        # the weights' common denominator cancels from the ratio
-        return Fraction(
-            sum([w * abs(p - b * v) for v, w in zip(values, weights)]), den * sum(weights)
-        )
+        return exact_div(sum(w * abs(a - v) for v, w in self.entries), self.total_weight)
 
 
 def weighted_median_bounds(sample: WeightedSample) -> tuple:
@@ -487,11 +477,12 @@ class LabelingLottery:
 # ---------------------------------------------------------------------------
 
 
-def _point_loss(f, cls: FunctionClass, point: LabeledPoint) -> Real:
+def _point_loss(f, cls: FunctionClass, x: Real, y: Real) -> Real:
+    """The loss of the bare constant or slope f at the labeled point (x, y)."""
     if isinstance(cls, ConstantClass):
-        return abs(f - point.y)
+        return abs(f - y)
     if isinstance(cls, LinearClass):
-        return abs(f * point.x - point.y)
+        return abs(f * x - y)
     raise ClassMismatchError(f"unknown function class {cls!r}")
 
 
@@ -574,7 +565,7 @@ def _risk(f, cls: FunctionClass, datasets, size: int) -> Real:
         if isinstance(f, LabelingLottery):
             return sum(p * _risk(i, cls, datasets, size) for i, p in f.branches if p != 0)
         g = _bare_function(f, cls)
-        total = sum(_point_loss(g, cls, p) for pts in datasets for p in pts)
+        total = sum(_point_loss(g, cls, p.x, p.y) for pts in datasets for p in pts)
         return exact_div(total, size)
     return Fraction(num, den * size)
 

@@ -396,6 +396,20 @@ WARM_CASES = {
         lambda: srda_mechanism(F(1, 2)), shared_binary_instance([(1, 0, 1), (0, 0, 1), (1, 1, 0)]),
         shared_binary_instance([(0, 1, 1), (1, 1, 1)]), 1, AllBinaryVectors(3), 0,
     ),
+    # float gamma: pfa and lpfa keep exact outcomes and the caches; srda's
+    # float lottery gives float base risks, so its audits run the definition
+    "pfa-float-gamma": (
+        lambda: pfa_mechanism(0.5), constant_instance([[0, 2], [1], [2, 2, 0]]),
+        constant_instance([[1], [0, 0, 2]]), 1, GridLabels((0, 1, 2)), 0,
+    ),
+    "lpfa-float-gamma": (
+        lambda: lpfa_mechanism(0.7), linear_instance([[(0, 1), (1, 2)], [(2, 1)], [(0, 3)]]),
+        linear_instance([[(1, 0)], [(0, 2)]]), 1, GridLabels((0, 1, 2)), 0,
+    ),
+    "srda-float-gamma": (
+        lambda: srda_mechanism(0.5), shared_binary_instance([(1, 0, 1), (0, 0, 1), (1, 1, 0)]),
+        shared_binary_instance([(0, 1, 1), (1, 1, 1)]), 1, AllBinaryVectors(3), 0,
+    ),
 }
 
 
@@ -403,7 +417,7 @@ WARM_CASES = {
 # instances with an even-sized agent
 WARM_VIOLATIONS = {
     "mean", "mean-float-epsilon", "mean-float-labels", "mean-float-reports",
-    "pfa", "pfa-even", "pfa-float-advice",
+    "pfa", "pfa-even", "pfa-float-advice", "pfa-float-gamma",
 }
 
 
@@ -461,6 +475,78 @@ def test_mean_float_reports_are_their_own_signature():
     assert len(check_strategyproof(mean_mechanism(), floats, 0, space).violations) == 3
 
 
+MIXED_BASE = (0, F(1, 2), 1, F(3, 2), 2, 3)
+
+
+def mixed(rng, value):
+    """`value` as a float 40% of the time: 0.5 next to 1/2, 3.0 next to 3."""
+    return float(value) if rng.random() < 0.4 else value
+
+
+def mixed_audit_case(rng):
+    """(mechanism, instance, advice, space, epsilon, max_coalition) with
+    labels, x, grid levels, advice, epsilon, gamma and domain values drawn
+    from float and exact values alike."""
+    kind = rng.choice(("pfa-reals", "pfa-finite", "lpfa", "mean"))
+    gamma = mixed(rng, rng.choice((F(1, 3), F(1, 2), 1, 2)))
+    n = rng.randint(1, 3)
+
+    def label():
+        return mixed(rng, rng.choice(MIXED_BASE))
+
+    def labels():
+        return [label() for _ in range(rng.randint(1, 3 if n < 3 else 2))]
+
+    space = GridLabels(tuple(label() for _ in range(rng.randint(2, 3))))
+    advice = label()
+    if kind == "pfa-finite":
+        values = sorted(rng.sample(MIXED_BASE, rng.randint(2, 3)))
+        domain = ValueDomain.finite([mixed(rng, v) for v in values])
+        mech = pfa_mechanism(gamma, domain)
+        inst = constant_instance([labels() for _ in range(n)], domain)
+        advice = mixed(rng, rng.choice(values))
+    elif kind == "lpfa":
+        mech = lpfa_mechanism(gamma)
+        inst = linear_instance([
+            [(mixed(rng, rng.choice((0, F(1, 2), 1, 2))), y) for y in labels()] for _ in range(n)
+        ])
+    else:
+        mech = pfa_mechanism(gamma) if kind == "pfa-reals" else mean_mechanism()
+        inst = constant_instance([labels() for _ in range(n)])
+    epsilon = rng.choice((0, 0.0, F(1, 10), 0.1))
+    return mech, inst, advice, space, epsilon, rng.randint(1, min(2, n))
+
+
+def test_audits_mixing_float_and_exact_values_match_the_definition():
+    # the caches compare by ==, and 0.5 == 1/2: float work must never answer
+    # for exact work, within one audit or across the agents of one instance
+    rng = random.Random(61)
+    for _ in range(2000):
+        mech, inst, advice, space, epsilon, size = mixed_audit_case(rng)
+        expected = reference_audit(mech, inst, advice, space, size, epsilon)
+        grouped = check_group_strategyproof(mech, inst, advice, space, size, epsilon)
+        assert grouped == first_per_signature(mech, inst, expected), (inst, advice, space, epsilon)
+
+
+def report_types(report):
+    return [
+        type(r) for v in report.violations for r in (*v.risks_before, *v.risks_after, v.gain)
+    ] + [type(report.max_gain)]
+
+
+def test_an_exact_audit_after_a_float_audit_equals_a_fresh_one():
+    space = GridLabels((0, 1, 2))
+    exact = constant_instance([[0, 1], [F(1, 2)], [2]])
+    mech = mean_mechanism()
+    check_strategyproof(mech, constant_instance([[0, 1], [0.5], [2]]), 0, space)
+    warm = check_strategyproof(mech, exact, 0, space)
+    fresh = check_strategyproof(mean_mechanism(), exact, 0, space)
+    assert warm == fresh
+    assert report_types(warm) == report_types(fresh)
+    assert fresh.violations[0].risks_before == (F(3, 8),)
+    assert set(report_types(fresh)) == {F}
+
+
 def test_literal_indicator_srda_is_caught_and_plain_srda_is_not():
     # every binary instance with m in {1, 3} and n in {2, 3}, at both advices
     plain, literal = srda_mechanism(1), srda_mechanism(1, literal_indicator=True)
@@ -496,6 +582,17 @@ def test_ratio_zero_risk_conventions():
         "advice-echo",
     )
     assert approximation_ratio(backwards, inst, 0) == float("inf")
+
+
+def test_an_exact_ratio_after_a_float_query_stays_exact():
+    # 1.0 == Fraction(1): compare the type
+    mech = pfa_mechanism(F(1, 2))
+    inst = constant_instance([[0], [1], [1, 0]])
+    approximation_ratio(mech, inst, 0.5)
+    ratio = approximation_ratio(mech, inst, F(1, 2))
+    assert ratio == 1
+    assert type(ratio) is F
+    assert type(approximation_ratio(mech, inst, 0.5)) is float
 
 
 def test_brute_force_optimum_matches_median_risk():

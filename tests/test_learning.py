@@ -22,7 +22,9 @@ from advicemech import (
     sup_personal_gap,
 )
 from advicemech.learning import CompositionTrial
-from advicemech.model import REALS, ConstantClass, Instance, InvalidInstanceError, LinearClass
+from advicemech.model import (
+    REALS, ClassMismatchError, ConstantClass, Instance, InvalidInstanceError, LinearClass, c0c1_class,
+)
 
 
 def point_mass(x, y):
@@ -64,6 +66,11 @@ def test_statistical_linear_risk():
     agent = AgentModel(((1, F(1, 2)), (2, F(1, 2))), ((1, 1), (2, 2)))
     assert statistical_personal_risk(1, agent, LinearClass()) == 0
     assert statistical_personal_risk(0, agent, LinearClass()) == F(3, 2)
+
+
+def test_statistical_risk_refuses_a_labelings_class_by_name():
+    with pytest.raises(ClassMismatchError):
+        statistical_personal_risk(0, two_point(), c0c1_class(2))
 
 
 def test_global_statistical_risk_is_mean_of_personal():
