@@ -5,16 +5,18 @@ The searches are refutation-complete over the enumerated space: an empty
 violation list certifies nothing beyond that space, while every recorded
 violation carries enough data to replay it independently.
 
-Misreport spaces enumerate label vectors up to point order, and mechanisms
-may declare a `signature` describing exactly which statistic of a reported
-dataset their output depends on; reports sharing a signature share an
-outcome and therefore a gain, so only one representative per signature is
-evaluated.  Every mechanism here is symmetric in a dataset's points and
-its signature claim is property-tested against raw enumeration.  Every
-registered mechanism also fits its outcome from the signature profile
-alone (pfa and lpfa from the per-agent projections, mean from the label
-sums, srda and the two-labeling wrappers from the count of agents siding
-with the second labeling), so an outcome-cache miss builds no instance.
+A mechanism's `fn` is its definition.  Misreport spaces enumerate label
+vectors up to point order, and mechanisms may declare a `signature`
+describing exactly which statistic of a reported dataset their output
+depends on; reports sharing a signature share an outcome and therefore a
+gain, so only one representative per signature is evaluated.  Every
+mechanism here is symmetric in a dataset's points and its signature claim
+is property-tested against raw enumeration.  Every registered mechanism
+also has a fit, which computes its outcome from a profile of exact
+signatures alone (pfa and lpfa from the per-agent projections, mean from
+the label sums, srda and the two-labeling wrappers from the count of
+agents siding with the second labeling), so an outcome-cache miss builds
+no instance.  The fit serves the caches only.
 
 `check_strategyproof` and `check_group_strategyproof` are one engine,
 `_audit`, at coalition size 1 and up to `max_coalition`, built from three
@@ -39,9 +41,11 @@ pieces:
   violating outcome, so violations keep coalition order and product order.
 
 These caches compare keys by ==, and 0.5 == 1/2, so they hold exact work
-only.  A float anywhere (label, x, report, domain value, advice, epsilon
-or base risk) or a mechanism not declared anonymous runs the audit by its
-definition instead (`_definition`), on no cache.
+only, and a report holding a float is a signature class of its own.  One
+gate, `_cached`, admits work to them: a mechanism with a fit, on an
+instance with no float; each caller adds its own checks on one call's
+values (advice, epsilon, the space, the base risks).  Everything else is
+answered by `fn` on the reported instance (`_definition` for an audit).
 
 `MECHANISMS` is the one table of mechanisms: per CLI name, the function
 class it accepts, its gamma range, its constructor and its guarantee.  The
@@ -193,32 +197,39 @@ class AllBinaryVectors:
 class AuditableMechanism:
     """A mechanism closure plus the metadata the audit engine exploits.
 
+    `fn(instance, advice)` is the mechanism's definition: every outcome the
+    caches do not hold comes from it.
+
     `signature(xs, labels, cls)` must return a hashable statistic such that
     two reported datasets with equal signatures always produce the same
-    mechanism outcome (holding everything else fixed).  Outcomes are cached
-    keyed by the full signature profile.  Without one, the report itself,
-    `(xs, labels)`, is the signature.
+    mechanism outcome (holding everything else fixed).  Without one, the
+    report itself, `(xs, labels)`, is the signature.  Either way it speaks
+    for exact reports only: a report holding a float is its own class,
+    keyed by its labels and their types, since 0.5 == 1/2 and the outcomes
+    of the two may differ in type.
 
-    `fit(cls, profile, advice)`, when given, computes the outcome from the
-    signature profile alone and must equal `fn` on any reported instance of
-    class `cls` with that profile, raising the same errors `fn` raises;
-    cache misses then skip building the reported instance.  A fit may
-    return None to leave a profile to `fn`.
-
-    `anonymous`, set by the registry's constructors, declares that on exact
-    inputs the outcome depends on the multiset of signatures only, not on
-    which agent reports which, and that signatures sort; only such a
-    mechanism's exact audits use the caches, sharing outcome rows across
-    instances and keying their outcomes by the sorted profile.
+    `fit(cls, profile, advice)`, when given, computes the outcome from a
+    profile of exact signatures alone and must equal `fn` on any reported
+    instance of class `cls` with that profile, raising the same errors
+    `fn` raises; it answers the caches' misses, which build no instance.
+    A fit also declares the mechanism `anonymous`: on exact inputs its
+    outcome depends on the multiset of signatures only, not on which agent
+    reports which, and signatures sort, so audits share outcome rows
+    across instances and key outcomes by the sorted profile.
     """
 
-    anonymous = False
-
     def __init__(self, fn, name: str, signature=None, fit=None):
+        exact = signature or (lambda xs, labels, cls: (xs, tuple(labels)))
+
+        def faithful(xs, labels, cls):
+            if _exact(labels):
+                return exact(xs, labels, cls)
+            return float, tuple(labels), tuple(map(type, labels))
+
         self.fn = fn
         self.name = name
-        self.signature = signature or (lambda xs, labels, cls: (xs, tuple(labels)))
-        self._fit = fit
+        self.signature = faithful
+        self.fit = fit
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
         self._view = (None, None)  # the class last asked for and its entry of _cache
         self._risk_cache = {}
@@ -244,39 +255,35 @@ class AuditableMechanism:
     def __call__(self, instance: Instance, advice):
         return self.fn(instance, advice)
 
+    @property
+    def anonymous(self) -> bool:
+        return self.fit is not None
+
     def profile(self, instance: Instance) -> tuple:
         """The signature of every agent's dataset."""
         cls = instance.function_class
         return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
 
-    def outcome(self, instance: Instance, advice, profile=None, build=None):
-        """The outcome on `instance`, cached by the signature profile
-        (`profile`, by default the instance's own) and interned: one object
-        per distinct outcome.  `fn` runs on `build()`, by default
-        `instance`, when the fit leaves the profile to it.  Without a
-        profile, an instance or advice holding a float is answered
-        uncached."""
-        build = build or (lambda: instance)
+    def outcome(self, instance: Instance, advice, profile=None):
+        """The outcome on `instance`, by the fit from the signature profile
+        (`profile`, by default the instance's own), cached by that profile
+        and interned: one object per distinct outcome.  Without a profile,
+        work the caches may not hold (`_cached`, or float advice) is
+        answered by `fn` on the instance."""
         cls = instance.function_class
         if profile is None:
+            if isinstance(advice, float) or not _cached(self, instance):
+                return self.fn(instance, advice)
             profile = self.profile(instance)
-            if isinstance(advice, float) or not _exact_data(instance):
-                return self.fill(cls, profile, advice, build)
         key = (profile, advice)
         if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
             self._view = (cls, self._cache.setdefault(cls, {}))
         view = self._view[1]
         out = view.get(key)
         if out is None:
-            out = self.fill(cls, profile, advice, build)
+            out = self.fit(cls, profile, advice)
             out = view[key] = self._outcomes.setdefault(out, out)
         return out
-
-    def fill(self, cls, profile, advice, build):
-        """The uncached outcome for a signature profile: `fit`'s answer, or
-        `fn` on the built instance when there is no fit or it returns None."""
-        out = None if self._fit is None else self._fit(cls, profile, advice)
-        return self.fn(build(), advice) if out is None else out
 
     def grouped_reports(self, space, agent, cls):
         """`_groups`, cached per (space, xs, class): every misreport space
@@ -307,12 +314,6 @@ def _groups(mechanism, space, agent, cls) -> tuple:
     return tuple(groups.items())
 
 
-def _anonymous(mechanism: AuditableMechanism) -> AuditableMechanism:
-    """`mechanism` declared anonymous."""
-    mechanism.anonymous = True
-    return mechanism
-
-
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     """pfa whose signature is the agent's `projection` (b_i, |S_i|), so a
     cache miss is one fit over the profile."""
@@ -328,15 +329,13 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
         return pfa_fit(cfg, profile, advice)
 
     def signature(xs, labels, cls):
-        if not _exact(labels):  # 0.5 == 1/2: a float key would answer for an exact one
-            return projection(domain, constant, xs, labels)
         key = tuple(sorted(labels))
         sig = memo.get(key)
         if sig is None:
             sig = memo[key] = projection(domain, constant, xs, labels)
         return sig
 
-    return _anonymous(AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit))
+    return AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit)
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
@@ -355,29 +354,24 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
             raise ClassMismatchError("linear-class instance required")
         return lpfa_fit(cfg, profile, advice)
 
-    return _anonymous(AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit))
+    return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
 
 
 def mean_mechanism() -> AuditableMechanism:
     """Non-strategyproof baseline: the plain average of all reported labels.
-    Its signature is (sum, |S_i|), but a float sum depends on the order of
-    summation, so a float report is its own signature, a 1-tuple, and the
-    fit leaves any profile holding one to `fn`."""
+    Its signature is (sum, |S_i|)."""
 
     def fn(instance, advice):
         labels = instance.all_labels()
         return ConstantChoice(exact_div(sum(labels), len(labels)))
 
     def signature(xs, labels, cls):
-        total = sum(labels)
-        return (tuple(labels),) if isinstance(total, float) else (total, len(labels))
+        return sum(labels), len(labels)
 
     def fit(cls, profile, advice):
-        if all(len(sig) == 2 for sig in profile):
-            total = sum(s for s, _ in profile)
-            return ConstantChoice(exact_div(total, sum(m for _, m in profile)))
+        return ConstantChoice(exact_div(sum(s for s, _ in profile), sum(m for _, m in profile)))
 
-    return _anonymous(AuditableMechanism(fn, "mean-baseline", signature, fit))
+    return AuditableMechanism(fn, "mean-baseline", signature, fit)
 
 
 def _side_signature(literal_indicator: bool = False):
@@ -414,9 +408,9 @@ def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism
     def fn(instance, advice):
         return srda(gamma, instance, advice, literal_indicator)
 
-    return _anonymous(AuditableMechanism(
+    return AuditableMechanism(
         fn, f"srda(gamma={gamma})", _side_signature(literal_indicator), _srda_fit(gamma, False)
-    ))
+    )
 
 
 def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
@@ -428,19 +422,17 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
         choice = pfa_fit(PfaConfig(gamma, BINARY_DOMAIN), [(int(s), m) for (s,) in profile], advice)
         return LabelingChoice(int(choice.value))
 
-    return _anonymous(
-        AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
-    )
+    return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
 
 
 def srda_two_labeling_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
     def fn(instance, advice):
         return srda_two_labeling(gamma, instance, advice, literal_indicator)
 
-    return _anonymous(AuditableMechanism(
+    return AuditableMechanism(
         fn, f"srda-two-labeling(gamma={gamma})",
         _side_signature(literal_indicator), _srda_fit(gamma, True),
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +465,12 @@ def _exact(values) -> bool:
     return not any(map(isinstance, values, repeat(float)))
 
 
-def _exact_data(instance: Instance) -> bool:
-    """No float among the instance's x, labels and domain values."""
+def _cached(mechanism: AuditableMechanism, instance: Instance) -> bool:
+    """Whether the caches may answer for `instance`: the mechanism has a fit
+    and no float lies among the instance's x, labels and domain values."""
     domain = getattr(instance.function_class, "domain", REALS)
-    points = (v for a in instance.agents for p in a.points for v in (p.x, p.y))
-    return _exact(chain(domain.values or (), points))
+    data = (values for a in instance.agents for values in (a.xs, a.labels))
+    return mechanism.fit is not None and _exact(chain(domain.values or (), *data))
 
 
 def _joint_report(instance: Instance, coalition, joint) -> Instance:
@@ -493,11 +486,11 @@ class _Plan:
     the pools and every coalition's member pools, the sorted signatures of
     the agents outside it ("others") and its row slot.
 
-    A plan is `cached` for an anonymous mechanism on an instance and a
-    space with no float in them; only then do audits read and write the
-    mechanism's caches.  A slot is the mechanism's `{advice: row}` under
-    (class, others, the member pools' signatures), so every instance whose
-    coalition has the same others and pool signatures shares its rows."""
+    A plan is `cached` when `_cached` holds and the space is exact; only
+    then do audits read and write the mechanism's caches.  A slot is the
+    mechanism's `{advice: row}` under (class, others, the member pools'
+    signatures), so every instance whose coalition has the same others and
+    pool signatures shares its rows."""
 
     def __init__(self, mechanism, instance, space):
         agents = instance.agents
@@ -505,9 +498,7 @@ class _Plan:
         self.space = space
         self.cls = instance.function_class
         self.profile = mechanism.profile(instance)
-        self.cached = (
-            mechanism.anonymous and getattr(space, "exact", False) and _exact_data(instance)
-        )
+        self.cached = getattr(space, "exact", False) and _cached(mechanism, instance)
         self.tables = [mechanism.loss_table(a, self.cls) for a in agents] if self.cached else None
         self.rows = mechanism._rows.setdefault(self.cls, {}) if self.cached else None
         self.counts = [space.count(a) for a in agents]
@@ -551,9 +542,7 @@ def _row(mechanism, plan: _Plan, coalition, members, others, advice) -> tuple:
     index = []
     for joint in product(*members):
         profile = tuple(sorted(others + tuple(sig for sig, _ in joint)))
-        out = mechanism.outcome(
-            instance, advice, profile, lambda: _joint_report(instance, coalition, joint)
-        )
+        out = mechanism.outcome(instance, advice, profile)
         index.append(distinct.setdefault(out, len(distinct)))
     return tuple(distinct), tuple(index)
 
@@ -642,12 +631,12 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
 def _definition(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> AuditReport:
     """The audit by its definition, on no cache: one representative per
     signature class of every agent's reports (`_groups`), each joint
-    report's outcome through `fill` on the profile in agent order, and
-    gains as differences of `personal_risk`, in the arithmetic of the
-    inputs themselves."""
+    report's outcome by `fn` on the reported instance, and gains as
+    differences of `personal_risk`, in the arithmetic of the inputs
+    themselves."""
     instance, cls = plan.instance, plan.cls
     agents = instance.agents
-    base = mechanism.fill(cls, plan.profile, advice, lambda: instance)
+    base = mechanism.fn(instance, advice)
     before = [personal_risk(base, a, cls) for a in agents]
     pools = [_groups(mechanism, plan.space, a, cls) for a in agents]
     top = 0
@@ -655,11 +644,7 @@ def _definition(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) 
     for size in range(1, max_coalition + 1):
         for coalition in combinations(range(len(agents)), size):
             for joint in product(*(pools[i] for i in coalition)):
-                sigs = dict(zip(coalition, (sig for sig, _ in joint)))
-                profile = tuple(sigs.get(j, sig) for j, sig in enumerate(plan.profile))
-                out = mechanism.fill(
-                    cls, profile, advice, lambda: _joint_report(instance, coalition, joint)
-                )
+                out = mechanism.fn(_joint_report(instance, coalition, joint), advice)
                 after = tuple(personal_risk(out, agents[i], cls) for i in coalition)
                 gains = [before[i] - r for i, r in zip(coalition, after)]
                 top = max(top, *gains)
@@ -761,18 +746,17 @@ class _Profile(tuple):
 
 def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
     """advice -> ratio on `instance`, given its compiled form and optimum: one
-    outcome and one bisect per query.  The outcome is cached only for an
-    exact instance and advice, else `fill`ed.  Nothing outlives the
-    returned function."""
+    outcome and one bisect per query.  The outcome is cached when `_cached`
+    holds and the advice is not a float, else computed by the mechanism.
+    Nothing outlives the returned function."""
     profile = _Profile(mechanism.profile(instance))
-    cls = instance.function_class
-    exact = compiled.values is not None or compiled.labeling_sums is not None
+    cached = _cached(mechanism, instance)
 
     def ratio(advice):
-        if exact and not isinstance(advice, float):
+        if cached and not isinstance(advice, float):
             out = mechanism.outcome(instance, advice, profile)
         else:
-            out = mechanism.fill(cls, profile, advice, lambda: instance)
+            out = mechanism(instance, advice)
         return risk_ratio(compiled.risk(out), best)
 
     return ratio

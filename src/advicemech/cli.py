@@ -180,8 +180,11 @@ def _space(raw, instance, advice):
     if raw == "projected":
         return audit_mod.ProjectedConstant.for_instance(instance, advice)
     if raw.startswith("grid:"):
-        levels = tuple(parse_number(tok) for tok in raw[5:].split(","))
-        return audit_mod.GridLabels(levels)
+        what = f"--space {raw!r}: level"
+        levels = [_parse_fraction(tok, what, ok=lambda v: True) for tok in raw[5:].split(",")]
+        if len(set(levels)) < len(levels):  # a repeated level would count its reports twice
+            raise InstanceParseError(f"--space {raw!r} repeats a level")
+        return audit_mod.GridLabels(tuple(levels))
     raise ClassMismatchError(f"unknown misreport space {raw!r}")
 
 

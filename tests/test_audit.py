@@ -534,6 +534,21 @@ def report_types(report):
     ] + [type(report.max_gain)]
 
 
+@pytest.mark.parametrize("strip", [False, True], ids=["projection", "ungrouped"])
+def test_a_float_report_is_its_own_signature_class(strip):
+    # (1/2, 1/2, 1/2) and (1/2, 0.5, 0.5) project to (1/2, 3) and (0.5, 3),
+    # and as reports (xs, labels) they are equal too; pfa fits 1/2 from
+    # the first and 0.5 from the second
+    mech = ungrouped(pfa_mechanism(1)) if strip else pfa_mechanism(1)
+    inst = constant_instance([[1, F(3, 2), 1], [2, 3, 2]])
+    space = GridLabels((F(1, 2), 0.5))
+    report = check_group_strategyproof(mech, inst, 3.0, space, 2, 0.1)
+    expected = first_per_signature(mech, inst, reference_audit(mech, inst, 3.0, space, 2, 0.1))
+    assert report == expected
+    assert report_types(report) == report_types(expected)
+    assert report.max_gain == 0.16666666666666674
+
+
 def test_an_exact_audit_after_a_float_audit_equals_a_fresh_one():
     space = GridLabels((0, 1, 2))
     exact = constant_instance([[0, 1], [F(1, 2)], [2]])

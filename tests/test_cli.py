@@ -287,6 +287,10 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         (["run", "{inst}", "--mechanism", "pfa", "--advice", "0", "--seed", "x"], "--seed"),
         (["gen", "s", "--variant", "bogus"], "--variant"),
         (["sweep", "{inst}"], "--mechanism"),
+        # grid levels that do not parse or repeat
+        (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:0,1,1,3"], "--space"),
+        (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:"], "--space"),
+        (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:0,,1"], "--space"),
     ],
     ids=[
         "sweep-empty-dir", "audit-empty-dir", "sweep-empty-manifest", "audit-empty-manifest",
@@ -294,6 +298,7 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         "run-directory", "sweep-manifest-names-directory", "audit-manifest-names-directory",
         "run-not-utf8", "audit-out-missing-dir", "sweep-out-missing-dir", "gen-out-directory",
         "run-seed-not-int", "gen-variant-not-a-choice", "sweep-mechanism-missing",
+        "audit-grid-repeated-level", "audit-grid-empty", "audit-grid-empty-level",
     ],
 )
 def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):

@@ -26,6 +26,7 @@ from advicemech import (
     ValueDomain,
     advice_grid,
     approximation_ratio,
+    brute_force_optimal_risk,
     check_group_strategyproof,
     check_strategyproof,
     confidence_weight,
@@ -55,6 +56,7 @@ from advicemech import (
     srda_two_labeling_mechanism,
     weighted_median_bounds,
 )
+from advicemech.audit import risk_ratio
 from advicemech.model import CompiledInstance, exact_div, loss_sum
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -376,7 +378,7 @@ def assert_fit_matches(mech, plain, instance, advices, space):
         profile = mech.profile(reported)
         for advice in advices:
             expected = plain(reported, advice)
-            assert mech.fill(cls, profile, advice, None) == expected
+            assert mech.fit(cls, profile, advice) == expected
             assert mech.outcome(reported, advice) == expected
 
 
@@ -469,9 +471,15 @@ def test_mean_fit_matches_the_plain_average_on_every_misreport():
 
 
 def test_mean_fit_leaves_float_totals_to_the_mechanism():
+    # 0.1 + 0.2 + 0.7 sums to 1.0 in one order and 0.9999999999999999 in another
     mech = mean_mechanism()
     inst = constant_instance([[0.1, 0.2], [0.7]])
-    assert mech.fill(inst.function_class, mech.profile(inst), 0, lambda: inst) == mech.fn(inst, 0)
+    expected = mech.fn(inst, 0)
+    got = mech.outcome(inst, 0)
+    assert got == expected and type(got.value) is type(expected.value)
+    ratio = approximation_ratio(mech, inst, 0)
+    expected_ratio = risk_ratio(global_risk(expected, inst), brute_force_optimal_risk(inst))
+    assert ratio == expected_ratio and type(ratio) is type(expected_ratio)
 
 
 @pytest.mark.parametrize("gamma", [F(1, 4), F(1, 2), 1])
