@@ -32,20 +32,23 @@ pieces:
   signatures), so a row is shared by every instance with the same class,
   advice, others and member pool signatures, and its outcomes are cached
   by the sorted full profile.
-- Gains are computed once per distinct outcome of a row, not per joint
-  report, and stay on integers wherever labels and outcomes are: each
-  agent's loss table maps an outcome to its unnormalized loss sum (risk
-  times |S_i|), and a member gains when `before_sum - after_sum >
-  epsilon*|S_i|`, so a risk or a gain is divided out only for a violation
-  or a new max_gain.  Joints are enumerated again only for a row with a
-  violating outcome, so violations keep coalition order and product order.
+- Gains (`_gains`) are computed once per distinct outcome of a row, not
+  per joint report, and on integers for every exact outcome, rational
+  ones included: each agent's loss table maps an outcome to the ints
+  (num, den) of its unnormalized loss sum (risk times |S_i|), and every
+  drop, epsilon bar and max_gain is compared by cross-multiplication, so
+  a Fraction is built only for a violation's fields and the returned
+  max_gain.  Joints are enumerated again only for a row with a violating
+  outcome, so violations keep coalition order and product order.
 
 These caches compare keys by ==, and 0.5 == 1/2, so they hold exact work
-only, and a report holding a float is a signature class of its own.  One
-gate, `_cached`, admits work to them: a mechanism with a fit, on an
-instance with no float; each caller adds its own checks on one call's
-values (advice, epsilon, the space, the base risks).  Everything else is
-answered by `fn` on the reported instance (`_definition` for an audit).
+only: a report holding a float is a signature class of its own, and no
+outcome holding a float is cached, interned, put in a row or scored in a
+loss table.  One gate, `_cached`, admits work to them: a mechanism with a
+fit, on an instance with no float; each caller adds its own checks on one
+call's values (advice, epsilon, the space).  Everything else is answered
+by `fn` on the reported instance (`_definition` for an audit), and so is
+an audit or a ratio query whose fit returns an inexact outcome.
 
 `MECHANISMS` is the one table of mechanisms: per CLI name, the function
 class it accepts, its gamma range, its constructor and its guarantee.  The
@@ -87,16 +90,17 @@ from .model import (
     ConstantClass,
     Instance,
     LabelingChoice,
+    LabelingLottery,
     LabelingsClass,
     LinearClass,
     Real,
     ValueDomain,
+    _risk_sum,
     advice_error,
     c0c1_class,
     class_entries,
     exact_div,
     global_risk,
-    loss_sum,
     optimal_constant_set,
     optimal_set,
     personal_risk,
@@ -238,18 +242,18 @@ class AuditableMechanism:
         self._outcomes = {}  # one object per distinct cached outcome
         self._plan = None  # the _Plan of the instance audited last
 
-    def true_personal_risk(self, outcome, agent, cls):
-        """The agent's `loss_sum` of an outcome against its true data (the
-        personal risk times |S_i|, an int when integral), kept across audit
-        calls in the agent's loss table."""
-        table = self.loss_table(agent, cls)
-        r = table.get(outcome)
-        if r is None:
-            r = table[outcome] = loss_sum(outcome, agent, cls)
-        return r
+    def true_personal_risk(self, table, outcome, agent, cls) -> tuple:
+        """A miss of the agent's loss table `table`: the loss sum of an
+        exact outcome against the agent's true data, as the ints (num, den)
+        of `_risk_sum` (the personal risk times |S_i| is num/den), stored
+        in `table` for every later audit.  The caller holds the table, so
+        (agent.points, cls) is not hashed again.  An outcome holding a
+        float raises AttributeError and is not stored."""
+        return table.setdefault(outcome, _risk_sum(outcome, cls, (agent.points,)))
 
     def loss_table(self, agent, cls) -> dict:
-        """The agent's loss table: outcome -> loss sum."""
+        """The agent's loss table: exact outcome -> (num, den) of its loss
+        sum, as `true_personal_risk` fills it."""
         return self._risk_cache.setdefault((agent.points, cls), {})
 
     def __call__(self, instance: Instance, advice):
@@ -267,14 +271,19 @@ class AuditableMechanism:
     def outcome(self, instance: Instance, advice, profile=None):
         """The outcome on `instance`, by the fit from the signature profile
         (`profile`, by default the instance's own), cached by that profile
-        and interned: one object per distinct outcome.  Without a profile,
-        work the caches may not hold (`_cached`, or float advice) is
-        answered by `fn` on the instance."""
+        and interned: one object per distinct outcome.  The caches hold
+        exact outcomes only, since 0.5 == 1/2: a fit's outcome holding a
+        float raises AttributeError, as `_risk_sum` does on one.  Without a
+        profile, that outcome and the work the caches may not hold
+        (`_cached`, or float advice) are answered by `fn` on the instance."""
         cls = instance.function_class
         if profile is None:
             if isinstance(advice, float) or not _cached(self, instance):
                 return self.fn(instance, advice)
-            profile = self.profile(instance)
+            try:
+                return self.outcome(instance, advice, self.profile(instance))
+            except AttributeError:  # a float outcome
+                return self.fn(instance, advice)
         key = (profile, advice)
         if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
             self._view = (cls, self._cache.setdefault(cls, {}))
@@ -282,6 +291,8 @@ class AuditableMechanism:
         out = view.get(key)
         if out is None:
             out = self.fit(cls, profile, advice)
+            if not _exact_outcome(out):
+                raise AttributeError(f"{out!r} holds a float")
             out = view[key] = self._outcomes.setdefault(out, out)
         return out
 
@@ -465,6 +476,16 @@ def _exact(values) -> bool:
     return not any(map(isinstance, values, repeat(float)))
 
 
+def _exact_outcome(out) -> bool:
+    """No float among an outcome's fields or lottery probabilities."""
+    if isinstance(out, LabelingLottery):
+        return _exact(chain.from_iterable(out.branches))
+    for name in out.__dataclass_fields__:  # a plain loop: every fit miss runs it
+        if isinstance(getattr(out, name), float):
+            return False
+    return True
+
+
 def _cached(mechanism: AuditableMechanism, instance: Instance) -> bool:
     """Whether the caches may answer for `instance`: the mechanism has a fit
     and no float lies among the instance's x, labels and domain values."""
@@ -514,8 +535,8 @@ class _Plan:
         )
 
     def coalition_rows(self, size: int) -> list:
-        """(coalition, member pools, others, slot) of every coalition of
-        `size`, in `combinations` order."""
+        """(coalition, member pools, others, the pools' signatures, slot) of
+        every coalition of `size`, in `combinations` order."""
         entries = self.coalitions.get(size)
         if entries is not None:
             return entries
@@ -527,22 +548,20 @@ class _Plan:
             # a row depends on the pools' signatures, not on their reports
             sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
             slot = self.rows.setdefault((others, sigs), {})
-            entries.append((coalition, members, others, slot))
+            entries.append((coalition, members, others, sigs, slot))
         return entries
 
 
-def _row(mechanism, plan: _Plan, coalition, members, others, advice) -> tuple:
-    """The outcome of every joint report of `coalition`, in product order of
-    its member pools, as (distinct outcomes in order of first appearance,
-    the index of each joint's outcome among them).  The outcome cache is
-    keyed by the sorted full profile, the same for every instance that
-    shares the row."""
-    instance = plan.instance
+def _row(mechanism, instance, others, sigs, advice) -> tuple:
+    """The outcome of every joint report of a coalition, in product order of
+    its member pools' signatures `sigs`, as (distinct outcomes in order of
+    first appearance, the index of each joint's outcome among them).  The
+    outcome cache is keyed by the sorted full profile, the same for every
+    instance that shares the row."""
     distinct = {}
     index = []
-    for joint in product(*members):
-        profile = tuple(sorted(others + tuple(sig for sig, _ in joint)))
-        out = mechanism.outcome(instance, advice, profile)
+    for joint in product(*sigs):
+        out = mechanism.outcome(instance, advice, tuple(sorted(others + joint)))
         index.append(distinct.setdefault(out, len(distinct)))
     return tuple(distinct), tuple(index)
 
@@ -554,16 +573,9 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     member's true risk drops by at least epsilon and some member's by
     strictly more (at size one: a gain above epsilon).
 
-    A `cached` plan with exact advice and epsilon and exact base risks runs
-    on the caches and on loss sums: member i compares its drop d_i in risk
-    times s_i = |S_i| against the bar epsilon*s_i, and max_gain is kept as
-    the pair (d, s) of the largest d/s seen, compared by
-    cross-multiplication, so nothing is divided until a violation is
-    recorded or the report is returned.  Gains are computed once per
-    distinct outcome of a coalition's row; the joints are enumerated again
-    only for a row holding a violation, so violations come in coalition
-    order and, within one, in product order.  Every other audit runs
-    `_definition`.
+    A `cached` plan with exact advice and epsilon runs `_gains`; an outcome
+    holding a float stops it (AttributeError) before it enters a cache.
+    Every other audit, and that one, runs `_definition`.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -573,59 +585,71 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
         raise SpaceTooLargeError(
             f"{budget} candidate evaluations exceed the budget of {EVALUATION_BUDGET}"
         )
-    if not (plan.cached and _exact((advice, epsilon))):
-        return _definition(mechanism, plan, advice, epsilon, max_coalition, budget)
+    if plan.cached and _exact((advice, epsilon)):
+        try:
+            return _gains(mechanism, plan, advice, epsilon, max_coalition, budget)
+        except AttributeError:  # an outcome holding a float
+            pass
+    return _definition(mechanism, plan, advice, epsilon, max_coalition, budget)
+
+
+def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> AuditReport:
+    """The audit on the caches and on integers.  Agent i's loss sums are
+    ints (num, den) from its loss table, so its drop in risk after an
+    outcome is the int pair dn/dd = (bn*ad - an*bd) / (bd*ad*|S_i|) of its
+    sums bn/bd before and an/ad after.  The epsilon bars (dn*eps_den
+    against eps_num*dd) and the max_gain (tn, td) compare by
+    cross-multiplication, so a Fraction is built only for a violation's
+    fields and the returned max_gain.  Gains are computed once per distinct
+    outcome of a coalition's row; the joints are enumerated again only for
+    a row holding a violation, so violations come in coalition order and,
+    within one, in product order."""
     cls = plan.cls
-    agents = instance.agents
+    agents = plan.instance.agents
     risk = mechanism.true_personal_risk
     tables = plan.tables
-    base = mechanism.outcome(instance, advice, plan.profile)
-    before = [
-        risk(base, a, cls) if (b := t.get(base)) is None else b for t, a in zip(tables, agents)
-    ]
-    if not _exact(before):
-        return _definition(mechanism, plan, advice, epsilon, max_coalition, budget)
+    base = mechanism.outcome(plan.instance, advice, plan.profile)
+    before = [t.get(base) or risk(t, base, a, cls) for t, a in zip(tables, agents)]
     if plan.pools is None:
         plan.pools = [mechanism.grouped_reports(plan.space, a, cls) for a in agents]
     sizes = [len(a) for a in agents]
-    bars = [epsilon * s for s in sizes]
-    top, top_size = 0, 1  # max_gain is top / top_size
+    bn, bd = zip(*before)
+    bs = [d * s for d, s in zip(bd, sizes)]  # a risk before is bn/bs
+    en, ed = epsilon.numerator, epsilon.denominator
+    tn, td = 0, 1  # max_gain is tn/td
     violations = []
     for size in range(1, max_coalition + 1):
-        for coalition, members, others, slot in plan.coalition_rows(size):
+        for coalition, members, others, sigs, slot in plan.coalition_rows(size):
             row = slot.get(advice)
             if row is None:
-                row = slot[advice] = _row(mechanism, plan, coalition, members, others, advice)
+                row = slot[advice] = _row(mechanism, plan.instance, others, sigs, advice)
             outcomes, index = row
             found = {}  # outcome index -> (risks before, risks after, gain)
             for k, out in enumerate(outcomes):
                 if out is base:
                     continue  # outcomes are interned; every drop here is 0
-                gains = []  # (agent, loss after, drop)
-                strict = False
-                weak = True
+                weak, strict = True, False
                 for i in coalition:
-                    after = tables[i].get(out)
-                    if after is None:
-                        after = risk(out, agents[i], cls)
-                    d = before[i] - after
-                    gains.append((i, after, d))
-                    if d * top_size > top * sizes[i]:
-                        top, top_size = d, sizes[i]
-                    weak = weak and d >= bars[i]
-                    strict = strict or d > bars[i]
+                    an, ad = tables[i].get(out) or risk(tables[i], out, agents[i], cls)
+                    dn, dd = bn[i] * ad - an * bd[i], bs[i] * ad
+                    if dn * td > tn * dd:
+                        tn, td = dn, dd
+                    over = dn * ed - en * dd  # the sign of drop - epsilon
+                    weak = weak and over >= 0
+                    strict = strict or over > 0
                 if weak and strict:
+                    after = [(i, *tables[i][out]) for i in coalition]
                     found[k] = (
-                        tuple(exact_div(before[i], sizes[i]) for i, _, _ in gains),
-                        tuple(exact_div(a, sizes[i]) for i, a, _ in gains),
-                        max(exact_div(d, sizes[i]) for i, _, d in gains),
+                        tuple(Fraction(bn[i], bs[i]) for i in coalition),
+                        tuple(Fraction(an, ad * sizes[i]) for i, an, ad in after),
+                        max(Fraction(bn[i] * ad - an * bd[i], bs[i] * ad) for i, an, ad in after),
                     )
             if found:
                 for joint, k in zip(product(*members), index):
                     if k in found:
                         reports = tuple(labels for _, labels in joint)
                         violations.append(Violation(coalition, reports, *found[k]))
-    return AuditReport(tuple(violations), exact_div(top, top_size) if top else 0, budget)
+    return AuditReport(tuple(violations), Fraction(tn, td) if tn else 0, budget)
 
 
 def _definition(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> AuditReport:
@@ -747,17 +771,18 @@ class _Profile(tuple):
 def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
     """advice -> ratio on `instance`, given its compiled form and optimum: one
     outcome and one bisect per query.  The outcome is cached when `_cached`
-    holds and the advice is not a float, else computed by the mechanism.
-    Nothing outlives the returned function."""
+    holds, the advice is not a float and the outcome holds none, else
+    computed by the mechanism.  Nothing outlives the returned function."""
     profile = _Profile(mechanism.profile(instance))
     cached = _cached(mechanism, instance)
 
     def ratio(advice):
-        if cached and not isinstance(advice, float):
-            out = mechanism.outcome(instance, advice, profile)
-        else:
-            out = mechanism(instance, advice)
-        return risk_ratio(compiled.risk(out), best)
+        try:
+            if cached and not isinstance(advice, float):
+                return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)
+        except AttributeError:  # the fit's outcome holds a float
+            pass
+        return risk_ratio(compiled.risk(mechanism(instance, advice)), best)
 
     return ratio
 

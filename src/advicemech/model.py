@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -288,31 +288,38 @@ def shared_binary_instance(vectors, labelings=None) -> Instance:
 @dataclass(frozen=True)
 class WeightedSample:
     """(value, nonnegative weight) pairs; the substrate of weighted-median
-    fitting.  Fractional weights are first-class citizens."""
+    fitting.  Fractional weights are first-class citizens.  Exact weights
+    are scaled once to ints over their common denominator
+    (`scaled_weights`, the weights themselves when one is a float), and
+    `total_weight` is summed from those."""
 
     entries: tuple
+    total_weight: Real = field(init=False, repr=False, compare=False)
+    scaled_weights: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(map(tuple, self.entries))
-        total = 0
-        for v, w in entries:
-            if w < 0 or isinstance(v, float) or isinstance(w, float):
+        weights = [w for _, w in entries]
+        try:
+            d, scaled = _common(weights)  # ints with the weights' signs
+        except AttributeError:  # a float
+            d, scaled = 1, weights
+        for (v, w), s in zip(entries, scaled):
+            if s < 0 or isinstance(v, float) or isinstance(w, float):
                 _check_finite(v, "sample value")
                 _check_finite(w, "sample weight")
-                if w < 0:
+                if s < 0:
                     raise InvalidInstanceError("weights must be nonnegative")
-            total += w
+        total = sum(scaled) if d == 1 else Fraction(sum(scaled), d)
         if not entries or total <= 0:
             raise InvalidInstanceError("total weight must be positive")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "total_weight", total)
+        object.__setattr__(self, "scaled_weights", scaled)
 
     @classmethod
     def from_values(cls, values: Iterable[Real]) -> "WeightedSample":
         return cls(tuple((v, 1) for v in values))
-
-    @property
-    def total_weight(self) -> Real:
-        return sum(w for _, w in self.entries)
 
     def risk(self, a: Real) -> Real:
         """Average weighted absolute loss of the constant a."""
@@ -326,18 +333,17 @@ def weighted_median_bounds(sample: WeightedSample) -> tuple:
     at or below it, hi the largest carrying at least half at or above it.
     Comparisons are done doubled so integer weights never hit division.
     An exact sample is sorted and summed as ints over the common
-    denominators of its values and of its weights.  Entries sort by (value,
-    weight), ties in sample order; a zero weight is never an end.
+    denominators of its values and of its weights (`scaled_weights`).
+    Entries sort by (value, weight), ties in sample order; a zero weight is
+    never an end.
     """
     entries = sample.entries
     values = [v for v, _ in entries]
-    weights = [w for _, w in entries]
     try:
         _, values = _common(values)
-        _, weights = _common(weights)
-    except AttributeError:  # a float: sort and sum the entries themselves
+    except AttributeError:  # a float: sort the values themselves
         pass
-    order = sorted(zip(values, weights, range(len(entries))))
+    order = sorted(zip(values, sample.scaled_weights, range(len(entries))))
     total = sum([w for _, w, _ in order])
     lo = hi = None
     acc = 0
@@ -428,9 +434,24 @@ def optimal_constant_set(instance: Instance):
 # ---------------------------------------------------------------------------
 
 
+def _hash_once(outcome, key) -> int:
+    """hash(key), computed once per outcome, when first asked (the class's
+    `_hash` is None): audits key loss tables, rows and the intern by
+    outcome, a Fraction's hash is slow, and most outcomes are never
+    hashed."""
+    if outcome._hash is None:
+        object.__setattr__(outcome, "_hash", hash(key))
+    return outcome._hash
+
+
 @dataclass(frozen=True)
 class ConstantChoice:
     value: Real
+
+    _hash = None
+
+    def __hash__(self):
+        return _hash_once(self, self.value)
 
 
 @dataclass(frozen=True)
@@ -459,14 +480,10 @@ class LabelingLottery:
             raise InvalidInstanceError("lottery probabilities must sum to one")
         object.__setattr__(self, "branches", branches)
 
+    _hash = None
+
     def __hash__(self):
-        # hashed once, when first asked: audits key loss tables by outcome,
-        # a Fraction's hash is slow, and most lotteries are never hashed
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.branches)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return _hash_once(self, self.branches)
 
     def probability(self, index: int) -> Real:
         return sum(p for i, p in self.branches if i == index)

@@ -11,6 +11,7 @@ from advicemech import (
     MECHANISMS,
     AllBinaryVectors,
     AuditableMechanism,
+    ConstantChoice,
     GridLabels,
     ProjectedConstant,
     SpaceTooLargeError,
@@ -34,8 +35,14 @@ from advicemech import (
     srda_family,
     srda_mechanism,
 )
-from advicemech.audit import AuditReport, Violation
-from advicemech.model import ClassMismatchError, Instance, ValueDomain, personal_risk
+from advicemech.audit import AuditReport, Violation, risk_ratio
+from advicemech.model import (
+    ClassMismatchError,
+    Instance,
+    ValueDomain,
+    global_risk,
+    personal_risk,
+)
 
 
 def ungrouped(mech):
@@ -547,6 +554,132 @@ def test_a_float_report_is_its_own_signature_class(strip):
     assert report == expected
     assert report_types(report) == report_types(expected)
     assert report.max_gain == 0.16666666666666674
+
+
+def odd_mean_mechanism():
+    """The mean, except that an S/N whose label sum S is 1 mod 3 comes out as
+    a float: a mechanism whose fit returns a float outcome on exact work."""
+
+    def mean(total, count):
+        value = F(total, count)
+        return ConstantChoice(float(value) if total % 3 == 1 else value)
+
+    def fn(instance, advice):
+        labels = instance.all_labels()
+        return mean(sum(labels), len(labels))
+
+    def fit(cls, profile, advice):
+        return mean(sum(s for s, _ in profile), sum(m for _, m in profile))
+
+    def signature(xs, labels, cls):
+        return sum(labels), len(labels)
+
+    return AuditableMechanism(fn, "odd-mean", signature, fit)
+
+
+ODD_MEAN_LABELS = (0, F(1, 3), F(1, 2), F(2, 3), 1, F(4, 3), F(3, 2), 2, F(7, 3))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+def test_a_float_outcome_of_the_fit_never_enters_the_caches(shared):
+    # ConstantChoice(0.5) == ConstantChoice(1/2): an outcome holding a float
+    # must not be interned, put in a row or scored through a loss table
+    rng = random.Random(67)
+    space = GridLabels((0, F(1, 2), 1, 2, F(7, 3)))
+    mech = odd_mean_mechanism()
+    for _ in range(60):
+        inst = constant_instance([
+            [rng.choice(ODD_MEAN_LABELS) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 3))
+        ])
+        size = rng.randint(1, min(2, inst.n))
+        if not shared:
+            mech = odd_mean_mechanism()
+        audited(mech, inst, 0, space, size)
+        # outside the audits, too, the fit's float outcome is the definition's
+        out, ratio = mech.outcome(inst, 0), approximation_ratio(mech, inst, 0)
+        best = brute_force_optimal_risk(inst)
+        expected = risk_ratio(global_risk(mech.fn(inst, 0), inst), best)
+        assert (out, type(out.value)) == (mech.fn(inst, 0), type(mech.fn(inst, 0).value))
+        assert (ratio, type(ratio)) == (expected, type(expected)), inst
+
+
+def audited(mech, inst, advice, space, size, epsilon=0):
+    """The engine's report, checked against the definition in value and type."""
+    report = check_group_strategyproof(mech, inst, advice, space, size, epsilon)
+    expected = first_per_signature(
+        mech, inst, reference_audit(mech, inst, advice, space, size, epsilon)
+    )
+    assert report == expected, (inst, advice, size, epsilon)
+    assert report_types(report) == report_types(expected), (inst, advice, size, epsilon)
+    return report
+
+
+def test_a_drop_equal_to_epsilon_is_weak_not_strict():
+    # every drop here is 1/7 or 2/7; at epsilon 1/7 a drop of exactly 1/7
+    # is no violation, alone or next to a partner's equal drop
+    mech, inst = mean_mechanism(), constant_instance([[0], [0], [F(6, 7)]])
+    space = GridLabels((-F(3, 7), 0, F(3, 7)))
+    for size in (1, 2):
+        free = audited(mech, inst, 0, space, size)
+        barred = audited(mech, inst, 0, space, size, F(1, 7))
+        assert F(1, 7) in {v.gain for v in free.violations}
+        assert barred.violations == tuple(v for v in free.violations if v.gain > F(1, 7))
+        assert free.max_gain == barred.max_gain == (F(1, 7) if size == 1 else F(2, 7))
+    assert len(barred.violations) == 1  # both members drop 2/7
+
+
+def test_gains_over_coprime_denominators():
+    rng = random.Random(71)
+    levels = (0, F(1, 7), F(2, 11), F(3, 13), 1)
+    space = GridLabels((-2, F(1, 7), F(2, 11), F(3, 13), 3))
+    caught = 0
+    for _ in range(8):
+        inst = constant_instance([
+            [rng.choice(levels) for _ in range(rng.randint(1, 2))]
+            for _ in range(rng.randint(1, 3))
+        ])
+        size = rng.randint(1, min(2, inst.n))
+        for epsilon in (0, F(1, 7), F(1, 6)):
+            for mech in (mean_mechanism(), pfa_mechanism(F(1, 2))):
+                report = audited(mech, inst, rng.choice(levels), space, size, epsilon)
+                caught += epsilon > 0 and not report.ok
+    assert caught
+
+
+def test_max_gain_moves_to_an_agent_of_another_size():
+    # best risk drops 1/6 (|S_0| = 1), 1/9 (|S_1| = 3) and 1/3 (|S_2| = 2):
+    # agent 1's loss-sum drop 1/3 exceeds agent 0's 1/6, its risk drop does not
+    mech = mean_mechanism()
+    inst = constant_instance([[1], [0, 0, 2], [2, 2]])
+    space = GridLabels((0, 1, 2, 3))
+    for epsilon in (0, F(1, 9), F(1, 6)):
+        report = audited(mech, inst, 0, space, 1, epsilon)
+        best = {}
+        for v in report.violations:
+            best[v.agents] = max(best.get(v.agents, 0), v.gain)
+        assert report.max_gain == F(1, 3) == best[(2,)]
+        assert best.get((0,)) == (F(1, 6) if epsilon < F(1, 6) else None)
+        assert best.get((1,)) == (F(1, 9) if epsilon < F(1, 9) else None)
+
+
+@pytest.mark.parametrize("gamma", [F(1, 4), F(1, 2)])
+def test_srda_lottery_gains_match_the_definition(gamma):
+    rng = random.Random(73)
+    caught = 0
+    for literal in (False, True):
+        mech = srda_mechanism(gamma, literal)
+        for _ in range(12):
+            m = rng.randint(1, 3)
+            inst = shared_binary_instance(
+                [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
+            )
+            for advice in (0, 1):
+                for size in (1, 2):
+                    report = audited(mech, inst, advice, AllBinaryVectors(m), size)
+                    assert report.ok or literal or size == 2
+                    caught += len(report.violations)
+    assert caught
 
 
 def test_an_exact_audit_after_a_float_audit_equals_a_fresh_one():
