@@ -45,7 +45,6 @@ from .regression import (
     projection,
 )
 from .classification import (
-    BinaryPreferenceSummary,
     TwoLabelingReduction,
     pfa_two_labeling,
     preference_summary,

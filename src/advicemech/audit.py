@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
-from math import comb, prod
+from math import comb
 
 from .classification import (
     SRDA_GAMMA_MAX,
@@ -130,6 +130,13 @@ EVALUATION_BUDGET = 10**7
 # ---------------------------------------------------------------------------
 
 
+def _distinct(values) -> tuple:
+    """`values` sorted, each one dropped that equals an earlier value of the
+    same kind, float or exact: 1 and 1/1 merge, 0.5 and 1/2 both stay."""
+    kept = dict.fromkeys((v, isinstance(v, float)) for v in values)
+    return tuple(sorted(v for v, _ in kept))
+
+
 @dataclass(frozen=True)
 class GridLabels:
     """Every relabeling of an agent's points with values from a fixed grid,
@@ -140,7 +147,7 @@ class GridLabels:
     exact: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(sorted(self.levels)))
+        object.__setattr__(self, "levels", _distinct(self.levels))
         object.__setattr__(self, "exact", _exact(self.levels))
 
     def reports(self, agent: AgentDataset):
@@ -160,14 +167,12 @@ class ProjectedConstant:
     exact: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(sorted(set(self.candidates))))
+        object.__setattr__(self, "candidates", _distinct(self.candidates))
         object.__setattr__(self, "exact", _exact(self.candidates))
 
     @classmethod
     def for_instance(cls, instance: Instance, advice: Real) -> "ProjectedConstant":
-        values = set(instance.all_labels())
-        values.add(advice)
-        return cls(tuple(values))
+        return cls((*instance.all_labels(), advice))
 
     def reports(self, agent: AgentDataset):
         size = len(agent)
@@ -216,7 +221,7 @@ class AuditableMechanism:
     profile of exact signatures alone and must equal `fn` on any reported
     instance of class `cls` with that profile, raising the same errors
     `fn` raises; it answers the caches' misses, which build no instance.
-    A fit also declares the mechanism `anonymous`: on exact inputs its
+    Having a fit also declares the mechanism anonymous: on exact inputs its
     outcome depends on the multiset of signatures only, not on which agent
     reports which, and signatures sort, so audits share outcome rows
     across instances and key outcomes by the sorted profile.
@@ -236,11 +241,11 @@ class AuditableMechanism:
         self.fit = fit
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
         self._view = (None, None)  # the class last asked for and its entry of _cache
-        self._risk_cache = {}
+        self._risk_cache = {}  # (points, class) -> the agent's loss table: outcome -> (num, den)
         self._group_cache = {}
         self._rows = {}  # class -> {(others, pool signatures) -> {advice -> row}}
         self._outcomes = {}  # one object per distinct cached outcome
-        self._plan = None  # the _Plan of the instance audited last
+        self._plan = None  # the _Plan of the instance audited last; `_audit` keeps it
 
     def true_personal_risk(self, table, outcome, agent, cls) -> tuple:
         """A miss of the agent's loss table `table`: the loss sum of an
@@ -251,17 +256,8 @@ class AuditableMechanism:
         float raises AttributeError and is not stored."""
         return table.setdefault(outcome, _risk_sum(outcome, cls, (agent.points,)))
 
-    def loss_table(self, agent, cls) -> dict:
-        """The agent's loss table: exact outcome -> (num, den) of its loss
-        sum, as `true_personal_risk` fills it."""
-        return self._risk_cache.setdefault((agent.points, cls), {})
-
     def __call__(self, instance: Instance, advice):
         return self.fn(instance, advice)
-
-    @property
-    def anonymous(self) -> bool:
-        return self.fit is not None
 
     def profile(self, instance: Instance) -> tuple:
         """The signature of every agent's dataset."""
@@ -304,16 +300,6 @@ class AuditableMechanism:
         if groups is None:
             groups = self._group_cache[key] = _groups(self, space, agent, cls)
         return groups
-
-    def plan(self, instance: Instance, space) -> "_Plan":
-        """The audit plan of `instance` under `space`; one is kept, the
-        last one built."""
-        plan = self._plan
-        if plan is None or plan.instance is not instance or not (
-            plan.space is space or plan.space == space
-        ):
-            plan = self._plan = _Plan(self, instance, space)
-        return plan
 
 
 def _groups(mechanism, space, agent, cls) -> tuple:
@@ -520,19 +506,23 @@ class _Plan:
         self.cls = instance.function_class
         self.profile = mechanism.profile(instance)
         self.cached = getattr(space, "exact", False) and _cached(mechanism, instance)
-        self.tables = [mechanism.loss_table(a, self.cls) for a in agents] if self.cached else None
-        self.rows = mechanism._rows.setdefault(self.cls, {}) if self.cached else None
+        self.tables = self.rows = None
+        if self.cached:
+            self.tables = [mechanism._risk_cache.setdefault((a.points, self.cls), {}) for a in agents]
+            self.rows = mechanism._rows.setdefault(self.cls, {})
         self.counts = [space.count(a) for a in agents]
         self.pools = None  # set by the first audit to reach the cached gain loop
         self.coalitions = {}
 
     def budget(self, max_coalition: int) -> int:
-        """Joint reports of every coalition of at most `max_coalition` agents."""
-        return sum(
-            prod(self.counts[i] for i in coalition)
-            for size in range(1, max_coalition + 1)
-            for coalition in combinations(range(len(self.counts)), size)
-        )
+        """Joint reports of every coalition of at most `max_coalition` agents:
+        the sum of the elementary symmetric sums e_1..e_max_coalition of the
+        report counts, where e_k covers every coalition of k agents."""
+        e = [1] + [0] * max_coalition
+        for count in self.counts:
+            for k in range(max_coalition, 0, -1):
+                e[k] += e[k - 1] * count
+        return sum(e[1:])
 
     def coalition_rows(self, size: int) -> list:
         """(coalition, member pools, others, the pools' signatures, slot) of
@@ -573,14 +563,28 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     member's true risk drops by at least epsilon and some member's by
     strictly more (at size one: a gain above epsilon).
 
+    `_audit` sizes the audit, once: `max_coalition` is clamped to the
+    agent count, since no coalition is larger, and an audit whose budget
+    counts no candidate (a `max_coalition` below 1, an empty space) raises
+    ValueError, since it would certify nothing.  It keeps the plan of the
+    instance audited last on the mechanism and reuses it for the same
+    instance and space.
+
     A `cached` plan with exact advice and epsilon runs `_gains`; an outcome
     holding a float stops it (AttributeError) before it enters a cache.
     Every other audit, and that one, runs `_definition`.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    plan = mechanism.plan(instance, space)
+    plan = mechanism._plan
+    if plan is None or plan.instance is not instance or not (
+        plan.space is space or plan.space == space
+    ):
+        plan = mechanism._plan = _Plan(mechanism, instance, space)
+    max_coalition = min(max_coalition, instance.n)
     budget = plan.budget(max_coalition)
+    if budget == 0:
+        raise ValueError("an audit of no candidate certifies nothing")
     if budget > EVALUATION_BUDGET:
         raise SpaceTooLargeError(
             f"{budget} candidate evaluations exceed the budget of {EVALUATION_BUDGET}"

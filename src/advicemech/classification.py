@@ -29,19 +29,6 @@ from .model import (
 from .regression import PfaConfig, pfa
 
 
-@dataclass(frozen=True)
-class BinaryPreferenceSummary:
-    """Fraction of agents weakly preferring the all-ones labeling, and its
-    complement.  Exact rationals."""
-
-    P: Fraction
-    N: Fraction
-
-    def __post_init__(self):
-        if self.P + self.N != 1 or not 0 <= self.P <= 1:
-            raise ValueError("P and N must be complementary probabilities")
-
-
 def two_labeling_pair(cls) -> tuple:
     """The two labelings of a two-labeling class."""
     if not isinstance(cls, LabelingsClass) or len(cls.labelings) != 2:
@@ -63,10 +50,9 @@ def _require_c0c1(cls) -> None:
         raise ClassMismatchError("instance must be over the all-0s/all-1s pair")
 
 
-def preference_summary(
-    instance: Instance, literal_indicator: bool = False
-) -> BinaryPreferenceSummary:
-    """Count the agents siding with the all-ones labeling.
+def preference_summary(instance: Instance, literal_indicator: bool = False) -> Fraction:
+    """P, the exact fraction of agents siding with the all-ones labeling;
+    srda's N is 1 - P.
 
     The default counts an agent into P when its personal risk under c1 is at
     most its risk under c0 (ties included, so indifferent agents support c1).
@@ -82,8 +68,7 @@ def preference_summary(
         r0 = personal_risk(0, agent, cls)
         if (r1 >= r0) if literal_indicator else (r1 <= r0):
             count += 1
-    P = Fraction(count, instance.n)
-    return BinaryPreferenceSummary(P, 1 - P)
+    return Fraction(count, instance.n)
 
 
 # The gamma range (0, SRDA_GAMMA_MAX] of srda and the two-labeling srda.
@@ -129,7 +114,7 @@ def srda(
     Probabilities are exact rationals when gamma is rational.
     """
     gamma = check_srda_inputs(gamma, instance.function_class, advice)
-    return srda_fit(gamma, preference_summary(instance, literal_indicator).P, advice)
+    return srda_fit(gamma, preference_summary(instance, literal_indicator), advice)
 
 
 def sample_outcome(lottery: LabelingLottery, seed: int) -> int:

@@ -592,17 +592,6 @@ def personal_risk(f, agent: AgentDataset, cls: FunctionClass) -> Real:
     return _risk(f, cls, (agent.points,), len(agent))
 
 
-def loss_sum(f, agent: AgentDataset, cls: FunctionClass) -> Real:
-    """`personal_risk` times |S_i|, the agent's loss sum: an int when it is
-    integral, and on a float the product itself."""
-    try:
-        num, den = _risk_sum(f, cls, (agent.points,))
-    except AttributeError:  # a float
-        return personal_risk(f, agent, cls) * len(agent)
-    whole, rest = divmod(num, den)
-    return Fraction(num, den) if rest else whole
-
-
 def global_risk(f, instance: Instance) -> Real:
     """Average loss of f over the full multiset; lotteries in closed form."""
     cls = instance.function_class

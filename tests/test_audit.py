@@ -4,6 +4,7 @@ approximation ratios, frontier sweeps, and the interpolation check."""
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -108,6 +109,68 @@ def test_space_guard():
         check_strategyproof(
             pfa_mechanism(1), inst, 0, GridLabels(tuple(range(10)))
         )
+
+
+@pytest.mark.parametrize(
+    "space, max_coalition, epsilon, match",
+    [
+        (GridLabels((0, 1, 2)), 0, 0, "certifies nothing"),
+        (GridLabels((0, 1, 2)), -3, 0, "certifies nothing"),
+        (GridLabels(()), 2, 0, "certifies nothing"),
+        (ProjectedConstant(()), 2, 0, "certifies nothing"),
+        (GridLabels((0, 1, 2)), 1, -1, "epsilon"),
+    ],
+    ids=["no-coalition", "negative-coalition", "empty-grid", "empty-projected", "negative-epsilon"],
+)
+def test_an_audit_that_would_certify_nothing_is_refused(space, max_coalition, epsilon, match):
+    inst = constant_instance([[0], [2]])
+    for mech in (mean_mechanism(), ungrouped(mean_mechanism())):
+        with pytest.raises(ValueError, match=match):
+            check_group_strategyproof(mech, inst, 0, space, max_coalition, epsilon)
+
+
+def test_all_binary_vectors_refuse_an_agent_of_another_size():
+    agent = shared_binary_instance([(1, 0)]).agents[0]
+    with pytest.raises(ValueError, match="size"):
+        AllBinaryVectors(3).reports(agent)
+
+
+def test_coalitions_larger_than_the_agent_count_add_nothing():
+    inst = constant_instance([[0], [10]])
+    space = GridLabels((-10, 0, 10))
+    for mech in (mean_mechanism(), ungrouped(mean_mechanism())):
+        full = check_group_strategyproof(mech, inst, 0, space, 2)
+        assert full.candidates_checked == 15 and not full.ok
+        assert check_group_strategyproof(mech, inst, 0, space, 10**9) == full
+
+
+def test_the_budget_counts_every_joint_report_of_every_coalition():
+    inst = constant_instance([[0], [1, 2], [2, 0, 1], [1]])
+    space = GridLabels((0, 1, 2))
+    counts = [space.count(a) for a in inst.agents]
+    for size in range(1, 5):
+        expected = sum(
+            prod(counts[i] for i in coalition)
+            for k in range(1, size + 1)
+            for coalition in combinations(range(len(counts)), k)
+        )
+        report = check_group_strategyproof(mean_mechanism(), inst, 0, space, size)
+        assert report.candidates_checked == expected, size
+
+
+def test_a_repeated_grid_level_is_one_level():
+    inst = constant_instance([[0], [10]])
+    repeated = check_strategyproof(mean_mechanism(), inst, 0, GridLabels((-10, 0, 0, 10)))
+    plain = check_strategyproof(mean_mechanism(), inst, 0, GridLabels((-10, 0, 10)))
+    assert repeated == plain and plain.candidates_checked == 6
+
+
+def test_both_spaces_keep_a_float_beside_an_equal_exact_value():
+    # 0.5 == 1/2, but a float report is a class of its own, so both stay
+    for values in (GridLabels((F(1, 2), 0.5)).levels, ProjectedConstant((F(1, 2), 0.5)).candidates):
+        assert values == (F(1, 2), 0.5) and [type(v) for v in values] == [F, float]
+    # of two equal values of one kind, the first stays
+    assert [type(v) for v in ProjectedConstant((1, F(1), 0)).candidates] == [int, int]
 
 
 def test_grouped_audit_matches_raw_enumeration():

@@ -253,6 +253,7 @@ def test_bad_epsilon_or_tolerance_is_a_parse_error(tmp_path, command, option):
         (["audit", "--mechanism", "srda", "--advice", "0", "--space", "grid:0,1,5"], 3, "--space"),
         (["audit", "--mechanism", "srda", "--advice", "0", "--space", "projected"], 3, "--space"),
         (["audit", "--mechanism", "pfa-two-labeling", "--advice", "1", "--space", "grid:0,1"], 3, "--space"),
+        (["run", "--mechanism", "srda", "--advice", "c2"], 3, "labeling index"),
     ],
 )
 def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keyword):
@@ -275,6 +276,16 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         (["gen", "voting-table", "--preferences", "1>2>3,"], "--preferences"),
         (["gen", "s-linear", "--t", "0"], "t must be at least 1"),
         (["gen", "s", "--t", "0"], "t must be at least 1"),
+        # generator parameters outside their range
+        (["gen", "s", "--n", "3", "--k", "5"], "0 <= k <= n"),
+        (["gen", "s-chain", "--j", "5"], "0 <= j <= n-k-1"),
+        (["gen", "s-final", "--n", "3", "--k", "3"], "0 <= k <= n-1"),
+        (["gen", "s-linear", "--n", "2", "--k", "3"], "0 <= k <= n"),
+        (["gen", "randomized-lb", "--k", "1"], "k >= 2"),
+        (["gen", "randomized-lb", "--k", "2", "--n", "1"], "two agents"),
+        # a labelings document whose vector is neither a string nor a list
+        (["run", "{bad_labeling}", "--mechanism", "srda", "--advice", "0"], "0/1 string or list"),
+        (["run", "{bad_agent}", "--mechanism", "srda", "--advice", "0"], "0/1 string or list"),
         # paths that cannot be read or written
         (["run", "{dir}", "--mechanism", "pfa", "--advice", "0"], "cannot read"),
         (["sweep", "{names_dir}", "--mechanism", "pfa"], "cannot read"),
@@ -295,6 +306,9 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
     ids=[
         "sweep-empty-dir", "audit-empty-dir", "sweep-empty-manifest", "audit-empty-manifest",
         "gen-preferences-letters", "gen-preferences-trailing-comma", "gen-s-linear-t0", "gen-s-t0",
+        "gen-s-k-above-n", "gen-s-chain-j-too-large", "gen-s-final-k-equals-n", "gen-s-linear-k-above-n",
+        "gen-randomized-lb-k1", "gen-randomized-lb-n1", "run-labeling-not-a-vector",
+        "run-agent-not-a-vector",
         "run-directory", "sweep-manifest-names-directory", "audit-manifest-names-directory",
         "run-not-utf8", "audit-out-missing-dir", "sweep-out-missing-dir", "gen-out-directory",
         "run-seed-not-int", "gen-variant-not-a-choice", "sweep-mechanism-missing",
@@ -314,9 +328,14 @@ def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):
     (names_dir / "manifest.txt").write_text("sub\n", encoding="utf-8")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"class": "constant", "agents": [["0"]], "note": "é"}'.encode("latin-1"))
+    bad_labeling = tmp_path / "bad_labeling.json"
+    bad_labeling.write_text('{"class": "labelings", "labelings": [0, "1"], "agents": ["1"]}', encoding="utf-8")
+    bad_agent = tmp_path / "bad_agent.json"
+    bad_agent.write_text('{"class": "labelings", "labelings": ["0", "1"], "agents": [1]}', encoding="utf-8")
     paths = {
         "{empty}": str(empty), "{manifest}": str(listed), "{dir}": str(listed),
         "{names_dir}": str(names_dir), "{latin1}": str(latin1),
+        "{bad_labeling}": str(bad_labeling), "{bad_agent}": str(bad_agent),
         "{inst}": write(tmp_path, "inst.json", constant_instance([[0], [1]])),
         "{missing}": str(tmp_path / "missing" / "out.tsv"),
     }

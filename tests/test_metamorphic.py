@@ -158,7 +158,7 @@ def test_permuting_agents_keeps_every_registered_outcome(case, data):
         lambda g: g <= family.gamma_max
     ))
     mech = family.mechanism(gamma, instance.function_class)
-    assert mech.anonymous
+    assert mech.fit is not None
     order = data.draw(st.permutations(range(instance.n)))
     permuted = Instance(tuple(instance.agents[i] for i in order), instance.function_class)
     assert mech.fn(permuted, advice) == mech.fn(instance, advice)
