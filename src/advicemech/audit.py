@@ -22,10 +22,10 @@ no instance.  The fit serves the caches only.
 `_audit`, at coalition size 1 and up to `max_coalition`, built from three
 pieces:
 
-- A plan (`_Plan`), kept one per mechanism, prepares an instance and a
-  space once for audits at every advice: the signature profile, report
-  counts and budgets, loss tables, pools, and per coalition the sorted
-  signatures of the agents outside it ("others").
+- A plan (`_Plan`) prepares an instance and a space once for audits at
+  every advice: the signature profile, report counts and budgets, loss
+  tables, pools, and per coalition the sorted signatures of the agents
+  outside it ("others") and its row slot.
 - An outcome row holds the outcome of each joint report of a coalition,
   in product order of its members' pools, and nothing else.  Registered
   mechanisms are anonymous (the outcome depends on the multiset of
@@ -40,6 +40,20 @@ pieces:
   a Fraction is built only for a violation's fields and the returned
   max_gain.  Joints are enumerated again only for a row with a violating
   outcome, so violations keep coalition order and product order.
+
+The caches split by what gamma changes.  A mechanism keeps its outcome
+cache and its rows.  Everything else (the signature and its memo, pools,
+loss tables, the outcome intern, row slot numbers and the last plan) lives
+in a context (`_Context`).  `pfa_mechanism` and `srda_mechanism` take the
+context of their family and the parameters their signature depends on
+(pfa's domain, srda's `literal_indicator`) from a registry of weak values,
+so the gamma-mechanisms alive together, one per gamma, share one, and it
+dies with the last of them: a caller that drops its mechanisms starts
+cold, and so does one that builds a gamma again while it holds the last.
+Every other mechanism has a context of its own.  The intern keeps one
+object per distinct outcome alive as long as its context, so loss tables
+and rows key an outcome by `id()`, not by its hash, and rows are keyed by
+slot number, never by a mechanism's id, which a new mechanism may reuse.
 
 These caches compare keys by ==, and 0.5 == 1/2, so they hold exact work
 only: a report holding a float is a signature class of its own, and no
@@ -64,6 +78,7 @@ costs one mechanism outcome (a cache lookup or one fit) plus one bisect.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
@@ -203,6 +218,39 @@ class AllBinaryVectors:
 # ---------------------------------------------------------------------------
 
 
+class _Context:
+    """What every mechanism of one signature family and its parameters
+    shares, since none of it depends on gamma: the signature (with any memo
+    it keeps), the pools (`grouped_reports`), each agent's loss table, the
+    outcome intern, the row slots and the plan of the instance audited
+    last.  The intern holds one object per distinct cached outcome for as
+    long as the context lives, so loss tables and rows key an outcome by
+    its `id()`.  Nothing here refers to a mechanism: mechanisms hold their
+    context, so it lives exactly as long as one of them does; `names` are
+    theirs, each dropped when its mechanism dies."""
+
+    def __init__(self, signature=None):
+        exact = signature or (lambda xs, labels, cls: (xs, tuple(labels)))
+
+        def faithful(xs, labels, cls):
+            if _exact(labels):
+                return exact(xs, labels, cls)
+            return float, tuple(labels), tuple(map(type, labels))
+
+        self.signature = faithful
+        self.groups = {}  # (space, xs, class) -> the agent's pools
+        self.tables = {}  # (points, class) -> the agent's loss table: id(outcome) -> (num, den)
+        self.outcomes = {}  # one object per distinct cached outcome
+        self.slots = {}  # (class, others, pool signatures) -> the number of a row slot
+        self.plan = None  # the _Plan of the instance audited last; `_audit` keeps it
+        self.names = set()  # the names of the live mechanisms `_sharing` gave it
+
+
+# (family, the parameters its signature depends on) -> the context of the
+# mechanisms alive with them; it holds no context that no mechanism holds
+_CONTEXTS = weakref.WeakValueDictionary()
+
+
 class AuditableMechanism:
     """A mechanism closure plus the metadata the audit engine exploits.
 
@@ -225,36 +273,36 @@ class AuditableMechanism:
     outcome depends on the multiset of signatures only, not on which agent
     reports which, and signatures sort, so audits share outcome rows
     across instances and key outcomes by the sorted profile.
+
+    The signature and every cache that does not depend on the outcome
+    function live in the mechanism's `context` (`_Context`), its own unless
+    `pfa_mechanism` or `srda_mechanism` hands it the one its gamma-siblings
+    alive share.  The mechanism keeps what depends on its outcomes: the
+    outcome cache and the rows.
     """
 
     def __init__(self, fn, name: str, signature=None, fit=None):
-        exact = signature or (lambda xs, labels, cls: (xs, tuple(labels)))
-
-        def faithful(xs, labels, cls):
-            if _exact(labels):
-                return exact(xs, labels, cls)
-            return float, tuple(labels), tuple(map(type, labels))
-
         self.fn = fn
         self.name = name
-        self.signature = faithful
         self.fit = fit
+        self.context = _Context(signature)
         self._cache = {}  # function class -> {(profile, advice) -> outcome}
         self._view = (None, None)  # the class last asked for and its entry of _cache
-        self._risk_cache = {}  # (points, class) -> the agent's loss table: outcome -> (num, den)
-        self._group_cache = {}
-        self._rows = {}  # class -> {(others, pool signatures) -> {advice -> row}}
-        self._outcomes = {}  # one object per distinct cached outcome
-        self._plan = None  # the _Plan of the instance audited last; `_audit` keeps it
+        self._rows = {}  # advice -> {row slot -> row}
+
+    @property
+    def signature(self):
+        return self.context.signature
 
     def true_personal_risk(self, table, outcome, agent, cls) -> tuple:
         """A miss of the agent's loss table `table`: the loss sum of an
-        exact outcome against the agent's true data, as the ints (num, den)
-        of `_risk_sum` (the personal risk times |S_i| is num/den), stored
-        in `table` for every later audit.  The caller holds the table, so
-        (agent.points, cls) is not hashed again.  An outcome holding a
-        float raises AttributeError and is not stored."""
-        return table.setdefault(outcome, _risk_sum(outcome, cls, (agent.points,)))
+        exact, interned outcome against the agent's true data, as the ints
+        (num, den) of `_risk_sum` (the personal risk times |S_i| is
+        num/den), stored in `table` under the outcome's id for every later
+        audit.  The caller holds the table, so (agent.points, cls) is not
+        hashed again.  An outcome holding a float raises AttributeError and
+        is not stored."""
+        return table.setdefault(id(outcome), _risk_sum(outcome, cls, (agent.points,)))
 
     def __call__(self, instance: Instance, advice):
         return self.fn(instance, advice)
@@ -264,14 +312,21 @@ class AuditableMechanism:
         cls = instance.function_class
         return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
 
+    def _outcomes_of(self, cls) -> dict:
+        """The outcome cache of class `cls`: (profile, advice) -> outcome."""
+        if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
+            self._view = (cls, self._cache.setdefault(cls, {}))
+        return self._view[1]
+
     def outcome(self, instance: Instance, advice, profile=None):
         """The outcome on `instance`, by the fit from the signature profile
         (`profile`, by default the instance's own), cached by that profile
-        and interned: one object per distinct outcome.  The caches hold
-        exact outcomes only, since 0.5 == 1/2: a fit's outcome holding a
-        float raises AttributeError, as `_risk_sum` does on one.  Without a
-        profile, that outcome and the work the caches may not hold
-        (`_cached`, or float advice) are answered by `fn` on the instance."""
+        and interned in the context: one object per distinct outcome.  The
+        caches hold exact outcomes only, since 0.5 == 1/2: a fit's outcome
+        holding a float raises AttributeError, as `_risk_sum` does on one.
+        Without a profile, that outcome and the work the caches may not
+        hold (`_cached`, or float advice) are answered by `fn` on the
+        instance."""
         cls = instance.function_class
         if profile is None:
             if isinstance(advice, float) or not _cached(self, instance):
@@ -281,25 +336,40 @@ class AuditableMechanism:
             except AttributeError:  # a float outcome
                 return self.fn(instance, advice)
         key = (profile, advice)
-        if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
-            self._view = (cls, self._cache.setdefault(cls, {}))
-        view = self._view[1]
+        view = self._outcomes_of(cls)
         out = view.get(key)
         if out is None:
             out = self.fit(cls, profile, advice)
             if not _exact_outcome(out):
                 raise AttributeError(f"{out!r} holds a float")
-            out = view[key] = self._outcomes.setdefault(out, out)
+            out = view[key] = self.context.outcomes.setdefault(out, out)
         return out
 
     def grouped_reports(self, space, agent, cls):
-        """`_groups`, cached per (space, xs, class): every misreport space
-        enumerates reports from an agent's public x values and size alone."""
+        """`_groups`, cached per (space, xs, class) in the context: every
+        misreport space enumerates reports from an agent's public x values
+        and size alone."""
         key = (space, agent.xs, cls)
-        groups = self._group_cache.get(key)
+        groups = self.context.groups.get(key)
         if groups is None:
-            groups = self._group_cache[key] = _groups(self, space, agent, cls)
+            groups = self.context.groups[key] = _groups(self, space, agent, cls)
         return groups
+
+
+def _sharing(key, signature, fn, name, fit) -> AuditableMechanism:
+    """A mechanism on the context of `key` that its live siblings share,
+    one per name (gamma).  A new context, with `signature()`, replaces it
+    when none of them is alive or one of them has this name: a caller that
+    builds the same gammas again, while the last set is still held, starts
+    cold too."""
+    mechanism = AuditableMechanism(fn, name, fit=fit)
+    context = _CONTEXTS.get(key)
+    if context is None or name in context.names:
+        context = _CONTEXTS[key] = _Context(signature())
+    context.names.add(name)
+    weakref.finalize(mechanism, context.names.discard, name)  # holds the set, not the context
+    mechanism.context = context
+    return mechanism
 
 
 def _groups(mechanism, space, agent, cls) -> tuple:
@@ -313,26 +383,40 @@ def _groups(mechanism, space, agent, cls) -> tuple:
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     """pfa whose signature is the agent's `projection` (b_i, |S_i|), so a
-    cache miss is one fit over the profile."""
+    cache miss is one fit over the profile.  The pfa mechanisms alive on
+    one domain share a context: the projection depends on the domain, not
+    on gamma.  The fit checks the inputs once per class and advice."""
     cfg = PfaConfig(gamma, domain)
-    constant = ConstantClass(domain)  # the memo is keyed by labels alone, not by cls
-    memo = {}
+    checked = [None, set()]  # the class last checked and the advice it accepted
 
     def fn(instance, advice):
         return pfa(cfg, instance, advice)
 
     def fit(cls, profile, advice):
-        check_pfa_inputs(cfg, cls, advice)
+        if cls is not checked[0]:
+            checked[:] = cls, set()
+        if advice not in checked[1]:
+            check_pfa_inputs(cfg, cls, advice)
+            checked[1].add(advice)
         return pfa_fit(cfg, profile, advice)
 
-    def signature(xs, labels, cls):
-        key = tuple(sorted(labels))
-        sig = memo.get(key)
-        if sig is None:
-            sig = memo[key] = projection(domain, constant, xs, labels)
-        return sig
+    def signature():
+        constant = ConstantClass(domain)  # the memo is keyed by labels alone, not by cls
+        memo = {}
 
-    return AuditableMechanism(fn, f"pfa(gamma={gamma})", signature, fit)
+        def project(xs, labels, cls):
+            key = tuple(sorted(labels))
+            sig = memo.get(key)
+            if sig is None:
+                sig = memo[key] = projection(domain, constant, xs, labels)
+            return sig
+
+        return project
+
+    # the memo is keyed by labels alone, and an equal domain of other value
+    # types (0.5 for 1/2) may project to other types
+    key = "pfa", domain, tuple(map(type, domain.values or ()))
+    return _sharing(key, signature, fn, f"pfa(gamma={gamma})", fit)
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
@@ -402,11 +486,15 @@ def _srda_fit(gamma, reduced: bool):
 
 
 def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
+    """srda; the srda mechanisms alive with one `literal_indicator` share a
+    context, since the side signature does not depend on gamma."""
+
     def fn(instance, advice):
         return srda(gamma, instance, advice, literal_indicator)
 
-    return AuditableMechanism(
-        fn, f"srda(gamma={gamma})", _side_signature(literal_indicator), _srda_fit(gamma, False)
+    return _sharing(
+        ("srda", literal_indicator), lambda: _side_signature(literal_indicator),
+        fn, f"srda(gamma={gamma})", _srda_fit(gamma, False),
     )
 
 
@@ -488,29 +576,33 @@ def _joint_report(instance: Instance, coalition, joint) -> Instance:
 
 class _Plan:
     """An instance and a misreport space prepared for audits at many advice
-    values: the signature profile and each agent's report count and, when
-    the plan is `cached`, its loss tables and, once a budget has passed,
-    the pools and every coalition's member pools, the sorted signatures of
-    the agents outside it ("others") and its row slot.
+    values, by every mechanism of one context: the signature profile, each
+    agent's report count, the budget per `max_coalition` and, when the plan
+    is `cached`, its loss tables and, once a budget has passed, the pools
+    and every coalition's member pools, the sorted signatures of the agents
+    outside it ("others") and its row slot.
 
     A plan is `cached` when `_cached` holds and the space is exact; only
-    then do audits read and write the mechanism's caches.  A slot is the
-    mechanism's `{advice: row}` under (class, others, the member pools'
-    signatures), so every instance whose coalition has the same others and
-    pool signatures shares its rows."""
+    then do audits read and write the caches.  A slot is the number the
+    context gives (class, others, the member pools' signatures), and each
+    mechanism keys its rows by slot, so every instance whose coalition has
+    the same others and pool signatures shares its rows.  A plan holds the
+    context's tables and slots, but neither the context nor a mechanism."""
 
     def __init__(self, mechanism, instance, space):
+        context = mechanism.context
         agents = instance.agents
         self.instance = instance
         self.space = space
         self.cls = instance.function_class
         self.profile = mechanism.profile(instance)
         self.cached = getattr(space, "exact", False) and _cached(mechanism, instance)
-        self.tables = self.rows = None
+        self.tables = None
         if self.cached:
-            self.tables = [mechanism._risk_cache.setdefault((a.points, self.cls), {}) for a in agents]
-            self.rows = mechanism._rows.setdefault(self.cls, {})
+            self.tables = [context.tables.setdefault((a.points, self.cls), {}) for a in agents]
+        self.slots = context.slots
         self.counts = [space.count(a) for a in agents]
+        self.budgets = {}  # max_coalition -> budget
         self.pools = None  # set by the first audit to reach the cached gain loop
         self.coalitions = {}
 
@@ -518,11 +610,14 @@ class _Plan:
         """Joint reports of every coalition of at most `max_coalition` agents:
         the sum of the elementary symmetric sums e_1..e_max_coalition of the
         report counts, where e_k covers every coalition of k agents."""
-        e = [1] + [0] * max_coalition
-        for count in self.counts:
-            for k in range(max_coalition, 0, -1):
-                e[k] += e[k - 1] * count
-        return sum(e[1:])
+        budget = self.budgets.get(max_coalition)
+        if budget is None:
+            e = [1] + [0] * max_coalition
+            for count in self.counts:
+                for k in range(max_coalition, 0, -1):
+                    e[k] += e[k - 1] * count
+            budget = self.budgets[max_coalition] = sum(e[1:])
+        return budget
 
     def coalition_rows(self, size: int) -> list:
         """(coalition, member pools, others, the pools' signatures, slot) of
@@ -531,29 +626,36 @@ class _Plan:
         if entries is not None:
             return entries
         n = len(self.counts)
+        slots = self.slots
         entries = self.coalitions[size] = []
         for coalition in combinations(range(n), size):
             members = tuple(self.pools[i] for i in coalition)
             others = tuple(sorted(self.profile[j] for j in range(n) if j not in coalition))
             # a row depends on the pools' signatures, not on their reports
             sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
-            slot = self.rows.setdefault((others, sigs), {})
+            slot = slots.setdefault((self.cls, others, sigs), len(slots))
             entries.append((coalition, members, others, sigs, slot))
         return entries
 
 
-def _row(mechanism, instance, others, sigs, advice) -> tuple:
+def _row(mechanism, view, instance, others, sigs, advice) -> tuple:
     """The outcome of every joint report of a coalition, in product order of
     its member pools' signatures `sigs`, as (distinct outcomes in order of
     first appearance, the index of each joint's outcome among them).  The
-    outcome cache is keyed by the sorted full profile, the same for every
-    instance that shares the row."""
-    distinct = {}
+    outcome cache `view` is keyed by the sorted full profile, the same for
+    every instance that shares the row; `outcome()` runs on a miss only.
+    Outcomes are interned, so they are told apart by identity."""
+    distinct = {}  # id(outcome) -> its index
+    outcomes = []
     index = []
     for joint in product(*sigs):
-        out = mechanism.outcome(instance, advice, tuple(sorted(others + joint)))
-        index.append(distinct.setdefault(out, len(distinct)))
-    return tuple(distinct), tuple(index)
+        profile = tuple(sorted(others + joint))
+        out = view.get((profile, advice)) or mechanism.outcome(instance, advice, profile)
+        k = distinct.setdefault(id(out), len(outcomes))
+        if k == len(outcomes):
+            outcomes.append(out)
+        index.append(k)
+    return tuple(outcomes), tuple(index)
 
 
 def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditReport:
@@ -567,8 +669,9 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     agent count, since no coalition is larger, and an audit whose budget
     counts no candidate (a `max_coalition` below 1, an empty space) raises
     ValueError, since it would certify nothing.  It keeps the plan of the
-    instance audited last on the mechanism and reuses it for the same
-    instance and space.
+    instance audited last on the mechanism's context and reuses it for the
+    same instance and space, so the mechanisms sharing a context (one per
+    gamma) share it, with its pools, loss tables and row slots.
 
     A `cached` plan with exact advice and epsilon runs `_gains`; an outcome
     holding a float stops it (AttributeError) before it enters a cache.
@@ -576,11 +679,12 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    plan = mechanism._plan
+    context = mechanism.context
+    plan = context.plan
     if plan is None or plan.instance is not instance or not (
         plan.space is space or plan.space == space
     ):
-        plan = mechanism._plan = _Plan(mechanism, instance, space)
+        plan = context.plan = _Plan(mechanism, instance, space)
     max_coalition = min(max_coalition, instance.n)
     budget = plan.budget(max_coalition)
     if budget == 0:
@@ -613,9 +717,11 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
     risk = mechanism.true_personal_risk
     tables = plan.tables
     base = mechanism.outcome(plan.instance, advice, plan.profile)
-    before = [t.get(base) or risk(t, base, a, cls) for t, a in zip(tables, agents)]
+    before = [t.get(id(base)) or risk(t, base, a, cls) for t, a in zip(tables, agents)]
     if plan.pools is None:
         plan.pools = [mechanism.grouped_reports(plan.space, a, cls) for a in agents]
+    view = mechanism._outcomes_of(cls)
+    rows = mechanism._rows.setdefault(advice, {})
     sizes = [len(a) for a in agents]
     bn, bd = zip(*before)
     bs = [d * s for d, s in zip(bd, sizes)]  # a risk before is bn/bs
@@ -624,9 +730,9 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
     violations = []
     for size in range(1, max_coalition + 1):
         for coalition, members, others, sigs, slot in plan.coalition_rows(size):
-            row = slot.get(advice)
+            row = rows.get(slot)
             if row is None:
-                row = slot[advice] = _row(mechanism, plan.instance, others, sigs, advice)
+                row = rows[slot] = _row(mechanism, view, plan.instance, others, sigs, advice)
             outcomes, index = row
             found = {}  # outcome index -> (risks before, risks after, gain)
             for k, out in enumerate(outcomes):
@@ -634,7 +740,7 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
                     continue  # outcomes are interned; every drop here is 0
                 weak, strict = True, False
                 for i in coalition:
-                    an, ad = tables[i].get(out) or risk(tables[i], out, agents[i], cls)
+                    an, ad = tables[i].get(id(out)) or risk(tables[i], out, agents[i], cls)
                     dn, dd = bn[i] * ad - an * bd[i], bs[i] * ad
                     if dn * td > tn * dd:
                         tn, td = dn, dd
@@ -642,7 +748,7 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
                     weak = weak and over >= 0
                     strict = strict or over > 0
                 if weak and strict:
-                    after = [(i, *tables[i][out]) for i in coalition]
+                    after = [(i, *tables[i][id(out)]) for i in coalition]
                     found[k] = (
                         tuple(Fraction(bn[i], bs[i]) for i in coalition),
                         tuple(Fraction(an, ad * sizes[i]) for i, an, ad in after),
@@ -894,7 +1000,7 @@ def consistency_robustness_sweep(
 ):
     """Worst measured ratios per gamma next to the theoretical bounds.  Each
     instance is prepared once per sweep, after the bound and class checks;
-    rows are built one gamma at a time, so one gamma's caches are held."""
+    rows are built one gamma at a time, so one gamma's outcome caches are held."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("an empty corpus certifies nothing")

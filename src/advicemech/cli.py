@@ -264,6 +264,8 @@ GENERATORS = {
 
 
 def cmd_gen(args, out, err) -> int:
+    if args.k is None:  # randomized-lb's block structure needs k >= 2
+        args.k = 2 if args.family == "randomized-lb" else 1
     instance = GENERATORS[args.family](args)
     text = serialize_instance(instance)
     if args.out:
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a hard-instance file")
     gen.add_argument("family", choices=list(GENERATORS))
     gen.add_argument("--n", type=int, default=4)
-    gen.add_argument("--k", type=int, default=1)
+    gen.add_argument("--k", type=int, default=None, help="default: 2 for randomized-lb, else 1")
     gen.add_argument("--t", type=int, default=1)
     gen.add_argument("--z", default="1")
     gen.add_argument("--z-from", dest="z_from", default="1")

@@ -1,7 +1,9 @@
 """Audit engine tests: misreport search soundness and completeness,
 approximation ratios, frontier sweeps, and the interpolation check."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import prod
@@ -36,6 +38,7 @@ from advicemech import (
     srda_family,
     srda_mechanism,
 )
+from advicemech import audit
 from advicemech.audit import AuditReport, Violation, risk_ratio
 from advicemech.model import (
     ClassMismatchError,
@@ -772,6 +775,142 @@ def test_literal_indicator_srda_is_caught_and_plain_srda_is_not():
                     assert not check_strategyproof(literal, inst, advice, space).ok
                     audited += 1
     assert audited == 1176
+
+
+# ---------------------------------------------------------------------------
+# contexts shared by the mechanisms of one family across gamma
+# ---------------------------------------------------------------------------
+
+
+def test_mechanisms_sharing_a_context_match_the_definition():
+    # pfa over the reals and over a finite domain and srda with and without
+    # the literal indicator, three gammas each (no two families share one,
+    # so only the key keeps their contexts apart), all alive at once; per
+    # instance the gammas interleave: gamma_1 at advice 0, gamma_2 at advice
+    # 0, ..., gamma_1 at advice 1, ..., unilaterally and then in coalitions
+    rng = random.Random(79)
+    finite = ValueDomain.finite((0, 1, 2))
+    grid = GridLabels((0, 1, 2))
+
+    def binary():
+        m = rng.randint(1, 3)
+        vectors = [tuple(rng.randint(0, 1) for _ in range(m)) for _ in range(rng.randint(2, 3))]
+        return shared_binary_instance(vectors), AllBinaryVectors(m)
+
+    families = [
+        ([pfa_mechanism(g) for g in (F(1, 2), 1, 2)], (0, F(1, 2), 2),
+         lambda: (seeded_constant(rng, (0, 1, 2)), grid)),
+        ([pfa_mechanism(g, finite) for g in (F(1, 3), F(3, 4), F(3, 2))], (0, 1, 2),
+         lambda: (seeded_constant(rng, (0, 1, 2), finite), grid)),
+        ([srda_mechanism(g) for g in (F(1, 4), F(1, 2), 1)], (0, 1), binary),
+        ([srda_mechanism(g, True) for g in (F(1, 3), F(2, 3), F(3, 4))], (0, 1), binary),
+    ]
+    contexts = [mechs[0].context for mechs, _, _ in families]
+    assert len(set(map(id, contexts))) == len(families)
+    for (mechs, _, _), context in zip(families, contexts):
+        assert all(mech.context is context for mech in mechs)
+    recorded = [0] * len(families)
+    for _ in range(6):
+        for f, (mechs, advices, make) in enumerate(families):
+            inst, space = make()
+            for size in range(1, min(2, inst.n) + 1):
+                for advice in advices:
+                    for mech in mechs:
+                        recorded[f] += len(audited(mech, inst, advice, space, size).violations)
+    assert recorded[0] and recorded[3]  # pfa coalitions, literal srda
+
+
+def reachable_ints(root):
+    """Every int reachable from `root` through containers and the attributes
+    of advicemech objects."""
+    seen, stack, found = set(), [root], set()
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, int):
+            found.add(obj)
+        elif id(obj) not in seen:
+            seen.add(id(obj))
+            if isinstance(obj, dict):
+                stack += [*obj.keys(), *obj.values()]
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                stack += obj
+            elif type(obj).__module__.startswith("advicemech") and hasattr(obj, "__dict__"):
+                stack += vars(obj).values()
+    return found
+
+
+def test_a_new_gamma_on_a_live_context_is_served_its_own_rows():
+    # pfa records 4 coalition violations here at gamma 1 and 6 at gamma
+    # 1/2; the gamma-2 sibling keeps the context alive after the gamma-1
+    # mechanism dies, and the new mechanism may take its memory and so its
+    # id, so the context must key nothing by a mechanism's id
+    inst = constant_instance([[0, 2], [1], [2, 2, 0]])
+    space = GridLabels((0, 1, 2))
+    first, sibling = pfa_mechanism(1), pfa_mechanism(2)
+    for size in (1, 2):
+        audited(first, inst, 1, space, size)
+        audited(sibling, inst, 1, space, size)
+    assert not {id(first), id(sibling)} & reachable_ints(sibling.context)
+    del first
+    fresh = pfa_mechanism(F(1, 2))
+    assert fresh.context is sibling.context
+    assert len(audited(fresh, inst, 1, space, 2).violations) == 6
+
+
+def test_a_context_lives_as_long_as_its_mechanisms():
+    # with the collector off, the context dies by reference counting alone:
+    # nothing in it refers back to a mechanism
+    domain = ValueDomain.finite((0, F(7, 3), 5))  # a domain no other test uses
+    inst = constant_instance([[0, 5], [F(7, 3)], [5, 5]], domain)
+    space = GridLabels((0, F(7, 3), 5))
+
+    def registered():
+        return [key for key in list(audit._CONTEXTS.keys()) if domain in key]
+
+    gc.disable()
+    try:
+        mechs = [pfa_mechanism(g, domain) for g in (F(1, 2), 1, 2)]
+        for mech in mechs:
+            audited(mech, inst, 0, space, 2)
+        context = weakref.ref(mech.context)
+        assert len(registered()) == 1
+        assert context().tables and context().outcomes and context().plan is not None
+        del mech, mechs
+        assert context() is None
+        assert registered() == []
+    finally:
+        gc.enable()
+    fresh = pfa_mechanism(1, domain).context
+    assert (fresh.groups, fresh.tables, fresh.outcomes, fresh.slots) == ({}, {}, {}, {})
+    assert fresh.plan is None
+
+
+def test_a_second_mechanism_at_a_live_gamma_starts_a_new_context():
+    # a caller that builds its gammas again while it still holds the last
+    # set (a tracer that keeps every mechanism it saw) starts cold
+    held = [pfa_mechanism(g) for g in (F(1, 2), 1)]
+    again = [pfa_mechanism(g) for g in (F(1, 2), 1)]
+    assert held[0].context is held[1].context
+    assert again[0].context is again[1].context
+    assert again[0].context is not held[0].context
+    inst = constant_instance([[0, 2], [1], [2, 2, 0]])
+    audited(held[0], inst, 1, GridLabels((0, 1, 2)), 2)
+    assert not again[0].context.tables
+
+
+def test_the_fit_checks_each_new_advice_and_class():
+    domain = ValueDomain.finite((0, 1, 2))
+    mech = pfa_mechanism(1, domain)
+    inst = constant_instance([[0, 2], [1]], domain)
+    space = GridLabels((0, 1, 2))
+    audited(mech, inst, 1, space, 2)
+    for advice in (F(1, 2), 3):  # on the same class and plan
+        with pytest.raises(ClassMismatchError):
+            check_strategyproof(mech, inst, advice, space)
+        with pytest.raises(ClassMismatchError):
+            mech.outcome(inst, advice, mech.profile(inst))
+    with pytest.raises(ClassMismatchError):  # the same advice on another class
+        check_strategyproof(mech, constant_instance([[0, 2], [1]]), 1, space)
 
 
 # ---------------------------------------------------------------------------

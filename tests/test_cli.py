@@ -15,6 +15,7 @@ import pytest
 from advicemech import (
     MECHANISMS,
     constant_instance,
+    gen_randomized_lb,
     gen_S,
     linear_instance,
     parse_instance,
@@ -283,6 +284,7 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         (["gen", "s-linear", "--n", "2", "--k", "3"], "0 <= k <= n"),
         (["gen", "randomized-lb", "--k", "1"], "k >= 2"),
         (["gen", "randomized-lb", "--k", "2", "--n", "1"], "two agents"),
+        (["gen", "randomized-lb", "--n", "1"], "two agents"),
         # a labelings document whose vector is neither a string nor a list
         (["run", "{bad_labeling}", "--mechanism", "srda", "--advice", "0"], "0/1 string or list"),
         (["run", "{bad_agent}", "--mechanism", "srda", "--advice", "0"], "0/1 string or list"),
@@ -307,7 +309,8 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         "sweep-empty-dir", "audit-empty-dir", "sweep-empty-manifest", "audit-empty-manifest",
         "gen-preferences-letters", "gen-preferences-trailing-comma", "gen-s-linear-t0", "gen-s-t0",
         "gen-s-k-above-n", "gen-s-chain-j-too-large", "gen-s-final-k-equals-n", "gen-s-linear-k-above-n",
-        "gen-randomized-lb-k1", "gen-randomized-lb-n1", "run-labeling-not-a-vector",
+        "gen-randomized-lb-k1", "gen-randomized-lb-n1", "gen-randomized-lb-default-k-n1",
+        "run-labeling-not-a-vector",
         "run-agent-not-a-vector",
         "run-directory", "sweep-manifest-names-directory", "audit-manifest-names-directory",
         "run-not-utf8", "audit-out-missing-dir", "sweep-out-missing-dir", "gen-out-directory",
@@ -452,6 +455,21 @@ def test_gen_to_stdout_parses(tmp_path):
     assert code == 0
     inst = parse_instance(out)
     assert inst.n == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["randomized-lb"], gen_randomized_lb(2, "duple")),
+        (["s"], gen_S(4, 1, 1, 1)),
+        (["s", "--k", "0"], gen_S(4, 0, 1, 1)),
+    ],
+    ids=["randomized-lb-k2", "s-k1", "s-k0-kept"],
+)
+def test_gen_defaults_k_per_family(argv, expected):
+    code, out, err = run_cli("gen", *argv)
+    assert code == 0, err
+    assert parse_instance(out) == expected
 
 
 def test_gen_s_final_and_linear(tmp_path):
