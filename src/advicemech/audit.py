@@ -16,7 +16,11 @@ also has a fit, which computes its outcome from a profile of exact
 signatures alone (pfa and lpfa from the per-agent projections, mean from
 the label sums, srda and the two-labeling wrappers from the count of
 agents siding with the second labeling), so an outcome-cache miss builds
-no instance.  The fit serves the caches only.
+no instance.  A fit is `fn` with the profile left open: `fit(cls, advice)`
+raises what `fn` raises for that class and advice, and otherwise returns
+`profile -> outcome`.  A mechanism keeps one entry (`_Entry`) per (class,
+advice) it meets: that function, made and checked once, the outcome cache
+keyed by the profile alone, and the rows.  The fit serves the caches only.
 
 `check_strategyproof` and `check_group_strategyproof` are one engine,
 `_audit`, at coalition size 1 and up to `max_coalition`, built from three
@@ -41,15 +45,16 @@ pieces:
   max_gain.  Joints are enumerated again only for a row with a violating
   outcome, so violations keep coalition order and product order.
 
-The caches split by what gamma changes.  A mechanism keeps its outcome
-cache and its rows.  Everything else (the signature and its memo, pools,
-loss tables, the outcome intern, row slot numbers and the last plan) lives
-in a context (`_Context`).  `pfa_mechanism` and `srda_mechanism` take the
-context of their family and the parameters their signature depends on
-(pfa's domain, srda's `literal_indicator`) from a registry of weak values,
-so the gamma-mechanisms alive together, one per gamma, share one, and it
-dies with the last of them: a caller that drops its mechanisms starts
-cold, and so does one that builds a gamma again while it holds the last.
+The caches split by what gamma changes.  A mechanism keeps its entries,
+with their outcome caches and rows.  Everything else (the signature and
+its memo, pools, loss tables, the outcome intern, row slot numbers and the
+last plan) lives in a context (`_Context`).  `pfa_mechanism` and
+`srda_mechanism` take the context of their family and the parameters
+their signature depends on (pfa's domain, srda's `literal_indicator`)
+from a registry of weak values, so the gamma-mechanisms alive together,
+one per gamma, share one, and it dies with the last of them: a caller
+that drops its mechanisms starts cold, and so does one that builds a
+gamma again while it holds the last.
 Every other mechanism has a context of its own.  The intern keeps one
 object per distinct outcome alive as long as its context, so loss tables
 and rows key an outcome by `id()`, not by its hash, and rows are keyed by
@@ -58,11 +63,13 @@ slot number, never by a mechanism's id, which a new mechanism may reuse.
 These caches compare keys by ==, and 0.5 == 1/2, so they hold exact work
 only: a report holding a float is a signature class of its own, and no
 outcome holding a float is cached, interned, put in a row or scored in a
-loss table.  One gate, `_cached`, admits work to them: a mechanism with a
-fit, on an instance with no float; each caller adds its own checks on one
-call's values (advice, epsilon, the space).  Everything else is answered
-by `fn` on the reported instance (`_definition` for an audit), and so is
-an audit or a ratio query whose fit returns an inexact outcome.
+loss table.  `outcome()` is the one gate between the fit and `fn`: a
+mechanism with a fit, on exact advice and an instance with no float
+(`Instance.exact`, computed once per instance), is answered by its entry,
+and everything else, and a fit's outcome holding a float, by `fn` on the
+instance.  An audit takes the same path on the same terms, with an exact
+space and epsilon: `_gains` reads the entry, and `_definition` runs `fn`
+on every reported instance otherwise, or when an outcome holds a float.
 
 `MECHANISMS` is the one table of mechanisms: per CLI name, the function
 class it accepts, its gamma range, its constructor and its guarantee.  The
@@ -251,6 +258,27 @@ class _Context:
 _CONTEXTS = weakref.WeakValueDictionary()
 
 
+class _Entry(dict):
+    """A mechanism's state at one (class, advice): the function its
+    `fit(cls, advice)` returned, `rows` (row slot -> row), and the entry
+    itself, the outcome cache: profile -> outcome.  A miss runs the fit on
+    the profile and interns the outcome in the context, one object per
+    distinct outcome; an outcome holding a float raises AttributeError, as
+    `_risk_sum` does on one, and is not stored."""
+
+    __slots__ = ("fit", "rows", "intern")
+
+    def __init__(self, fit, intern):
+        self.fit, self.rows, self.intern = fit, {}, intern
+
+    def __missing__(self, profile):
+        out = self.fit(profile)
+        if not _exact_outcome(out):
+            raise AttributeError(f"{out!r} holds a float")
+        out = self[profile] = self.intern.setdefault(out, out)
+        return out
+
+
 class AuditableMechanism:
     """A mechanism closure plus the metadata the audit engine exploits.
 
@@ -265,20 +293,22 @@ class AuditableMechanism:
     keyed by its labels and their types, since 0.5 == 1/2 and the outcomes
     of the two may differ in type.
 
-    `fit(cls, profile, advice)`, when given, computes the outcome from a
-    profile of exact signatures alone and must equal `fn` on any reported
-    instance of class `cls` with that profile, raising the same errors
-    `fn` raises; it answers the caches' misses, which build no instance.
-    Having a fit also declares the mechanism anonymous: on exact inputs its
-    outcome depends on the multiset of signatures only, not on which agent
-    reports which, and signatures sort, so audits share outcome rows
-    across instances and key outcomes by the sorted profile.
+    `fit(cls, advice)`, when given, is `fn` with the profile left open: it
+    raises what `fn` raises for class `cls` and that advice, and otherwise
+    returns a function `profile -> outcome` that equals `fn` on every
+    reported instance of class `cls` whose signature profile is `profile`.
+    It answers the caches' misses, which build no instance.  Having a fit
+    also declares the mechanism anonymous: on exact inputs its outcome
+    depends on the multiset of signatures only, not on which agent reports
+    which, and signatures sort, so audits share outcome rows across
+    instances and key outcomes by the sorted profile.
 
     The signature and every cache that does not depend on the outcome
     function live in the mechanism's `context` (`_Context`), its own unless
     `pfa_mechanism` or `srda_mechanism` hands it the one its gamma-siblings
-    alive share.  The mechanism keeps what depends on its outcomes: the
-    outcome cache and the rows.
+    alive share.  The mechanism keeps what depends on its outcomes: one
+    `_Entry` per (class, advice) it was asked for, made by one call of the
+    fit, with the outcome cache and the rows of that class and advice.
     """
 
     def __init__(self, fn, name: str, signature=None, fit=None):
@@ -286,9 +316,8 @@ class AuditableMechanism:
         self.name = name
         self.fit = fit
         self.context = _Context(signature)
-        self._cache = {}  # function class -> {(profile, advice) -> outcome}
+        self._cache = {}  # function class -> {advice -> _Entry}
         self._view = (None, None)  # the class last asked for and its entry of _cache
-        self._rows = {}  # advice -> {row slot -> row}
 
     @property
     def signature(self):
@@ -312,38 +341,32 @@ class AuditableMechanism:
         cls = instance.function_class
         return tuple(self.signature(a.xs, a.labels, cls) for a in instance.agents)
 
-    def _outcomes_of(self, cls) -> dict:
-        """The outcome cache of class `cls`: (profile, advice) -> outcome."""
+    def _entry(self, cls, advice) -> _Entry:
+        """The entry of (cls, advice), made by `fit(cls, advice)` when first
+        asked for: a class or advice the fit refuses raises, every time,
+        and stores no entry.  Classes and advice are keyed by equality;
+        float advice must not reach here, since 0.0 == 0."""
         if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
             self._view = (cls, self._cache.setdefault(cls, {}))
-        return self._view[1]
+        entry = self._view[1].get(advice)
+        if entry is None:
+            entry = self._view[1][advice] = _Entry(self.fit(cls, advice), self.context.outcomes)
+        return entry
 
     def outcome(self, instance: Instance, advice, profile=None):
-        """The outcome on `instance`, by the fit from the signature profile
-        (`profile`, by default the instance's own), cached by that profile
-        and interned in the context: one object per distinct outcome.  The
-        caches hold exact outcomes only, since 0.5 == 1/2: a fit's outcome
-        holding a float raises AttributeError, as `_risk_sum` does on one.
-        Without a profile, that outcome and the work the caches may not
-        hold (`_cached`, or float advice) are answered by `fn` on the
-        instance."""
-        cls = instance.function_class
-        if profile is None:
-            if isinstance(advice, float) or not _cached(self, instance):
-                return self.fn(instance, advice)
-            try:
-                return self.outcome(instance, advice, self.profile(instance))
-            except AttributeError:  # a float outcome
-                return self.fn(instance, advice)
-        key = (profile, advice)
-        view = self._outcomes_of(cls)
-        out = view.get(key)
-        if out is None:
-            out = self.fit(cls, profile, advice)
-            if not _exact_outcome(out):
-                raise AttributeError(f"{out!r} holds a float")
-            out = view[key] = self.context.outcomes.setdefault(out, out)
-        return out
+        """The outcome on `instance`, and the one place that chooses between
+        the fit and `fn`.  A mechanism with a fit, on exact advice and an
+        `Instance.exact` instance, is answered by its entry from the
+        signature profile (`profile`, the instance's own, computed in
+        advance or here); `fn` on the instance answers everything else,
+        and an outcome of the fit that holds a float."""
+        if self.fit is None or isinstance(advice, float) or not instance.exact:
+            return self.fn(instance, advice)
+        entry = self._entry(instance.function_class, advice)
+        try:
+            return entry[self.profile(instance) if profile is None else profile]
+        except AttributeError:  # a float outcome
+            return self.fn(instance, advice)
 
     def grouped_reports(self, space, agent, cls):
         """`_groups`, cached per (space, xs, class) in the context: every
@@ -383,22 +406,19 @@ def _groups(mechanism, space, agent, cls) -> tuple:
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     """pfa whose signature is the agent's `projection` (b_i, |S_i|), so a
-    cache miss is one fit over the profile.  The pfa mechanisms alive on
-    one domain share a context: the projection depends on the domain, not
-    on gamma.  The fit checks the inputs once per class and advice."""
+    cache miss is one fit over the profile: the weighted median of the
+    projections and the advice.  The pfa mechanisms alive on one domain
+    share a context: the projection depends on the domain, not on gamma.
+    `fit(cls, advice)` checks the class and the advice, which the mechanism
+    asks once per (class, advice)."""
     cfg = PfaConfig(gamma, domain)
-    checked = [None, set()]  # the class last checked and the advice it accepted
 
     def fn(instance, advice):
         return pfa(cfg, instance, advice)
 
-    def fit(cls, profile, advice):
-        if cls is not checked[0]:
-            checked[:] = cls, set()
-        if advice not in checked[1]:
-            check_pfa_inputs(cfg, cls, advice)
-            checked[1].add(advice)
-        return pfa_fit(cfg, profile, advice)
+    def fit(cls, advice):
+        check_pfa_inputs(cfg, cls, advice)
+        return lambda profile: pfa_fit(cfg, profile, advice)
 
     def signature():
         constant = ConstantClass(domain)  # the memo is keyed by labels alone, not by cls
@@ -430,10 +450,10 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
     def signature(xs, labels, cls):
         return projection(REALS, LinearClass(), xs, labels)
 
-    def fit(cls, profile, advice):
+    def fit(cls, advice):
         if not isinstance(cls, LinearClass):
             raise ClassMismatchError("linear-class instance required")
-        return lpfa_fit(cfg, profile, advice)
+        return lambda profile: lpfa_fit(cfg, profile, advice)
 
     return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
 
@@ -449,10 +469,10 @@ def mean_mechanism() -> AuditableMechanism:
     def signature(xs, labels, cls):
         return sum(labels), len(labels)
 
-    def fit(cls, profile, advice):
+    def mean(profile):
         return ConstantChoice(exact_div(sum(s for s, _ in profile), sum(m for _, m in profile)))
 
-    return AuditableMechanism(fn, "mean-baseline", signature, fit)
+    return AuditableMechanism(fn, "mean-baseline", signature, lambda cls, advice: mean)
 
 
 def _side_signature(literal_indicator: bool = False):
@@ -476,11 +496,11 @@ def _srda_fit(gamma, reduced: bool):
     """srda's lottery from the count of True signatures, on the instance's
     class or (`reduced`) on the {c0, c1} class `two_labeling_reduce` maps to."""
 
-    def fit(cls, profile, advice):
+    def fit(cls, advice):
         if reduced:
             cls = c0c1_class(len(disagreement_points(cls, advice)))
         g = check_srda_inputs(gamma, cls, advice)
-        return srda_fit(g, Fraction(sum(s for (s,) in profile), len(profile)), advice)
+        return lambda profile: srda_fit(g, Fraction(sum(s for (s,) in profile), len(profile)), advice)
 
     return fit
 
@@ -502,10 +522,12 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
     def fn(instance, advice):
         return pfa_two_labeling(gamma, instance, advice)
 
-    def fit(cls, profile, advice):
+    def fit(cls, advice):
         m = len(disagreement_points(cls, advice))
-        choice = pfa_fit(PfaConfig(gamma, BINARY_DOMAIN), [(int(s), m) for (s,) in profile], advice)
-        return LabelingChoice(int(choice.value))
+        cfg = PfaConfig(gamma, BINARY_DOMAIN)
+        return lambda profile: LabelingChoice(
+            int(pfa_fit(cfg, [(int(s), m) for (s,) in profile], advice).value)
+        )
 
     return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
 
@@ -560,14 +582,6 @@ def _exact_outcome(out) -> bool:
     return True
 
 
-def _cached(mechanism: AuditableMechanism, instance: Instance) -> bool:
-    """Whether the caches may answer for `instance`: the mechanism has a fit
-    and no float lies among the instance's x, labels and domain values."""
-    domain = getattr(instance.function_class, "domain", REALS)
-    data = (values for a in instance.agents for values in (a.xs, a.labels))
-    return mechanism.fit is not None and _exact(chain(domain.values or (), *data))
-
-
 def _joint_report(instance: Instance, coalition, joint) -> Instance:
     for i, (_, labels) in zip(coalition, joint):
         instance = instance.with_agent_labels(i, labels)
@@ -582,11 +596,12 @@ class _Plan:
     and every coalition's member pools, the sorted signatures of the agents
     outside it ("others") and its row slot.
 
-    A plan is `cached` when `_cached` holds and the space is exact; only
-    then do audits read and write the caches.  A slot is the number the
-    context gives (class, others, the member pools' signatures), and each
-    mechanism keys its rows by slot, so every instance whose coalition has
-    the same others and pool signatures shares its rows.  A plan holds the
+    A plan is `cached` when the mechanism has a fit and the instance and the
+    space are exact; only then do audits read and write the caches.  A slot
+    is the number the context gives (class, others, the member pools'
+    signatures), and each mechanism keys its rows (in its entry at the
+    audit's class and advice) by slot, so every instance whose coalition
+    has the same others and pool signatures shares its rows.  A plan holds the
     context's tables and slots, but neither the context nor a mechanism."""
 
     def __init__(self, mechanism, instance, space):
@@ -596,7 +611,7 @@ class _Plan:
         self.space = space
         self.cls = instance.function_class
         self.profile = mechanism.profile(instance)
-        self.cached = getattr(space, "exact", False) and _cached(mechanism, instance)
+        self.cached = getattr(space, "exact", False) and mechanism.fit is not None and instance.exact
         self.tables = None
         if self.cached:
             self.tables = [context.tables.setdefault((a.points, self.cls), {}) for a in agents]
@@ -638,19 +653,20 @@ class _Plan:
         return entries
 
 
-def _row(mechanism, view, instance, others, sigs, advice) -> tuple:
+def _row(entry: _Entry, others, sigs) -> tuple:
     """The outcome of every joint report of a coalition, in product order of
     its member pools' signatures `sigs`, as (distinct outcomes in order of
-    first appearance, the index of each joint's outcome among them).  The
-    outcome cache `view` is keyed by the sorted full profile, the same for
-    every instance that shares the row; `outcome()` runs on a miss only.
-    Outcomes are interned, so they are told apart by identity."""
+    first appearance, the index of each joint's outcome among them), read
+    from the mechanism's `entry` at the audit's class and advice by the
+    sorted full profile, the same for every instance that shares the row;
+    the fit runs on a miss only, and an outcome holding a float raises
+    AttributeError.  Outcomes are interned, so they are told apart by
+    identity."""
     distinct = {}  # id(outcome) -> its index
     outcomes = []
     index = []
     for joint in product(*sigs):
-        profile = tuple(sorted(others + joint))
-        out = view.get((profile, advice)) or mechanism.outcome(instance, advice, profile)
+        out = entry[tuple(sorted(others + joint))]
         k = distinct.setdefault(id(out), len(outcomes))
         if k == len(outcomes):
             outcomes.append(out)
@@ -711,17 +727,19 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
     fields and the returned max_gain.  Gains are computed once per distinct
     outcome of a coalition's row; the joints are enumerated again only for
     a row holding a violation, so violations come in coalition order and,
-    within one, in product order."""
+    within one, in product order.  Outcomes and rows come from the
+    mechanism's entry at (class, advice), so an outcome holding a float
+    raises AttributeError before it is scored."""
     cls = plan.cls
     agents = plan.instance.agents
     risk = mechanism.true_personal_risk
     tables = plan.tables
-    base = mechanism.outcome(plan.instance, advice, plan.profile)
+    entry = mechanism._entry(cls, advice)
+    base = entry[plan.profile]
     before = [t.get(id(base)) or risk(t, base, a, cls) for t, a in zip(tables, agents)]
     if plan.pools is None:
         plan.pools = [mechanism.grouped_reports(plan.space, a, cls) for a in agents]
-    view = mechanism._outcomes_of(cls)
-    rows = mechanism._rows.setdefault(advice, {})
+    rows = entry.rows
     sizes = [len(a) for a in agents]
     bn, bd = zip(*before)
     bs = [d * s for d, s in zip(bd, sizes)]  # a risk before is bn/bs
@@ -732,7 +750,7 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
         for coalition, members, others, sigs, slot in plan.coalition_rows(size):
             row = rows.get(slot)
             if row is None:
-                row = rows[slot] = _row(mechanism, view, plan.instance, others, sigs, advice)
+                row = rows[slot] = _row(entry, others, sigs)
             outcomes, index = row
             found = {}  # outcome index -> (risks before, risks after, gain)
             for k, out in enumerate(outcomes):
@@ -880,19 +898,13 @@ class _Profile(tuple):
 
 def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
     """advice -> ratio on `instance`, given its compiled form and optimum: one
-    outcome and one bisect per query.  The outcome is cached when `_cached`
-    holds, the advice is not a float and the outcome holds none, else
-    computed by the mechanism.  Nothing outlives the returned function."""
+    `outcome()` (a cache lookup, one fit or `fn`) from the profile computed
+    once here, and one bisect per query.  Nothing outlives the returned
+    function."""
     profile = _Profile(mechanism.profile(instance))
-    cached = _cached(mechanism, instance)
 
     def ratio(advice):
-        try:
-            if cached and not isinstance(advice, float):
-                return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)
-        except AttributeError:  # the fit's outcome holds a float
-            pass
-        return risk_ratio(compiled.risk(mechanism(instance, advice)), best)
+        return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)
 
     return ratio
 

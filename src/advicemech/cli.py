@@ -198,21 +198,27 @@ def cmd_audit(args, out, err) -> int:
     lines = []
     violations = []
     checked = 0
+    # per class, its mechanism at every gamma, alive together so that they
+    # share a context; each advice's space, and so its plan, serves them all
+    mechanisms = {}
     for name, instance in corpus:
         advices = [
             _parse_advice(tok, instance) for tok in str(args.advice).split(",")
         ]
-        for gamma in gammas:
-            mech = family.mechanism(gamma, instance.function_class)
-            check_nondegenerate(instance)
-            for advice in advices:
-                space = _space(args.space, instance, advice)
+        cls = instance.function_class
+        if cls not in mechanisms:
+            mechanisms[cls] = [family.mechanism(gamma, cls) for gamma in gammas]
+        check_nondegenerate(instance)
+        found = [[] for _ in gammas]  # stdout lists violations by gamma, then advice
+        for advice in advices:
+            space = _space(args.space, instance, advice)
+            for gamma, mech, rows in zip(gammas, mechanisms[cls], found):
                 report = audit_mod.check_group_strategyproof(
                     mech, instance, advice, space, args.max_coalition, epsilon
                 )
                 checked += report.candidates_checked
-                for v in report.violations:
-                    violations.append((name, gamma, advice, v))
+                rows += [(name, gamma, advice, v) for v in report.violations]
+        violations += [row for rows in found for row in rows]
     lines.append(("mechanism", args.mechanism))
     lines.append(("gamma", ",".join(format_number(g) for g in gammas)))
     lines.append(("advice", args.advice))

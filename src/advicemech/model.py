@@ -242,6 +242,14 @@ class Instance:
     def total_points(self) -> int:
         return sum(len(a) for a in self.agents)
 
+    @cached_property
+    def exact(self) -> bool:
+        """No float among the x values, labels and domain values: the exact
+        path answers for the instance.  Computed once per instance."""
+        domain = getattr(self.function_class, "domain", REALS).values or ()
+        lists = (domain, *(values for a in self.agents for values in (a.xs, a.labels)))
+        return not any(isinstance(v, float) for values in lists for v in values)
+
     def all_labels(self) -> list:
         return [y for a in self.agents for y in a.labels]
 

@@ -34,9 +34,11 @@ from advicemech import (
     optimal_functions,
     pfa_family,
     pfa_mechanism,
+    pfa_two_labeling_mechanism,
     shared_binary_instance,
     srda_family,
     srda_mechanism,
+    srda_two_labeling_mechanism,
 )
 from advicemech import audit
 from advicemech.audit import AuditReport, Violation, risk_ratio
@@ -634,8 +636,8 @@ def odd_mean_mechanism():
         labels = instance.all_labels()
         return mean(sum(labels), len(labels))
 
-    def fit(cls, profile, advice):
-        return mean(sum(s for s, _ in profile), sum(m for _, m in profile))
+    def fit(cls, advice):
+        return lambda profile: mean(sum(s for s, _ in profile), sum(m for _, m in profile))
 
     def signature(xs, labels, cls):
         return sum(labels), len(labels)
@@ -911,6 +913,50 @@ def test_the_fit_checks_each_new_advice_and_class():
             mech.outcome(inst, advice, mech.profile(inst))
     with pytest.raises(ClassMismatchError):  # the same advice on another class
         check_strategyproof(mech, constant_instance([[0, 2], [1]]), 1, space)
+
+
+def test_each_class_and_advice_is_checked_once_per_mechanism(monkeypatch):
+    # a fit checks its class and advice, and builds what they fix, when the
+    # mechanism makes its entry: once per equal class and advice, however
+    # many instances (each with a class object of its own), misses and
+    # coalition sizes ask for it
+    calls = []
+    for name in ("check_pfa_inputs", "check_srda_inputs", "disagreement_points"):
+        def counted(*args, name=name, original=getattr(audit, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(audit, name, counted)
+    rng = random.Random(83)
+    finite = ValueDomain.finite((0, 1, 2))
+    grid, binary = GridLabels((0, 1, 2)), AllBinaryVectors(3)
+    labelings = ((0, 0, 1), (1, 0, 0))
+
+    def vectors():
+        return [tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(rng.randint(2, 3))]
+
+    cases = [  # mechanism, instance, space, advices, the checks of one entry
+        (pfa_mechanism(1), lambda: seeded_constant(rng, (0, 1, 2)), grid, (0, F(1, 2), 2),
+         ["check_pfa_inputs"]),
+        (pfa_mechanism(1, finite), lambda: seeded_constant(rng, (0, 1, 2), finite), grid, (0, 2),
+         ["check_pfa_inputs"]),
+        (srda_mechanism(F(1, 2)), lambda: shared_binary_instance(vectors()), binary, (0, 1),
+         ["check_srda_inputs"]),
+        (pfa_two_labeling_mechanism(1), lambda: shared_binary_instance(vectors(), labelings),
+         binary, (0, 1), ["disagreement_points"]),
+        (srda_two_labeling_mechanism(F(1, 2)), lambda: shared_binary_instance(vectors(), labelings),
+         binary, (0, 1), ["check_srda_inputs", "disagreement_points"]),
+    ]
+    for mech, make, space, advices, checks in cases:
+        calls.clear()
+        instances = [make() for _ in range(4)]
+        assert len({id(inst.function_class) for inst in instances}) == 4
+        assert len(set(inst.function_class for inst in instances)) == 1
+        for inst in instances:
+            for advice in advices:
+                check_strategyproof(mech, inst, advice, space)
+                check_group_strategyproof(mech, inst, advice, space, 2)
+        assert sorted(calls) == sorted(checks * len(advices)), mech.name
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr
 from fractions import Fraction as F
 from pathlib import Path
@@ -23,6 +24,7 @@ from advicemech import (
     shared_binary_instance,
     voting_instance,
 )
+from advicemech import audit
 from advicemech.cli import main
 from advicemech.formats import InstanceParseError, format_number, parse_number
 from advicemech.model import ValueDomain
@@ -571,6 +573,43 @@ def test_corpus_manifest_restricts_and_orders(tmp_path):
     )
     assert code == 0
     assert kv(out)["instances"] == "1"
+
+
+def test_audit_builds_one_plan_per_advice_for_all_gammas(tmp_path, monkeypatch):
+    # the default projected space depends on the advice, so the gammas are
+    # audited together at each advice and share its plan
+    path = str(tmp_path / "s.json")
+    assert run_cli("gen", "s", "--n", "5", "--k", "2", "--t", "3", "--z", "7", "--out", path)[0] == 0
+    monkeypatch.setattr(audit, "_CONTEXTS", weakref.WeakValueDictionary())  # no live sibling
+    plans = []
+    init = audit._Plan.__init__
+
+    def counted(plan, *args):
+        plans.append(plan)
+        init(plan, *args)
+
+    monkeypatch.setattr(audit._Plan, "__init__", counted)
+    code, out, err = run_cli(
+        "audit", path, "--mechanism", "pfa", "--gamma", "1/2,1,2", "--advice", "0,3"
+    )
+    assert (code, err) == (0, "")
+    assert len(plans) == 2
+
+
+def test_audit_rows_keep_gamma_then_advice_order(tmp_path):
+    path = str(tmp_path / "s.json")
+    assert run_cli("gen", "s", "--n", "5", "--k", "2", "--t", "3", "--z", "7", "--out", path)[0] == 0
+
+    def rows(gammas):
+        code, out, err = run_cli(
+            "audit", path, "--mechanism", "mean", "--gamma", gammas, "--advice", "0,3,7"
+        )
+        assert (code, err) == (1, "")
+        return out.partition("\tgamma\tadvice\n")[2].splitlines()  # the rows under the header
+
+    together = rows("1/2,1,2")
+    assert len(together) == 27
+    assert together == rows("1/2") + rows("1") + rows("2")
 
 
 # ---------------------------------------------------------------------------

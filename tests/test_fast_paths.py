@@ -5,6 +5,7 @@ srda and the two-labeling wrappers) against the plain mechanism run on the
 reported instance."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -367,14 +368,26 @@ def every_misreport(instance, space):
             yield instance.with_agent_labels(i, labels)
 
 
+def kinds(outcome):
+    """An outcome's type and the types of the values it holds."""
+    if isinstance(outcome, LabelingLottery):
+        return type(outcome), tuple(type(v) for branch in outcome.branches for v in branch)
+    return type(outcome), tuple(type(getattr(outcome, f.name)) for f in fields(outcome))
+
+
 def assert_fit_matches(mech, plain, instance, advices, space):
+    """On every misreport the fit equals `plain` in value and the definition
+    `fn` in value and type; `outcome()`, whose intern holds one of equal
+    outcomes (1 and 1/1), equals `plain` in value."""
     cls = instance.function_class
     for reported in every_misreport(instance, space):
         profile = mech.profile(reported)
         for advice in advices:
-            expected = plain(reported, advice)
-            assert mech.fit(cls, profile, advice) == expected
-            assert mech.outcome(reported, advice) == expected
+            expected, definition = plain(reported, advice), mech.fn(reported, advice)
+            got = mech.fit(cls, advice)(profile)
+            assert got == expected == definition, (reported, advice)
+            assert kinds(got) == kinds(definition), (reported, advice)
+            assert mech.outcome(reported, advice) == expected, (reported, advice)
 
 
 @pytest.mark.parametrize("gamma", [F(1, 4), F(2, 3), 1, 2])

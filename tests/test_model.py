@@ -95,6 +95,24 @@ def test_lottery_probabilities_sum_to_one():
         LabelingLottery(((0, F(1, 3)), (1, F(1, 3))))
 
 
+def test_an_instance_is_exact_without_a_float_x_label_or_domain_value():
+    finite = ValueDomain.finite((0, F(1, 2), 2))
+    assert constant_instance([[0, F(1, 2)], [2]], finite).exact
+    assert linear_instance([[(F(1, 3), 2)], [(-1, 0)]]).exact
+    assert shared_binary_instance([(0, 1), (1, 1)]).exact
+    assert not constant_instance([[0, 0.5], [2]]).exact  # a label
+    assert not linear_instance([[(0.5, 2)], [(-1, 0)]]).exact  # an x
+    assert not constant_instance([[0], [2]], ValueDomain.finite((0, 0.5, 2))).exact  # a domain value
+
+
+def test_an_instance_computes_exact_once():
+    inst = constant_instance([[0, 1], [2]])
+    assert inst.exact
+    # a second read does not scan the data again
+    object.__setattr__(inst, "agents", constant_instance([[0.5]]).agents)
+    assert inst.exact
+
+
 # ---------------------------------------------------------------------------
 # risks
 # ---------------------------------------------------------------------------
