@@ -53,21 +53,6 @@ from .classification import (
     srda_two_labeling,
     two_labeling_reduce,
 )
-from .hardness import (
-    VOTING_LABELINGS,
-    VOTING_TABLE,
-    ZBlock,
-    consistency_ceiling,
-    gen_randomized_lb,
-    gen_S,
-    gen_S_chain,
-    gen_S_final,
-    gen_S_linear,
-    gen_voting_table,
-    lb_parameters,
-    r_bound,
-    voting_instance,
-)
 from .audit import (
     AllBinaryVectors,
     AuditableMechanism,
@@ -107,8 +92,9 @@ from .formats import (
 
 __version__ = "0.1.0"
 
-# The distribution-level names, imported from `learning` on first use
-# (PEP 562): no CLI command needs them.
+# The distribution-level names of `learning` and the generators of
+# `hardness`, imported on first use (PEP 562): only `gen` needs `hardness`,
+# and no CLI command needs `learning`.
 _LEARNING = frozenset({
     "AgentModel",
     "composition_experiment",
@@ -121,11 +107,28 @@ _LEARNING = frozenset({
     "sup_global_gap",
     "sup_personal_gap",
 })
+_HARDNESS = frozenset({
+    "VOTING_LABELINGS",
+    "VOTING_TABLE",
+    "ZBlock",
+    "consistency_ceiling",
+    "gen_randomized_lb",
+    "gen_S",
+    "gen_S_chain",
+    "gen_S_final",
+    "gen_S_linear",
+    "gen_voting_table",
+    "lb_parameters",
+    "r_bound",
+    "voting_instance",
+})
 
 
 def __getattr__(name):
     if name in _LEARNING:
-        from . import learning
-
-        return getattr(learning, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import learning as module
+    elif name in _HARDNESS:
+        from . import hardness as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -86,7 +86,6 @@ costs one mechanism outcome (a cache lookup or one fit) plus one bisect.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb
@@ -116,6 +115,7 @@ from .model import (
     LabelingsClass,
     LinearClass,
     Real,
+    Value,
     ValueDomain,
     _risk_sum,
     advice_error,
@@ -159,18 +159,16 @@ def _distinct(values) -> tuple:
     return tuple(sorted(v for v, _ in kept))
 
 
-@dataclass(frozen=True)
-class GridLabels:
+class GridLabels(Value):
     """Every relabeling of an agent's points with values from a fixed grid,
     enumerated up to point order.  `exact`: no level is a float, so a float
     grid never equals an exact one."""
 
-    levels: tuple
-    exact: bool = field(init=False)
+    _fields = ("levels", "exact")
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", _distinct(self.levels))
-        object.__setattr__(self, "exact", _exact(self.levels))
+    def __init__(self, levels: tuple):
+        levels = _distinct(levels)
+        Value.__init__(self, levels, _exact(levels))
 
     def reports(self, agent: AgentDataset):
         return combinations_with_replacement(self.levels, len(agent))
@@ -179,18 +177,16 @@ class GridLabels:
         return comb(len(self.levels) + len(agent) - 1, len(agent))
 
 
-@dataclass(frozen=True)
-class ProjectedConstant:
+class ProjectedConstant(Value):
     """Reports of |S_i| copies of a single candidate value.  For projection
     mechanisms every misreport is outcome-equivalent to one of these, so
     this tiny space is exhaustive for them.  `exact` as for GridLabels."""
 
-    candidates: tuple
-    exact: bool = field(init=False)
+    _fields = ("candidates", "exact")
 
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", _distinct(self.candidates))
-        object.__setattr__(self, "exact", _exact(self.candidates))
+    def __init__(self, candidates: tuple):
+        candidates = _distinct(candidates)
+        Value.__init__(self, candidates, _exact(candidates))
 
     @classmethod
     def for_instance(cls, instance: Instance, advice: Real) -> "ProjectedConstant":
@@ -204,11 +200,10 @@ class ProjectedConstant:
         return len(self.candidates)
 
 
-@dataclass(frozen=True)
-class AllBinaryVectors:
+class AllBinaryVectors(Value):
     """All 0/1 labelings of the m shared points."""
 
-    m: int
+    _fields = ("m",)
     exact = True
 
     def reports(self, agent: AgentDataset):
@@ -246,7 +241,7 @@ class _Context:
 
         self.signature = faithful
         self.groups = {}  # (space, xs, class) -> the agent's pools
-        self.tables = {}  # (points, class) -> the agent's loss table: id(outcome) -> (num, den)
+        self.tables = {}  # (xs, labels, class) -> the agent's loss table: id(outcome) -> (num, den)
         self.outcomes = {}  # one object per distinct cached outcome
         self.slots = {}  # (class, others, pool signatures) -> the number of a row slot
         self.plan = None  # the _Plan of the instance audited last; `_audit` keeps it
@@ -328,9 +323,9 @@ class AuditableMechanism:
         exact, interned outcome against the agent's true data, as the ints
         (num, den) of `_risk_sum` (the personal risk times |S_i| is
         num/den), stored in `table` under the outcome's id for every later
-        audit.  The caller holds the table, so (agent.points, cls) is not
-        hashed again.  An outcome holding a float raises AttributeError and
-        is not stored."""
+        audit.  The caller holds the table, so its key is not hashed
+        again.  An outcome holding a float raises AttributeError and is not
+        stored."""
         return table.setdefault(id(outcome), _risk_sum(outcome, cls, (agent.points,)))
 
     def __call__(self, instance: Instance, advice):
@@ -547,20 +542,12 @@ def srda_two_labeling_mechanism(gamma, literal_indicator: bool = False) -> Audit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    agents: tuple
-    misreports: tuple
-    risks_before: tuple
-    risks_after: tuple
-    gain: Real
+class Violation(Value):
+    _fields = ("agents", "misreports", "risks_before", "risks_after", "gain")
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    violations: tuple
-    max_gain: Real
-    candidates_checked: int
+class AuditReport(Value):
+    _fields = ("violations", "max_gain", "candidates_checked")
 
     @property
     def ok(self) -> bool:
@@ -576,7 +563,7 @@ def _exact_outcome(out) -> bool:
     """No float among an outcome's fields or lottery probabilities."""
     if isinstance(out, LabelingLottery):
         return _exact(chain.from_iterable(out.branches))
-    for name in out.__dataclass_fields__:  # a plain loop: every fit miss runs it
+    for name in out._fields:  # a plain loop: every fit miss runs it
         if isinstance(getattr(out, name), float):
             return False
     return True
@@ -614,7 +601,7 @@ class _Plan:
         self.cached = getattr(space, "exact", False) and mechanism.fit is not None and instance.exact
         self.tables = None
         if self.cached:
-            self.tables = [context.tables.setdefault((a.points, self.cls), {}) for a in agents]
+            self.tables = [context.tables.setdefault((a.xs, a.labels, self.cls), {}) for a in agents]
         self.slots = context.slots
         self.counts = [space.count(a) for a in agents]
         self.budgets = {}  # max_coalition -> budget
@@ -935,29 +922,18 @@ def advice_grid(instance: Instance, points: int = 21) -> tuple:
     return tuple(lo + exact_div((hi - lo) * j, points - 1) for j in range(points))
 
 
-@dataclass(frozen=True)
-class FrontierRow:
-    gamma: Real
-    consistency: Real
-    robustness: Real
-    bound_consistency: Real
-    bound_robustness: Real
-    ok: bool
+class FrontierRow(Value):
+    _fields = ("gamma", "consistency", "robustness", "bound_consistency", "bound_robustness", "ok")
 
 
-@dataclass(frozen=True)
-class MechanismFamily:
+class MechanismFamily(Value):
     """One entry of `MECHANISMS`: a gamma-indexed mechanism under its CLI
     name, with the function class it accepts, its gamma range
     (0, gamma_max], `make(gamma, cls)` and the constant `robust` of its
     guarantee: consistency 1 + gamma and robustness 1 + robust/gamma.
     `robust` is None for a baseline with no tradeoff curve."""
 
-    name: str
-    function_class: type
-    gamma_max: Real
-    make: callable
-    robust: int | None
+    _fields = ("name", "function_class", "gamma_max", "make", "robust")
 
     def check_class(self, cls) -> None:
         """Raise ClassMismatchError unless the family accepts class `cls`."""
@@ -1061,13 +1037,8 @@ def srda_two_labeling_family() -> MechanismFamily:
     return MECHANISMS["srda-two-labeling"]
 
 
-@dataclass(frozen=True)
-class InterpolationRow:
-    advice: Real
-    advice_error: Real
-    ratio: Real
-    bound: Real
-    ok: bool
+class InterpolationRow(Value):
+    _fields = ("advice", "advice_error", "ratio", "bound", "ok")
 
 
 def error_interpolation_check(

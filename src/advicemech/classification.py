@@ -9,7 +9,6 @@ reduction and mechanism wrappers built on it live here too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -22,6 +21,7 @@ from .model import (
     LabelingLottery,
     LabelingsClass,
     Real,
+    Value,
     c0c1_class,
     constant_instance,
     personal_risk,
@@ -135,8 +135,7 @@ def sample_outcome(lottery: LabelingLottery, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoLabelingReduction:
+class TwoLabelingReduction(Value):
     """Restriction of a two-labeling instance to the disagreement points.
 
     Index 0 of the reduced instance stands for the first original labeling
@@ -145,9 +144,7 @@ class TwoLabelingReduction:
     as the labeling-independent `off_errors` count.
     """
 
-    instance: Instance
-    indices: tuple
-    off_errors: int
+    _fields = ("instance", "indices", "off_errors")
 
 
 def two_labeling_reduce(instance: Instance, advice: int) -> TwoLabelingReduction:

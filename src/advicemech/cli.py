@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import audit as audit_mod
-from . import hardness
 from .classification import sample_outcome
 from .formats import (
     InstanceParseError,
@@ -248,7 +247,7 @@ def cmd_audit(args, out, err) -> int:
     return EXIT_OK if not violations else EXIT_VIOLATIONS
 
 
-def _voting_table(args):
+def _voting_table(hardness, args):
     try:
         prefs = [tuple(map(int, block.split(">"))) for block in args.preferences.split(",")]
     except ValueError:
@@ -256,23 +255,26 @@ def _voting_table(args):
     return hardness.voting_instance(prefs)
 
 
-# `gen`'s families, in the order its usage lists them: name -> args -> instance
+# `gen`'s families, in the order its usage lists them:
+# name -> (the `hardness` module, args) -> instance
 GENERATORS = {
-    "s": lambda a: hardness.gen_S(a.n, a.k, a.t, parse_number(a.z)),
-    "s-chain": lambda a: hardness.gen_S_chain(
+    "s": lambda h, a: h.gen_S(a.n, a.k, a.t, parse_number(a.z)),
+    "s-chain": lambda h, a: h.gen_S_chain(
         a.n, a.k, a.t, parse_number(a.z_from), parse_number(a.z_to), a.j
     ),
-    "s-final": lambda a: hardness.gen_S_final(a.n, a.k, a.t, parse_number(a.d)),
-    "s-linear": lambda a: hardness.gen_S_linear(a.n, a.k, a.t, parse_number(a.z)),
+    "s-final": lambda h, a: h.gen_S_final(a.n, a.k, a.t, parse_number(a.d)),
+    "s-linear": lambda h, a: h.gen_S_linear(a.n, a.k, a.t, parse_number(a.z)),
     "voting-table": _voting_table,
-    "randomized-lb": lambda a: hardness.gen_randomized_lb(a.k, a.variant, n=a.n),
+    "randomized-lb": lambda h, a: h.gen_randomized_lb(a.k, a.variant, n=a.n),
 }
 
 
 def cmd_gen(args, out, err) -> int:
+    from . import hardness  # imported here: no other command needs it
+
     if args.k is None:  # randomized-lb's block structure needs k >= 2
         args.k = 2 if args.family == "randomized-lb" else 1
-    instance = GENERATORS[args.family](args)
+    instance = GENERATORS[args.family](hardness, args)
     text = serialize_instance(instance)
     if args.out:
         _write(args.out, text)

@@ -8,7 +8,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -16,6 +15,7 @@ from .model import (
     InvalidInstanceError,
     LabelingsClass,
     Real,
+    Value,
     constant_instance,
     linear_instance,
     shared_binary_instance,
@@ -23,17 +23,15 @@ from .model import (
 from .regression import PFA_GAMMA_MAX
 
 
-@dataclass(frozen=True)
-class ZBlock:
+class ZBlock(Value):
     """t copies of z followed by t+1 copies of z_prime; always odd-sized."""
 
-    t: int
-    z: Real
-    z_prime: Real
+    _fields = ("t", "z", "z_prime")
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __init__(self, t: int, z: Real, z_prime: Real):
+        if t < 1:
             raise InvalidInstanceError("block parameter t must be at least 1")
+        Value.__init__(self, t, z, z_prime)
 
     def expand(self) -> tuple:
         return (self.z,) * self.t + (self.z_prime,) * (self.t + 1)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -24,6 +23,7 @@ from .model import (
     LabeledPoint,
     Real,
     REALS,
+    Value,
     _point_loss,
     exact_div,
     global_risk,
@@ -32,20 +32,19 @@ from .model import (
 from .regression import PfaConfig, pfa
 
 
-@dataclass(frozen=True)
-class AgentModel:
+class AgentModel(Value):
     """A discrete input distribution plus the agent's private labeling.
 
     `support` holds (x, probability) pairs with positive probabilities that
-    sum to one exactly; `labeler` maps every support point to its label.
+    sum to one exactly; `labeler` maps every support point to its label,
+    as ((x, y), ...) pairs, total on the support.
     """
 
-    support: tuple
-    labeler: tuple  # ((x, y), ...) pairs, total on the support
+    _fields = ("support", "labeler")
 
-    def __post_init__(self):
-        support = tuple((x, p) for x, p in self.support)
-        labeler = dict(self.labeler)
+    def __init__(self, support: tuple, labeler: tuple):
+        support = tuple((x, p) for x, p in support)
+        labeler = dict(labeler)
         if not support:
             raise InvalidInstanceError("support must be nonempty")
         total = 0
@@ -57,8 +56,7 @@ class AgentModel:
             total += p
         if total != 1:
             raise InvalidInstanceError("support probabilities must sum to one")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "labeler", tuple(sorted(labeler.items())))
+        Value.__init__(self, support, tuple(sorted(labeler.items())))
 
     def label_of(self, x):
         for key, y in self.labeler:
@@ -156,11 +154,8 @@ def _global_gap(agents, compiled: CompiledInstance) -> Real:
     return max(gap, abs(stat_mean - emp_mean))
 
 
-@dataclass(frozen=True)
-class GapTrialRow:
-    trial: int
-    max_personal_gap: Real
-    global_gap: Real
+class GapTrialRow(Value):
+    _fields = ("trial", "max_personal_gap", "global_gap")
 
 
 def risk_gap_experiment(agents, m: int, trials: int, seed: int, epsilon=None,
@@ -198,14 +193,8 @@ def risk_gap_experiment(agents, m: int, trials: int, seed: int, epsilon=None,
     return rows, Fraction(exceed, trials)
 
 
-@dataclass(frozen=True)
-class CompositionTrial:
-    trial: int
-    seed: int
-    gaps_ok: bool
-    achieved: Real
-    bound: Real
-    ok: bool
+class CompositionTrial(Value):
+    _fields = ("trial", "seed", "gaps_ok", "achieved", "bound", "ok")
 
 
 def composition_experiment(

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 Real = Union[int, float, Fraction]
@@ -63,30 +62,89 @@ def _common(values) -> tuple:
     return d, [v.numerator * (d // b) for v, b in zip(values, dens)]
 
 
+class Value:
+    """An immutable value.  A subclass names its fields in `_fields`, and
+    the default `__init__` takes them by position.  A type that checks or
+    normalises its input, or that hot loops build, has its own `__init__`,
+    which sets the fields by `Value.__init__` or `object.__setattr__`, as
+    it does any attribute derived from them that is not a field.  (Not
+    through `self.__dict__`: reading it builds the instance's dict, which
+    costs memory and slows every later attribute read.)
+
+    Two values are equal when they have the same class and equal fields,
+    the hash is the hash of the field tuple and the repr is
+    `Name(field=value, ...)`: the forms of a frozen dataclass, with no code
+    generated per class.  Types that audits compare or hash often write
+    `__eq__` and `__hash__` out, to the same contract.  Assigning or
+    deleting an attribute raises AttributeError."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        names = cls._fields
+        if len(names) == 1:
+            get = attrgetter(*names)
+            cls._key = staticmethod(lambda value: (get(value),))
+        else:  # attrgetter of two or more names returns their tuple
+            cls._key = staticmethod(attrgetter(*names) if names else lambda value: ())
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            name = self.__class__.__name__
+            raise TypeError(f"{name} takes {len(self._fields)} values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Domains and function classes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueDomain:
+class ValueDomain(Value):
     """The set of permitted constant outputs: all reals, or a finite sorted set.
 
     ``values is None`` means the whole real line.
     """
 
-    values: tuple | None = None
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if self.values is not None:
-            vals = tuple(self.values)
-            if not vals:
+    def __init__(self, values: tuple | None = None):
+        if values is not None:
+            values = tuple(values)
+            if not values:
                 raise InvalidInstanceError("finite domain must be nonempty")
-            for v in vals:
+            for v in values:
                 _check_finite(v, "domain value")
-            if any(a >= b for a, b in zip(vals, vals[1:])):
+            if any(a >= b for a, b in zip(values, values[1:])):
                 raise InvalidInstanceError("finite domain must be strictly increasing")
-            object.__setattr__(self, "values", vals)
+        Value.__init__(self, values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
 
     @classmethod
     def finite(cls, values: Iterable[Real]) -> "ValueDomain":
@@ -106,30 +164,38 @@ REALS = ValueDomain()
 BINARY_DOMAIN = ValueDomain.finite((0, 1))
 
 
-class FunctionClass:
+class FunctionClass(Value):
     """Marker base for the three supported hypothesis classes."""
 
 
-@dataclass(frozen=True)
 class ConstantClass(FunctionClass):
     """All constant functions with values in `domain`."""
 
-    domain: ValueDomain = REALS
+    _fields = ("domain",)
+
+    def __init__(self, domain: ValueDomain = REALS):
+        object.__setattr__(self, "domain", domain)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.domain == other.domain
+
+    def __hash__(self):
+        return hash((self.domain,))
 
 
-@dataclass(frozen=True)
 class LinearClass(FunctionClass):
     """Homogeneous linear functions x -> a*x over the real line."""
 
 
-@dataclass(frozen=True)
 class LabelingsClass(FunctionClass):
     """A finite menu of binary labelings of a shared input sequence."""
 
-    labelings: tuple
+    _fields = ("labelings",)
 
-    def __post_init__(self):
-        labs = tuple(tuple(v) for v in self.labelings)
+    def __init__(self, labelings: tuple):
+        labs = tuple(tuple(v) for v in labelings)
         if len(labs) < 2:
             raise InvalidInstanceError("need at least two labelings")
         m = len(labs[0])
@@ -139,7 +205,7 @@ class LabelingsClass(FunctionClass):
             raise InvalidInstanceError("labelings must be 0/1 valued")
         if len(set(labs)) < 2:
             raise InvalidInstanceError("need at least two distinct labelings")
-        object.__setattr__(self, "labelings", labs)
+        Value.__init__(self, labs)
 
     @property
     def num_points(self) -> int:
@@ -156,42 +222,33 @@ def c0c1_class(m: int) -> LabelingsClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    x: Real
-    y: Real
+class LabeledPoint(Value):
+    _fields = ("x", "y")
 
-    def __post_init__(self):
-        _check_finite(self.x, "point x")
-        _check_finite(self.y, "label y")
+    def __init__(self, x: Real, y: Real):
+        _check_finite(x, "point x")
+        _check_finite(y, "label y")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
-class AgentDataset:
-    """One agent's reported points; the unit of strategic misreporting."""
+class AgentDataset(Value):
+    """One agent's reported points; the unit of strategic misreporting.
+    `xs` and `labels` are the points' x values and labels, as tuples."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(
-            p if isinstance(p, LabeledPoint) else LabeledPoint(p[0], p[1])
-            for p in self.points
-        )
+    def __init__(self, points: tuple):
+        pts = tuple(p if isinstance(p, LabeledPoint) else LabeledPoint(p[0], p[1]) for p in points)
         if not pts:
             raise InvalidInstanceError("agent dataset must contain at least one point")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "xs", tuple([p.x for p in pts]))
+        object.__setattr__(self, "labels", tuple([p.y for p in pts]))
 
     @classmethod
     def from_labels(cls, labels: Iterable[Real]) -> "AgentDataset":
         return cls(tuple(LabeledPoint(0, y) for y in labels))
-
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(p.y for p in self.points)
-
-    @cached_property
-    def xs(self) -> tuple:
-        return tuple(p.x for p in self.points)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -205,21 +262,18 @@ class AgentDataset:
         )
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A multiset union of agent datasets plus the hypothesis class."""
+class Instance(Value):
+    """A multiset union of agent datasets plus the hypothesis class.
+    `exact`: no float among the x values, labels and domain values, so the
+    exact path answers for the instance."""
 
-    agents: tuple
-    function_class: FunctionClass
+    _fields = ("agents", "function_class")
 
-    def __post_init__(self):
-        agents = tuple(
-            a if isinstance(a, AgentDataset) else AgentDataset(tuple(a))
-            for a in self.agents
-        )
+    def __init__(self, agents: tuple, function_class: FunctionClass):
+        agents = tuple(a if isinstance(a, AgentDataset) else AgentDataset(tuple(a)) for a in agents)
         if not agents:
             raise InvalidInstanceError("instance needs at least one agent")
-        cls = self.function_class
+        cls = function_class
         if isinstance(cls, LabelingsClass):
             m = cls.num_points
             shared = agents[0].xs
@@ -232,7 +286,12 @@ class Instance:
                     )
                 if any(y not in (0, 1) for y in a.labels):
                     raise InvalidInstanceError("labels must be 0/1 in a labeling instance")
+        domain = getattr(cls, "domain", REALS).values or ()
+        lists = (domain, *(values for a in agents for values in (a.xs, a.labels)))
+        exact = not any(isinstance(v, float) for values in lists for v in values)
         object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "function_class", cls)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def n(self) -> int:
@@ -241,14 +300,6 @@ class Instance:
     @property
     def total_points(self) -> int:
         return sum(len(a) for a in self.agents)
-
-    @cached_property
-    def exact(self) -> bool:
-        """No float among the x values, labels and domain values: the exact
-        path answers for the instance.  Computed once per instance."""
-        domain = getattr(self.function_class, "domain", REALS).values or ()
-        lists = (domain, *(values for a in self.agents for values in (a.xs, a.labels)))
-        return not any(isinstance(v, float) for values in lists for v in values)
 
     def all_labels(self) -> list:
         return [y for a in self.agents for y in a.labels]
@@ -293,20 +344,17 @@ def shared_binary_instance(vectors, labelings=None) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedSample:
+class WeightedSample(Value):
     """(value, nonnegative weight) pairs; the substrate of weighted-median
     fitting.  Fractional weights are first-class citizens.  Exact weights
     are scaled once to ints over their common denominator
     (`scaled_weights`, the weights themselves when one is a float), and
-    `total_weight` is summed from those."""
+    `total_weight` is summed from those; neither is a field."""
 
-    entries: tuple
-    total_weight: Real = field(init=False, repr=False, compare=False)
-    scaled_weights: list = field(init=False, repr=False, compare=False)
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(map(tuple, self.entries))
+    def __init__(self, entries: tuple):
+        entries = tuple(map(tuple, entries))
         weights = [w for _, w in entries]
         try:
             d, scaled = _common(weights)  # ints with the weights' signs
@@ -452,34 +500,45 @@ def _hash_once(outcome, key) -> int:
     return outcome._hash
 
 
-@dataclass(frozen=True)
-class ConstantChoice:
-    value: Real
-
+class ConstantChoice(Value):
+    _fields = ("value",)
     _hash = None
+
+    def __init__(self, value: Real):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):  # the outcome intern compares outcomes on every fit miss
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
 
     def __hash__(self):
         return _hash_once(self, self.value)
 
 
-@dataclass(frozen=True)
-class LinearChoice:
-    slope: Real
+class LinearChoice(Value):
+    _fields = ("slope",)
+
+    def __init__(self, slope: Real):
+        object.__setattr__(self, "slope", slope)
 
 
-@dataclass(frozen=True)
-class LabelingChoice:
-    index: int
+class LabelingChoice(Value):
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class LabelingLottery:
-    """An exact two-or-more point distribution over labeling indices."""
+class LabelingLottery(Value):
+    """An exact two-or-more point distribution over labeling indices,
+    `branches` ((index, probability), ...)."""
 
-    branches: tuple  # ((index, probability), ...)
+    _fields = ("branches",)
+    _hash = None
 
-    def __post_init__(self):
-        branches = tuple((int(i), p) for i, p in self.branches)
+    def __init__(self, branches: tuple):
+        branches = tuple((int(i), p) for i, p in branches)
         total = sum(p for _, p in branches)
         exact = all(not isinstance(p, float) for _, p in branches)
         if any(p < 0 for _, p in branches):
@@ -487,8 +546,6 @@ class LabelingLottery:
         if (exact and total != 1) or (not exact and abs(total - 1) > 1e-12):
             raise InvalidInstanceError("lottery probabilities must sum to one")
         object.__setattr__(self, "branches", branches)
-
-    _hash = None
 
     def __hash__(self):
         return _hash_once(self, self.branches)

@@ -10,9 +10,7 @@ agents' mapped projections, each weighted by the agent's total |x|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .model import (
     REALS,
@@ -24,6 +22,7 @@ from .model import (
     LinearChoice,
     LinearClass,
     Real,
+    Value,
     ValueDomain,
     WeightedSample,
     _common,
@@ -49,22 +48,19 @@ def confidence_weight(gamma: Real) -> Real:
     return exact_div(2 - gamma, 2 + gamma)
 
 
-@dataclass(frozen=True)
-class PfaConfig:
-    """Confidence parameter and output domain for the constant mechanism.
+class PfaConfig(Value):
+    """Confidence parameter and output domain for the constant mechanism,
+    and `lam`, the gamma's `confidence_weight`.
 
     gamma near 0 leans on the advice; gamma = 2 ignores it entirely.
     """
 
-    gamma: Real
-    domain: ValueDomain = REALS
+    _fields = ("gamma", "domain")
 
-    def __post_init__(self):
-        confidence_weight(self.gamma)  # validates the range
-
-    @cached_property
-    def lam(self) -> Real:
-        return confidence_weight(self.gamma)
+    def __init__(self, gamma: Real, domain: ValueDomain = REALS):
+        object.__setattr__(self, "lam", confidence_weight(gamma))  # validates the range
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "domain", domain)
 
 
 # The empty projection: it sorts before every (value, weight) pair, so a
@@ -148,9 +144,9 @@ def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MappedLinearInstance:
-    """Per-agent weighted samples of y/x values with |x| weights.
+class MappedLinearInstance(Value):
+    """Per-agent weighted samples of y/x values with |x| weights, in
+    `agent_samples`: one WeightedSample or None per agent.
 
     Points with x = 0 cannot influence the slope; they are dropped from the
     samples and their |y| losses accumulate into `risk_offset` (already
@@ -158,9 +154,7 @@ class MappedLinearInstance:
     mapped multiset's size, i.e. the sum of all |x|.
     """
 
-    agent_samples: tuple  # one WeightedSample or None per agent
-    risk_offset: Real
-    total_mapped_weight: Real
+    _fields = ("agent_samples", "risk_offset", "total_mapped_weight")
 
     def pooled_sample(self) -> WeightedSample:
         entries = []

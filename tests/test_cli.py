@@ -387,12 +387,16 @@ def test_mechanism_choices_are_the_registry(capsys):
 
 
 def test_cli_import_leaves_learning_unloaded():
+    """`import advicemech.cli` loads neither `learning`, nor `hardness`,
+    nor `dataclasses`; the package's names load their module on first use."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         "import sys, advicemech.cli\n"
-        "print('advicemech.learning' in sys.modules)\n"
+        "print(*(m in sys.modules for m in ('advicemech.learning', 'advicemech.hardness', 'dataclasses')))\n"
         "from advicemech import composition_experiment, AgentModel\n"
         "print('advicemech.learning' in sys.modules, composition_experiment.__module__)\n"
+        "from advicemech import gen_S, ZBlock\n"
+        "print('advicemech.hardness' in sys.modules, gen_S.__module__)\n"
         "try:\n    import advicemech; advicemech.no_such_name\n"
         "except AttributeError:\n    print('AttributeError')\n"
     )
@@ -400,7 +404,12 @@ def test_cli_import_leaves_learning_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split("\n")[:3] == ["False", "True advicemech.learning", "AttributeError"]
+    assert proc.stdout.split("\n")[:4] == [
+        "False False False",
+        "True advicemech.learning",
+        "True advicemech.hardness",
+        "AttributeError",
+    ]
 
 
 def test_python_m_advicemech_cli_runs_the_command(tmp_path):

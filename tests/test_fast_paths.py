@@ -5,7 +5,6 @@ srda and the two-labeling wrappers) against the plain mechanism run on the
 reported instance."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -372,7 +371,7 @@ def kinds(outcome):
     """An outcome's type and the types of the values it holds."""
     if isinstance(outcome, LabelingLottery):
         return type(outcome), tuple(type(v) for branch in outcome.branches for v in branch)
-    return type(outcome), tuple(type(getattr(outcome, f.name)) for f in fields(outcome))
+    return type(outcome), tuple(type(getattr(outcome, name)) for name in outcome._fields)
 
 
 def assert_fit_matches(mech, plain, instance, advices, space):

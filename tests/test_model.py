@@ -28,7 +28,19 @@ from advicemech import (
     shared_binary_instance,
     weighted_median_bounds,
 )
-from advicemech.model import ConstantClass, optimal_constant_set
+from advicemech import audit, classification, hardness, learning, regression
+from advicemech.audit import GridLabels
+from advicemech.model import (
+    ConstantChoice,
+    ConstantClass,
+    FunctionClass,
+    LabeledPoint,
+    LabelingChoice,
+    LinearChoice,
+    LinearClass,
+    Value,
+    optimal_constant_set,
+)
 
 
 def brute_force_erm(domain_values, sample: WeightedSample):
@@ -347,3 +359,97 @@ def test_optimal_constant_set_finite_domain():
     inst = constant_instance([[F(2, 5)]], ValueDomain.finite([0, 1]))
     opt, best = optimal_constant_set(inst)
     assert opt == (0,) and best == F(2, 5)
+
+
+# ---------------------------------------------------------------------------
+# the Value contract of every value type
+# ---------------------------------------------------------------------------
+
+
+def value_examples():
+    """One value of every `Value` type of the library."""
+    two = shared_binary_instance([(0, 1, 1), (1, 0, 1)], [(0, 0, 1), (1, 1, 0)])
+    return [
+        ValueDomain((0, 1)),
+        ConstantClass(),
+        LinearClass(),
+        LabelingsClass(((0, 1), (1, 0))),
+        LabeledPoint(1, F(1, 2)),
+        AgentDataset(((0, 1), (2, 3))),
+        constant_instance([[0, 1], [2]]),
+        WeightedSample(((1, 1), (2, F(1, 2)))),
+        ConstantChoice(F(1, 2)),
+        LinearChoice(1),
+        LabelingChoice(1),
+        LabelingLottery(((0, F(1, 3)), (1, F(2, 3)))),
+        audit.GridLabels((0, 1)),
+        audit.ProjectedConstant((0, 2)),
+        audit.AllBinaryVectors(2),
+        audit.Violation((0,), ((1,),), (F(1, 2),), (0,), F(1, 2)),
+        audit.AuditReport((), 0, 5),
+        audit.FrontierRow(1, F(3, 2), 2, 2, 5, True),
+        audit.MECHANISMS["pfa"],
+        audit.InterpolationRow(0, 0, 1, 2, True),
+        regression.PfaConfig(1),
+        regression.map_to_constant_instance(linear_instance([[(1, 2), (0, 1)], [(2, 2)]])),
+        learning.AgentModel(((0, F(1, 2)), (1, F(1, 2))), ((0, 0), (1, 1))),
+        learning.GapTrialRow(0, F(1, 4), 0),
+        learning.CompositionTrial(0, 3, True, 1, 2, True),
+        classification.two_labeling_reduce(two, 0),
+        hardness.ZBlock(1, 0, 2),
+    ]
+
+
+def fields_of(value) -> tuple:
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+def test_every_value_type_has_an_example():
+    def subclasses(cls):
+        return {cls, *(s for sub in cls.__subclasses__() for s in subclasses(sub))}
+
+    library = {cls for cls in subclasses(Value) if cls.__module__.startswith("advicemech.")}
+    examples = value_examples()
+    assert {type(v) for v in examples} == library - {Value, FunctionClass}
+    assert len(examples) == 27
+
+
+@pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+def test_a_value_equals_by_type_and_fields(value):
+    twin = object.__new__(type(value))
+    twin.__dict__.update(value.__dict__)
+    assert twin == value and not twin != value and hash(twin) == hash(value)
+    other = type("Other", (Value,), {"_fields": value._fields})(*fields_of(value))
+    assert other != value and value != other
+    assert repr(other) == "Other" + repr(value)[len(type(value).__name__):]
+
+
+@pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+def test_a_value_hashes_its_field_tuple(value):
+    if isinstance(value, ConstantChoice):
+        assert hash(value) == hash(value.value)
+    elif isinstance(value, LabelingLottery):
+        assert hash(value) == hash(value.branches)
+    else:
+        assert hash(value) == hash(fields_of(value))
+
+
+@pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
+def test_a_value_refuses_assignment_and_deletion(value):
+    for name in (*value._fields, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_value_reprs_are_the_dataclass_forms():
+    assert repr(ConstantClass()) == "ConstantClass(domain=ValueDomain(values=None))"
+    assert repr(LinearClass()) == "LinearClass()"
+    assert repr(GridLabels((0, 1))) == "GridLabels(levels=(0, 1), exact=True)"
+    assert repr(WeightedSample(((1, 1),))) == "WeightedSample(entries=((1, 1),))"
+    assert LinearChoice(1) != LabelingChoice(1)
+    # `WeightedSample`'s scaled weights are no field: equal entries are equal
+    assert WeightedSample(((1, F(1, 2)),)) == WeightedSample(((1, F(1, 2)),))
+    with pytest.raises(TypeError):
+        LinearClass(1)
