@@ -915,7 +915,7 @@ def advice_grid(instance: Instance, points: int = 21) -> tuple:
     if isinstance(cls, ConstantClass) and not cls.domain.is_reals:
         return cls.domain.values
     xs = [x for a in instance.agents for x in a.xs]
-    values = [v for v, _ in class_entries(cls, xs, instance.all_labels())[0]] or [0]
+    values = class_entries(cls, xs, instance.all_labels())[0] or [0]
     lo, hi = min(values), max(values)
     if lo == hi:
         return (lo,)

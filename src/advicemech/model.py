@@ -1,5 +1,8 @@
 """Core data model: strategic datasets, exact risk functionals, and the
-weighted-median fitting oracle.
+weighted-median kernel, `_optima`.  Every median of the package is one
+call to it: `weighted_median_bounds` and `erm_constant` over a
+`WeightedSample`, `optimal_set`, and the projection and fit steps of
+`regression`.
 
 Everything here is a pure function of immutable inputs.  Feed `int` or
 `fractions.Fraction` values and every risk, median and ratio comes out
@@ -340,13 +343,14 @@ def shared_binary_instance(vectors, labelings=None) -> Instance:
 
 
 # ---------------------------------------------------------------------------
-# Weighted samples and the median oracle
+# Weighted samples and the median kernel
 # ---------------------------------------------------------------------------
 
 
 class WeightedSample(Value):
-    """(value, nonnegative weight) pairs; the substrate of weighted-median
-    fitting.  Fractional weights are first-class citizens.  Exact weights
+    """(value, nonnegative weight) pairs, checked on construction: what
+    `weighted_median_bounds` and `erm_constant` take from outside the
+    package.  Fractional weights are first-class citizens.  Exact weights
     are scaled once to ints over their common denominator
     (`scaled_weights`, the weights themselves when one is a float), and
     `total_weight` is summed from those; neither is a field."""
@@ -382,76 +386,94 @@ class WeightedSample(Value):
         return exact_div(sum(w * abs(a - v) for v, w in self.entries), self.total_weight)
 
 
-def weighted_median_bounds(sample: WeightedSample) -> tuple:
-    """The closed interval [lo, hi] of minimizers of the weighted absolute loss.
-
-    lo is the smallest sample value carrying at least half the total weight
-    at or below it, hi the largest carrying at least half at or above it.
-    Comparisons are done doubled so integer weights never hit division.
-    An exact sample is sorted and summed as ints over the common
-    denominators of its values and of its weights (`scaled_weights`).
-    Entries sort by (value, weight), ties in sample order; a zero weight is
-    never an end.
-    """
-    entries = sample.entries
-    values = [v for v, _ in entries]
+def _ints(values) -> list:
+    """The values times the lcm of their denominators, ints, or on a float
+    the values themselves: either way ordered and compared as the values."""
     try:
-        _, values = _common(values)
-    except AttributeError:  # a float: sort the values themselves
-        pass
-    order = sorted(zip(values, sample.scaled_weights, range(len(entries))))
-    total = sum([w for _, w, _ in order])
-    lo = hi = None
-    acc = 0
-    for _, w, j in order:
-        acc += w
-        if 2 * acc >= total:
-            lo = entries[j][0]
-            break
+        return _common(values)[1]
+    except AttributeError:  # a float
+        return values
+
+
+def _optima(domain: ValueDomain, values, weights, keys=None) -> tuple:
+    """The minimizers over `domain` of the weighted absolute loss of
+    `values` under `weights`, ascending: the median kernel.  The weights
+    are nonnegative with a positive sum.  Unless the caller passes `keys`,
+    the values' ints, with int weights, exact values and weights are
+    scaled here to ints over one common denominator, which moves no
+    minimizer; a float among them leaves them as they are.
+
+    On the real line the minimizers are the weighted-median interval
+    [lo, hi], returned as its ends: lo is the smallest value carrying at
+    least half the total weight at or below it, hi the largest carrying at
+    least half at or above it.  Comparisons are done doubled so integer
+    weights never hit division.  Entries sort by (key, weight), ties in
+    input order, and a zero weight is never an end.  One scan down finds
+    hi, and a scan up finds lo only where it may lie below hi.
+
+    On a finite domain, by convexity, the minimizers are the domain values
+    inside the interval, or when there are none, whichever of the nearest
+    neighbours on either side ties for the least loss sum, compared as
+    ints when all is exact.
+    """
+    if keys is None:
+        keys = _ints([*values, *weights])
+        keys, weights = keys[: len(values)], keys[len(values) :]
+    order = sorted(zip(keys, weights, range(len(values))))
+    total = sum(weights)
     acc = 0
     for _, w, j in reversed(order):
         acc += w
         if 2 * acc >= total:
-            hi = entries[j][0]
+            lo = hi = values[j]
             break
-    return lo, hi
-
-
-def erm_constant(domain: ValueDomain, sample: WeightedSample) -> Real:
-    """The largest minimizer over `domain` of the weighted absolute loss:
-    the upper end of the weighted-median interval for the real line, the
-    largest of `_domain_optima` for a finite domain."""
-    lo, hi = weighted_median_bounds(sample)
-    return hi if domain.is_reals else _domain_optima(domain.values, sample, lo, hi)[-1]
-
-
-def _domain_optima(vals, sample: WeightedSample, lo, hi) -> tuple:
-    """The values of the sorted finite domain `vals` minimizing the
-    sample's loss, ascending, given its weighted-median interval [lo, hi].
-    By convexity these are the domain values inside the interval, or when
-    there are none, whichever of the nearest neighbours on either side
-    ties for the least loss."""
+    # more than half of int weights at or above hi's entry leaves less than
+    # half below it, so a scan up stops there too
+    if 2 * acc == total or total.__class__ is not int:
+        acc = 0
+        for _, w, j in order:
+            acc += w
+            if 2 * acc >= total:
+                lo = values[j]
+                break
+    vals = domain.values
+    if vals is None:
+        return lo, hi
     left, right = bisect_left(vals, lo), bisect_right(vals, hi)
     if left < right:
         return vals[left:right]
     near = vals[max(left - 1, 0) : left + 1]
-    risks = [sample.risk(c) for c in near]
-    return tuple(c for c, r in zip(near, risks) if r == min(risks))
+    keys = _ints([*values, *near])  # zip(keys, weights) stops at the values
+    sums = [sum([w * abs(c - v) for v, w in zip(keys, weights)]) for c in keys[len(values) :]]
+    return tuple(c for c, s in zip(near, sums) if s == min(sums))
+
+
+def weighted_median_bounds(sample: WeightedSample) -> tuple:
+    """The closed interval [lo, hi] of minimizers of the sample's weighted
+    absolute loss: the `_optima` of its values and `scaled_weights` on the
+    real line."""
+    return _optima(REALS, [v for v, _ in sample.entries], sample.scaled_weights)
+
+
+def erm_constant(domain: ValueDomain, sample: WeightedSample) -> Real:
+    """The largest minimizer over `domain` of the sample's weighted
+    absolute loss: the last of its `_optima`."""
+    return _optima(domain, [v for v, _ in sample.entries], sample.scaled_weights)[-1]
 
 
 def class_entries(cls: FunctionClass, xs, labels) -> tuple:
-    """The weighted sample a regression class fits one dataset by, as
-    (entries, offset).  Constant class: each label with weight 1.  Linear
-    class: each point (x, y) with x != 0 becomes the value y/x of weight
-    |x|, since |a*x - y| = |x| * |a - y/x|, and each x = 0 point adds |y|
-    to the offset, the loss no slope can change."""
+    """The weighted values a regression class fits one dataset by, as
+    (values, weights, offset).  Constant class: each label with weight 1.
+    Linear class: each point (x, y) with x != 0 becomes the value y/x of
+    weight |x|, since |a*x - y| = |x| * |a - y/x|, and each x = 0 point
+    adds |y| to the offset, the loss no slope can change."""
     if isinstance(cls, ConstantClass):
-        return tuple((y, 1) for y in labels), 0
+        return list(labels), [1] * len(labels), 0
     if not isinstance(cls, LinearClass):
         raise ClassMismatchError(f"constant or linear class required, got {cls!r}")
-    points = tuple(zip(xs, labels))
-    entries = tuple((exact_div(y, x), abs(x)) for x, y in points if x != 0)
-    return entries, sum(abs(y) for x, y in points if x == 0)
+    points = [(x, y) for x, y in zip(xs, labels) if x != 0]
+    offset = sum(abs(y) for x, y in zip(xs, labels) if x == 0)
+    return [exact_div(y, x) for x, y in points], [abs(x) for x, _ in points], offset
 
 
 def check_nondegenerate(instance: Instance) -> None:
@@ -461,21 +483,23 @@ def check_nondegenerate(instance: Instance) -> None:
         raise DegenerateLinearInstance("all x values are zero; every slope is optimal")
 
 
+def pooled_entries(instance: Instance) -> tuple:
+    """The `class_entries` of the instance's pooled points.  A linear
+    instance whose x are all zero raises DegenerateLinearInstance."""
+    check_nondegenerate(instance)
+    xs = [x for a in instance.agents for x in a.xs]
+    return class_entries(instance.function_class, xs, instance.all_labels())
+
+
 def optimal_set(instance: Instance):
     """(representatives, optimal_risk) of a regression instance, from its
     pooled `class_entries`: the interval ends (lo, hi) of the optimal
     constants on the real line or of the optimal slopes, or the tuple of
     optimal values of a finite domain.  A linear instance whose x are all
     zero raises DegenerateLinearInstance."""
-    cls = instance.function_class
-    check_nondegenerate(instance)
-    xs = [x for a in instance.agents for x in a.xs]
-    sample = WeightedSample(class_entries(cls, xs, instance.all_labels())[0])
-    lo, hi = weighted_median_bounds(sample)
-    if isinstance(cls, LinearClass) or cls.domain.is_reals:
-        return (lo, hi), global_risk(hi, instance)
-    opt = _domain_optima(cls.domain.values, sample, lo, hi)
-    return opt, global_risk(opt[0], instance)
+    domain = getattr(instance.function_class, "domain", REALS)
+    opt = _optima(domain, *pooled_entries(instance)[:2])
+    return opt, global_risk(opt[-1] if domain.is_reals else opt[0], instance)
 
 
 def optimal_constant_set(instance: Instance):
@@ -500,12 +524,23 @@ def _hash_once(outcome, key) -> int:
     return outcome._hash
 
 
+def _canonical(value: Real) -> Real:
+    """An integral Fraction as its int, any other value as it is: equal
+    exact outcomes then have equal types, so the caches that key by
+    outcome or by profile, both by ==, answer in the type `fn` gives."""
+    if value.__class__ is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
 class ConstantChoice(Value):
+    """A constant outcome; `value` is `_canonical`."""
+
     _fields = ("value",)
     _hash = None
 
     def __init__(self, value: Real):
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _canonical(value))
 
     def __eq__(self, other):  # the outcome intern compares outcomes on every fit miss
         if other.__class__ is not self.__class__:
@@ -517,10 +552,12 @@ class ConstantChoice(Value):
 
 
 class LinearChoice(Value):
+    """A linear outcome; `slope` is `_canonical`."""
+
     _fields = ("slope",)
 
     def __init__(self, slope: Real):
-        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "slope", _canonical(slope))
 
 
 class LabelingChoice(Value):
@@ -693,10 +730,10 @@ class CompiledInstance:
             )
             return
         xs = [x for agent in instance.agents for x in agent.xs]
-        pairs, offset = class_entries(cls, xs, instance.all_labels())
+        values, weights, offset = class_entries(cls, xs, instance.all_labels())
         try:
-            d, values = _common([v for v, _ in pairs])
-            e, (offset, *weights) = _common([offset, *(w for _, w in pairs)])
+            d, values = _common(values)
+            e, (offset, *weights) = _common([offset, *weights])
         except AttributeError:  # a float
             return
         self.scale = d, e

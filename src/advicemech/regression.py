@@ -6,11 +6,11 @@ projections augmented with fractional copies of the advice.  `lpfa`
 lifts the same pipeline to homogeneous linear functions through the
 |x|-weighted y/x mapping (`model.class_entries`): it is `pfa_fit` on the
 agents' mapped projections, each weighted by the agent's total |x|.
+Both medians, the projection's and the fit's, are one call each to the
+median kernel of `model`, `_optima`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .model import (
     REALS,
@@ -26,12 +26,13 @@ from .model import (
     ValueDomain,
     WeightedSample,
     _common,
+    _optima,
     advice_error,
     check_nondegenerate,
     class_entries,
-    erm_constant,
     exact_div,
     optimal_set,
+    pooled_entries,
     weighted_median_bounds,
 )
 
@@ -74,11 +75,10 @@ def projection(domain: ValueDomain, cls, xs, labels):
     |S_i| for a constant agent and the total |x| for a linear one.
     SLOPE_INVISIBLE for a linear agent whose x are all zero: it cannot
     move the slope."""
-    entries, _ = class_entries(cls, xs, labels)
-    if not entries:
+    values, weights, _ = class_entries(cls, xs, labels)
+    if not values:
         return SLOPE_INVISIBLE
-    sample = WeightedSample(entries)
-    return erm_constant(domain, sample), sample.total_weight
+    return _optima(domain, values, weights)[-1], sum(weights)
 
 
 def check_pfa_inputs(cfg: PfaConfig, cls, advice: Real) -> None:
@@ -91,40 +91,29 @@ def check_pfa_inputs(cfg: PfaConfig, cls, advice: Real) -> None:
 
 
 def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
-    """The fit step of pfa: the weighted median (largest tie-break) of the
-    per-agent projections (b_i, w_i), w_i = |S_i| for constant agents,
-    plus the advice with weight lam * sum(w_i).  Inputs are assumed
-    checked by `check_pfa_inputs`.
+    """The fit step of pfa: the largest minimizer over the domain of the
+    weighted loss of the per-agent projections (b_i, w_i), w_i = |S_i| for
+    constant agents, plus the advice with weight lam * sum(w_i): one call
+    to the median kernel.  Inputs are assumed checked by
+    `check_pfa_inputs`.
 
-    Over the reals with a rational lam = p/q and exact entries, values
-    and weights are scaled to ints over one common denominator, the
-    weights then to W_i*q and p*W, W the sum of the W_i (scaling leaves the
-    median unchanged), and the upper median is read off the entries sorted
-    by their int values.  A float takes the median oracle."""
-    entries = list(projections)
+    With a rational lam = p/q and exact entries, the values and sizes are
+    scaled to ints over one common denominator, and the weights are the
+    scaled sizes times q and the advice weight p times their sum, which
+    moves no median.  On a float the weights are the sizes and
+    lam * sum(w_i) themselves."""
+    values = [b for b, _ in projections] + [advice]
+    sizes = [w for _, w in projections]
     lam = cfg.lam
-    if cfg.domain.is_reals and isinstance(lam, Fraction):
+    try:
         p, q = lam.numerator, lam.denominator
-        values = [b for b, _ in entries] + [advice]
-        try:
-            _, keys = _common(values + [s for _, s in entries])
-        except AttributeError:  # a float
-            pass
-        else:
-            keys, sizes = keys[: len(values)], keys[len(values) :]
-            size = sum(sizes)
-            weights = [s * q for s in sizes] + [p * size]
-            # descending by (value, weight); -j keeps tied pairs in entry order
-            order = sorted(zip(keys, weights, range(0, -len(keys), -1)), reverse=True)
-            acc = 0
-            for _, weight, j in order:
-                acc += weight
-                if 2 * acc >= (p + q) * size:
-                    return ConstantChoice(values[-j])
-    advice_weight = lam * sum(size for _, size in entries)
-    if advice_weight > 0:
-        entries.append((advice, advice_weight))
-    return ConstantChoice(erm_constant(cfg.domain, WeightedSample(tuple(entries))))
+        _, keys = _common(values + sizes)
+    except AttributeError:  # a float
+        keys, weights = None, [*sizes, lam * sum(sizes)]
+    else:
+        keys, sizes = keys[: len(values)], keys[len(values) :]
+        weights = [w * q for w in sizes] + [p * sum(sizes)]
+    return ConstantChoice(_optima(cfg.domain, values, weights, keys)[-1])
 
 
 def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:
@@ -176,10 +165,10 @@ def map_to_constant_instance(instance: Instance) -> MappedLinearInstance:
     offset_sum = 0
     total_weight = 0
     for agent in instance.agents:
-        entries, offset = class_entries(cls, agent.xs, agent.labels)
+        values, weights, offset = class_entries(cls, agent.xs, agent.labels)
         offset_sum += offset
-        total_weight += sum(w for _, w in entries)
-        samples.append(WeightedSample(entries) if entries else None)
+        total_weight += sum(weights)
+        samples.append(WeightedSample(tuple(zip(values, weights))) if values else None)
     return MappedLinearInstance(
         tuple(samples), exact_div(offset_sum, instance.total_points), total_weight
     )
@@ -222,7 +211,10 @@ def mapped_optimal_set(instance: Instance):
     """Minimizing slopes of the mapped weighted data as an interval, plus
     their risk on that data: the optimum the constant mechanism inside
     `lpfa` faces."""
-    pooled = map_to_constant_instance(instance).pooled_sample()
+    if not isinstance(instance.function_class, LinearClass):
+        raise ClassMismatchError("linear-class instance required")
+    values, weights, _ = pooled_entries(instance)
+    pooled = WeightedSample(tuple(zip(values, weights)))
     lo, hi = weighted_median_bounds(pooled)
     return (lo, hi), pooled.risk(hi)
 

@@ -57,7 +57,8 @@ from advicemech import (
     weighted_median_bounds,
 )
 from advicemech.audit import risk_ratio
-from advicemech.model import CompiledInstance, exact_div
+from advicemech.model import CompiledInstance, ConstantClass, exact_div
+from advicemech.regression import SLOPE_INVISIBLE, pfa_fit, projection
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -353,6 +354,72 @@ def test_median_oracle_and_sample_risk_against_plain_fractions(entries, a):
     assert got == (lo, hi) and tuple(map(type, got)) == (type(lo), type(hi))
 
 
+def plain_optimum(domain, entries):
+    """The largest minimizer of the weighted absolute loss of the (value,
+    weight) pairs, in plain Fractions.  On the real line: sort the pairs
+    with positive weight, and walk down from the top until half the weight
+    is passed.  On a finite domain: the largest domain value of least
+    loss, scanned."""
+    entries = [(F(v), F(w)) for v, w in entries]
+    if domain.is_reals:
+        items = sorted((v, w) for v, w in entries if w > 0)
+        total = sum(w for _, w in items)
+        acc = 0
+        for v, w in reversed(items):
+            acc += w
+            if 2 * acc >= total:
+                return v
+    losses = {c: sum(w * abs(c - v) for v, w in entries) for c in domain.values}
+    return max(c for c, loss in losses.items() if loss == min(losses.values()))
+
+
+# int and Fraction values of equal value (2 and 4/2), and finite domains of them
+median_values = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 2)))
+median_domains = st.one_of(st.just(REALS), st.sets(median_values, min_size=1, max_size=4).map(ValueDomain.finite))
+
+
+@EXAMPLES
+@given(st.lists(median_values, min_size=1, max_size=6), median_domains)
+def test_constant_projection_against_a_plain_walk(labels, domain):
+    got = projection(domain, ConstantClass(domain), (0,) * len(labels), labels)
+    assert got == (plain_optimum(domain, [(y, 1) for y in labels]), len(labels))
+
+
+@EXAMPLES
+@given(st.lists(st.tuples(xs_with_zero, rationals), min_size=1, max_size=6))
+def test_linear_projection_against_a_plain_walk(points):
+    xs, labels = zip(*points)
+    entries = [(F(y) / x, abs(x)) for x, y in points if x != 0]
+    got = projection(REALS, LinearClass(), xs, labels)
+    if not entries:
+        assert got == SLOPE_INVISIBLE
+    else:
+        assert got == (plain_optimum(REALS, entries), sum(w for _, w in entries))
+
+
+# lam = 1/2, 1/4 and 0 (gamma 2): with sizes in quarters no float sum rounds
+DYADIC_GAMMAS = (F(2, 3), F(6, 5), 2)
+
+
+@EXAMPLES
+@given(st.data())
+def test_pfa_fit_against_a_plain_walk(data):
+    floats = data.draw(st.booleans(), "float sizes")
+    sizes = (
+        st.one_of(st.integers(1, 4), st.sampled_from((0.25, 0.5, 1.5, 2.75)))
+        if floats
+        else st.one_of(st.integers(1, 4), st.builds(F, st.integers(1, 8), st.integers(1, 3)))
+    )
+    gamma = data.draw(st.sampled_from(DYADIC_GAMMAS if floats else DYADIC_GAMMAS + (F(1, 4), 1)), "gamma")
+    domain = data.draw(median_domains, "domain")
+    projections = data.draw(st.lists(st.tuples(median_values, sizes), min_size=1, max_size=5), "projections")
+    advice = data.draw(median_values if domain.is_reals else st.sampled_from(domain.values), "advice")
+    got = pfa_fit(PfaConfig(gamma, domain), projections, advice)
+    advice_weight = confidence_weight(gamma) * sum(w for _, w in projections)
+    expected = ConstantChoice(plain_optimum(domain, [*projections, (advice, advice_weight)]))
+    assert got == expected and kinds(got) == kinds(expected)
+
+
 # ---------------------------------------------------------------------------
 # fit from the signature profile == the plain mechanism on the reported data
 # ---------------------------------------------------------------------------
@@ -375,9 +442,8 @@ def kinds(outcome):
 
 
 def assert_fit_matches(mech, plain, instance, advices, space):
-    """On every misreport the fit equals `plain` in value and the definition
-    `fn` in value and type; `outcome()`, whose intern holds one of equal
-    outcomes (1 and 1/1), equals `plain` in value."""
+    """On every misreport the fit and `outcome()` equal `plain` in value
+    and the definition `fn` in value and type."""
     cls = instance.function_class
     for reported in every_misreport(instance, space):
         profile = mech.profile(reported)
@@ -386,7 +452,16 @@ def assert_fit_matches(mech, plain, instance, advices, space):
             got = mech.fit(cls, advice)(profile)
             assert got == expected == definition, (reported, advice)
             assert kinds(got) == kinds(definition), (reported, advice)
-            assert mech.outcome(reported, advice) == expected, (reported, advice)
+            outcome = mech.outcome(reported, advice)
+            assert outcome == expected and kinds(outcome) == kinds(definition), (reported, advice)
+
+
+def test_outcome_matches_fn_in_type_after_an_equal_outcome_of_another_type():
+    # both outcomes equal 1: the second instance's profile holds the label 1/1
+    mech = pfa_mechanism(1)
+    for inst in (constant_instance([[1], [1]]), constant_instance([[F(1)], [2], [0]])):
+        got, definition = mech.outcome(inst, 1), mech.fn(inst, 1)
+        assert got == definition and kinds(got) == kinds(definition), inst
 
 
 @pytest.mark.parametrize("gamma", [F(1, 4), F(2, 3), 1, 2])
@@ -434,11 +509,11 @@ def test_lpfa_fit_matches_lpfa_on_every_misreport(gamma):
     corpus = [
         linear_instance([[(0, 1), (0, -2)], [(0, 5)]]),  # every agent slope-invisible
         linear_instance([[(0, 1), (0, 3)], [(2, 1)], [(-1, 2), (0, 1)]]),
-        # float x: float values and weights leave pfa_fit's integer branch
+        # float x: float values and weights, which pfa_fit leaves unscaled
         linear_instance([[(0.5, 1), (1.5, -2)], [(2.0, 3), (0, 1)], [(-0.25, 0)]]),
         linear_instance([[(0.1, 1), (0.2, 1)], [(0.3, 3)], [(1, 2)]]),
-        # at gamma 1 and advice 0, float sums of the integer branch's scaled
-        # weights round differently from the oracle's
+        # at gamma 1 and advice 0, float sums of sizes scaled by lam's
+        # denominator round differently from the oracle's lam * sum(w_i)
         linear_instance([[(0.25, 0)], [(0.3, 1)], [(1.1, -2)]]),
         linear_instance([[(0.7, 1)], [(0.3, 3)], [(0.5, -2)]]),
         # float projections that tie: equal weights on both sides of the median
