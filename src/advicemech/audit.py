@@ -80,13 +80,22 @@ Ratio loops compile an instance (`CompiledInstance`) and run
 per sweep in `consistency_robustness_sweep` (with the optimal functions
 and advice grid; `frontier_row` is the sweep at one gamma), per call in
 `approximation_ratio` and `error_interpolation_check`.  A ratio query then
-costs one mechanism outcome (a cache lookup or one fit) plus one bisect.
+costs one mechanism outcome (a cache lookup or one fit) plus one bisect,
+and its risk is the int pair of `CompiledInstance.risk_pair`.  pfa's and
+lpfa's fits on the real line clamp the advice between two ends of the
+profile (`regression.pfa_ends`), computed once per (gamma, profile), so a
+sweep's ~22 advice values per instance share one pair of median calls.  A
+sweep keeps the worst risk per (gamma, instance), over the optimal
+functions and over the grid, as an int pair compared by
+cross-multiplication, and builds one Fraction and one ratio for each
+(`_worst_ratio`); a float risk gets its own ratio, as every risk did.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb
 
@@ -113,6 +122,7 @@ from .model import (
     LabelingChoice,
     LabelingLottery,
     LabelingsClass,
+    LinearChoice,
     LinearClass,
     Real,
     Value,
@@ -135,6 +145,7 @@ from .regression import (
     lpfa_fit,
     mapped_optimal_set,
     pfa,
+    pfa_ends,
     pfa_fit,
     projection,
 )
@@ -399,21 +410,53 @@ def _groups(mechanism, space, agent, cls) -> tuple:
     return tuple(groups.items())
 
 
+def _clamped(cfg: PfaConfig, fit, choice):
+    """`(profile, advice, exact=True) -> outcome`: `fit` (`pfa_fit` or
+    `lpfa_fit`) at `cfg`, on the real line by the clamp identity of
+    `pfa_ends`.  The outcome is the `choice` of the advice clamped between
+    the ends of the profile's slope-visible projections, computed once per
+    profile and kept in a memo for the life of the mechanism, so the advice
+    values asked of one profile share one pair of median calls.  `fit`
+    itself answers a finite domain (the identity is proved on the real
+    line), a float lam or advice (whose outcome types the ends would not
+    keep), a profile with no visible projection, and one the caller does
+    not call `exact`: a profile holding a float must not reach the memo,
+    since 0.5 == 1/2 and it would read an exact profile's ends."""
+    memo = {}  # profile -> the ends of its visible projections, or () where `fit` answers
+    clamps = cfg.domain.is_reals and not isinstance(cfg.lam, float)
+
+    def clamped(profile, advice, exact=True):
+        ends = memo.get(profile) if exact else ()
+        if ends is None:
+            visible = [proj for proj in profile if proj]  # SLOPE_INVISIBLE is the empty tuple
+            ends = memo[profile] = pfa_ends(cfg, visible) if clamps and visible else ()
+        if not ends or isinstance(advice, float):
+            return fit(cfg, profile, advice)
+        return choice(min(max(advice, ends[0]), ends[1]))
+
+    return clamped
+
+
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     """pfa whose signature is the agent's `projection` (b_i, |S_i|), so a
-    cache miss is one fit over the profile: the weighted median of the
-    projections and the advice.  The pfa mechanisms alive on one domain
-    share a context: the projection depends on the domain, not on gamma.
-    `fit(cls, advice)` checks the class and the advice, which the mechanism
-    asks once per (class, advice)."""
+    cache miss is one fit over the profile: on the real line the advice
+    clamped between the profile's `pfa_ends`, which the mechanism computes
+    once per profile (`_clamped`), and on a finite domain `pfa_fit`, the
+    weighted median of the projections and the advice.  The pfa mechanisms
+    alive on one domain share a context: the projection depends on the
+    domain, not on gamma; the ends depend on gamma and stay with the
+    mechanism.  `fit(cls, advice)` checks the class and the advice, which
+    the mechanism asks once per (class, advice)."""
     cfg = PfaConfig(gamma, domain)
+    clamped = _clamped(cfg, pfa_fit, ConstantChoice)
 
     def fn(instance, advice):
         return pfa(cfg, instance, advice)
 
     def fit(cls, advice):
         check_pfa_inputs(cfg, cls, advice)
-        return lambda profile: pfa_fit(cfg, profile, advice)
+        # a projection holds no float: a report with a float label is a class of its own
+        return lambda profile: clamped(profile, advice)
 
     def signature():
         constant = ConstantClass(domain)  # the memo is keyed by labels alone, not by cls
@@ -436,8 +479,12 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
     """lpfa whose signature is the agent's `projection`, so a cache miss is
-    one fit over the profile."""
+    one fit over the profile: the advice slope clamped between the
+    `pfa_ends` of the slope-visible projections, computed once per profile
+    (`_clamped`), or the advice slope itself when no projection is
+    visible."""
     cfg = PfaConfig(gamma)
+    clamped = _clamped(cfg, lpfa_fit, LinearChoice)
 
     def fn(instance, advice):
         return lpfa(gamma, instance, advice)
@@ -448,7 +495,8 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
     def fit(cls, advice):
         if not isinstance(cls, LinearClass):
             raise ClassMismatchError("linear-class instance required")
-        return lambda profile: lpfa_fit(cfg, profile, advice)
+        # a float x projects to floats, which go to the fit itself
+        return lambda profile: clamped(profile, advice, _exact(chain.from_iterable(profile)))
 
     return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
 
@@ -883,24 +931,34 @@ class _Profile(tuple):
         return self.hash
 
 
-def _ratio(mechanism, instance: Instance, compiled: CompiledInstance, best: Real):
-    """advice -> ratio on `instance`, given its compiled form and optimum: one
-    `outcome()` (a cache lookup, one fit or `fn`) from the profile computed
-    once here, and one bisect per query.  Nothing outlives the returned
-    function."""
+def _risk_at(mechanism, instance: Instance, compiled: CompiledInstance):
+    """advice -> the mechanism's risk on `instance`, given its compiled
+    form: one `outcome()` (a cache lookup, one fit or `fn`) from the
+    profile computed once here, and one bisect per query, as the ints
+    (num, den) of `CompiledInstance.risk_pair`, or, where a float is
+    involved, a Real.  Nothing outlives the returned function."""
     profile = _Profile(mechanism.profile(instance))
+    return lambda advice: compiled.risk_pair(mechanism.outcome(instance, advice, profile))
 
-    def ratio(advice):
-        return risk_ratio(compiled.risk(mechanism.outcome(instance, advice, profile)), best)
 
-    return ratio
+def _worst_ratio(risks, best: Real) -> Real:
+    """The largest `risk_ratio` of `risks`, as `_risk_at` gives them, to
+    the optimum `best`: the first of equal ones, as `max` of the ratios
+    gives it.  For a fixed optimum the ratio grows with the risk (with
+    best == 0 it is 1 for a zero risk and inf otherwise), so where every
+    risk is an int pair the worst risk is found by cross-multiplication,
+    and one Fraction and one ratio are built.  Otherwise each risk gets its
+    ratio: a float ratio rounds, and could tie or reorder exact ones."""
+    if all(r.__class__ is tuple for r in risks):
+        risks = [reduce(lambda w, r: r if r[0] * w[1] > w[0] * r[1] else w, risks)]
+    return max(risk_ratio(Fraction(*r) if r.__class__ is tuple else r, best) for r in risks)
 
 
 def approximation_ratio(mechanism, instance: Instance, advice) -> Real:
     """Mechanism risk (expected, for lotteries) over the brute-force optimum,
     by the `risk_ratio` conventions."""
     best = brute_force_optimal_risk(instance)
-    return _ratio(mechanism, instance, CompiledInstance(instance), best)(advice)
+    return _worst_ratio([_risk_at(mechanism, instance, CompiledInstance(instance))(advice)], best)
 
 
 def advice_grid(instance: Instance, points: int = 21) -> tuple:
@@ -1009,9 +1067,9 @@ def consistency_robustness_sweep(
             cls = instance.function_class
             if cls not in mechs:
                 mechs[cls] = family.mechanism(gamma, cls)
-            ratio = _ratio(mechs[cls], instance, compiled, best)
-            consistency = max(consistency, *map(ratio, optimal))
-            robustness = max(robustness, *map(ratio, grid))
+            risk = _risk_at(mechs[cls], instance, compiled)
+            consistency = max(consistency, _worst_ratio([risk(a) for a in optimal], best))
+            robustness = max(robustness, _worst_ratio([risk(a) for a in grid], best))
         ok = consistency <= bc + tolerance and robustness <= br + tolerance
         rows.append(FrontierRow(gamma, consistency, robustness, bc, br, ok))
     return rows
@@ -1059,11 +1117,11 @@ def error_interpolation_check(
     else:
         optimum, best = optimal_constant_set(instance)
         interval = instance.function_class.domain.is_reals
-    ratio = _ratio(mech, instance, CompiledInstance(instance), brute_force_optimal_risk(instance))
+    risk, brute = _risk_at(mech, instance, CompiledInstance(instance)), brute_force_optimal_risk(instance)
     rows = []
     for advice in advice_values:
         eta = advice_error(optimum, best, advice, interval)
-        r = ratio(advice)
+        r = _worst_ratio([risk(advice)], brute)
         bound = min(robust_cap, 1 + gamma + eta)
         rows.append(InterpolationRow(advice, eta, r, bound, r <= bound + tolerance))
     return rows

@@ -58,12 +58,9 @@ SWEEP_GAMMAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 def _parse_fraction(tok, what, allowed="[0, inf)", ok=lambda v: v >= 0):
-    """One exact number for which `ok` holds; anything else is a parse
-    error naming `what`."""
-    try:
-        value = Fraction(str(tok).strip())
-    except (ValueError, ZeroDivisionError):
-        raise InstanceParseError(f"{what} {tok!r} is not a number") from None
+    """One exact number (`parse_number`) for which `ok` holds; anything
+    else is a parse error naming `what`."""
+    value = parse_number(tok, what)
     if not ok(value):
         raise InstanceParseError(f"{what} {str(tok).strip()} lies outside {allowed}")
     return value
@@ -258,12 +255,12 @@ def _voting_table(hardness, args):
 # `gen`'s families, in the order its usage lists them:
 # name -> (the `hardness` module, args) -> instance
 GENERATORS = {
-    "s": lambda h, a: h.gen_S(a.n, a.k, a.t, parse_number(a.z)),
+    "s": lambda h, a: h.gen_S(a.n, a.k, a.t, parse_number(a.z, "--z")),
     "s-chain": lambda h, a: h.gen_S_chain(
-        a.n, a.k, a.t, parse_number(a.z_from), parse_number(a.z_to), a.j
+        a.n, a.k, a.t, parse_number(a.z_from, "--z-from"), parse_number(a.z_to, "--z-to"), a.j
     ),
-    "s-final": lambda h, a: h.gen_S_final(a.n, a.k, a.t, parse_number(a.d)),
-    "s-linear": lambda h, a: h.gen_S_linear(a.n, a.k, a.t, parse_number(a.z)),
+    "s-final": lambda h, a: h.gen_S_final(a.n, a.k, a.t, parse_number(a.d, "--d")),
+    "s-linear": lambda h, a: h.gen_S_linear(a.n, a.k, a.t, parse_number(a.z, "--z")),
     "voting-table": _voting_table,
     "randomized-lb": lambda h, a: h.gen_randomized_lb(a.k, a.variant, n=a.n),
 }

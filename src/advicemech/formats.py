@@ -29,13 +29,26 @@ class InstanceParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-def parse_number(token) -> Fraction:
+# The largest exponent, in absolute value, a number token may carry ('1e400'):
+# Fraction expands 10**exponent in full, so '1e99999999' would run for minutes.
+EXPONENT_MAX = 1000
+
+
+def parse_number(token, what="number") -> Fraction:
+    """The exact value of a number token: an int, or a string such as '3',
+    '-0.25', '2/7' or '1e-3' whose exponent is at most EXPONENT_MAX in
+    absolute value.  Anything else is an InstanceParseError naming `what`
+    and the token.  Instance files, the CLI's numeric options and `gen`'s
+    parameters all parse here."""
     if isinstance(token, bool) or not isinstance(token, (str, int)):
-        raise InstanceParseError(f"numbers must be strings or integers, got {token!r}")
-    try:
-        return Fraction(str(token))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceParseError(f"cannot parse number {token!r}: {exc}") from exc
+        raise InstanceParseError(f"{what} {token!r} is not a string or an integer")
+    text = str(token).strip()
+    try:  # the exponent is the int after an 'e', if any
+        if abs(int(text.lower().partition("e")[2] or 0)) <= EXPONENT_MAX:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceParseError(f"{what} {text!r} is not a number") from None
+    raise InstanceParseError(f"{what} {text!r} has an exponent beyond {EXPONENT_MAX}")
 
 
 def format_number(x) -> str:
@@ -60,7 +73,16 @@ def _parse_binary_vector(raw, what):
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; raises InstanceParseError with a line
-    number on malformed JSON."""
+    number on malformed JSON, and one for a document nested deeper than
+    the interpreter's recursion limit, which the JSON decoder, or a repr
+    in an error message, would meet as a RecursionError."""
+    try:
+        return _parse_document(text)
+    except RecursionError:
+        raise InstanceParseError("document is nested too deeply") from None
+
+
+def _parse_document(text: str) -> Instance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -74,18 +96,18 @@ def parse_instance(text: str) -> Instance:
             if domain_spec == "reals":
                 domain = REALS
             elif isinstance(domain_spec, list):
-                domain = ValueDomain.finite(parse_number(v) for v in domain_spec)
+                domain = ValueDomain.finite(parse_number(v, "domain value") for v in domain_spec)
             else:
                 raise InstanceParseError(
                     "domain must be 'reals' or a list of values"
                 )
             agents = [
-                [parse_number(y) for y in labels] for labels in doc["agents"]
+                [parse_number(y, "label") for y in labels] for labels in doc["agents"]
             ]
             return constant_instance(agents, domain)
         if tag == "homogeneous_linear":
             agents = [
-                [(parse_number(x), parse_number(y)) for x, y in pairs]
+                [(parse_number(x, "x"), parse_number(y, "label")) for x, y in pairs]
                 for pairs in doc["agents"]
             ]
             return linear_instance(agents)

@@ -709,11 +709,12 @@ class CompiledInstance:
     value, with prefix sums W_k of W_j and V_k of W_j*V_j, a query a = p/q
     has k = bisect_right(values, (p*D)//q) values at or below it and the
     loss sum (p*D*(2*W_k - W) + q*(V - 2*V_k + offset*D)) / (q*D*E): one
-    bisect, integer arithmetic and one Fraction per query instead of a
-    scan of every point.  An instance or a query with a float in it is
-    answered by `global_risk` itself.  Labelings class: the loss count of
-    each labeling, computed up front; lotteries use the closed form, as in
-    `global_risk`.
+    bisect and integer arithmetic per query instead of a scan of every
+    point.  `risk_pair` returns the risk as that int pair, so that callers
+    comparing many risks build no Fraction; `risk` builds one.  An
+    instance or a query with a float in it is answered by `global_risk`
+    itself.  Labelings class: the loss count of each labeling, computed up
+    front; lotteries use the closed form, as in `global_risk`.
     """
 
     def __init__(self, instance: Instance):
@@ -722,7 +723,6 @@ class CompiledInstance:
         self.function_class = cls
         self.size = instance.total_points
         self.labeling_sums = None
-        self.values = None
         if isinstance(cls, LabelingsClass):
             datasets = [a.points for a in instance.agents]
             self.labeling_sums = tuple(
@@ -734,7 +734,7 @@ class CompiledInstance:
         try:
             d, values = _common(values)
             e, (offset, *weights) = _common([offset, *weights])
-        except AttributeError:  # a float
+        except AttributeError:  # a float: with no `scale`, every query raises AttributeError
             return
         self.scale = d, e
         self.offset = offset * d
@@ -757,19 +757,25 @@ class CompiledInstance:
         w, v = self.weight_prefix[-1], self.value_prefix[-1]
         return p * d * (2 * w_k - w) + q * (v - 2 * v_k + self.offset), q * d * e
 
-    def risk(self, f) -> Real:
-        """Exactly `global_risk(f, instance)`; lotteries in closed form."""
+    def risk_pair(self, f):
+        """`global_risk(f, instance)` as ints (num, den), den > 0, whose
+        quotient is the risk; lotteries in closed form.  With a float in
+        the instance or in f, the risk `global_risk` gives, a Real."""
         cls = self.function_class
-        if self.values is None and self.labeling_sums is None:
-            return global_risk(f, self.instance)
         try:
             if isinstance(f, LabelingLottery):
                 num, den = _lottery_sum(f, cls, self._query_sum)
             else:
                 num, den = self._query_sum(_bare_function(f, cls))
-        except AttributeError:  # a float
+        except AttributeError:  # a float, in f or in the instance
             return global_risk(f, self.instance)
-        return Fraction(num, den * self.size)
+        return num, den * self.size
+
+    def risk(self, f) -> Real:
+        """Exactly `global_risk(f, instance)`: one Fraction from the pair of
+        `risk_pair`."""
+        risk = self.risk_pair(f)
+        return Fraction(*risk) if risk.__class__ is tuple else risk
 
 
 def augmented_risk(a: Real, instance: Instance, advice: Real, lam: Real) -> Real:

@@ -8,6 +8,13 @@ lifts the same pipeline to homogeneous linear functions through the
 agents' mapped projections, each weighted by the agent's total |x|.
 Both medians, the projection's and the fit's, are one call each to the
 median kernel of `model`, `_optima`.
+
+On the real line the fit is a generalized median (Moulin, "On
+Strategy-Proofness and Single Peakedness", Public Choice 1980): the advice
+is one phantom voter of weight lam * sum(w_i), so for a fixed gamma and
+profile of projections the fit is the advice clamped between two ends
+that do not depend on it, `pfa_ends`.  Audits and sweeps that ask one
+profile at many advice values compute the ends once and clamp.
 """
 
 from __future__ import annotations
@@ -104,16 +111,49 @@ def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
     lam * sum(w_i) themselves."""
     values = [b for b, _ in projections] + [advice]
     sizes = [w for _, w in projections]
-    lam = cfg.lam
     try:
-        p, q = lam.numerator, lam.denominator
-        _, keys = _common(values + sizes)
+        keys, weights = _scaled(cfg, values, sizes)
     except AttributeError:  # a float
-        keys, weights = None, [*sizes, lam * sum(sizes)]
-    else:
-        keys, sizes = keys[: len(values)], keys[len(values) :]
-        weights = [w * q for w in sizes] + [p * sum(sizes)]
+        keys, weights = None, [*sizes, cfg.lam * sum(sizes)]
     return ConstantChoice(_optima(cfg.domain, values, weights, keys)[-1])
+
+
+def _scaled(cfg: PfaConfig, values, sizes) -> tuple:
+    """(keys, weights) of the fit: the values and sizes scaled to ints over
+    one common denominator, and the weights, for lam = p/q, the scaled
+    sizes times q and then p times their sum, the advice's weight.  A
+    float raises AttributeError."""
+    p, q = cfg.lam.numerator, cfg.lam.denominator
+    _, keys = _common(values + sizes)
+    keys, sizes = keys[: len(values)], keys[len(values) :]
+    return keys, [w * q for w in sizes] + [p * sum(sizes)]
+
+
+def pfa_ends(cfg: PfaConfig, projections) -> tuple:
+    """(L, R): the `pfa_fit` of the projections on the real line with the
+    advice at the least projection and at the greatest, from the values
+    and sizes scaled once (`_scaled`, as in `pfa_fit`) and two calls to
+    the median kernel.  For every advice a, pfa_fit(cfg, projections, a) is
+    min(max(a, L), R).  Exact inputs only: a float raises AttributeError.
+
+    Proof.  Write G(x) for the weight of the projections at or above x, Q
+    for their total and A = lam * Q for the advice's, so the total is
+    T = Q + A, and A < T/2, as lam < 1 for gamma > 0.  The fit is the
+    largest value v among the projections and a with G(v) + A*[a >= v] >=
+    T/2 (the kernel's scan down stops at the first entry carrying half the
+    weight, and a zero weight is never an end).  Let R be the largest
+    projection with G(R) + A >= T/2 and L the largest with G(L) >= T/2;
+    both exist, as G(least projection) = Q >= T/2, and L <= R.  If a >= R,
+    R qualifies, and a value v > R, a or a projection, does not: G(v) + A
+    < T/2.  If a <= L, L qualifies, and a projection v > L does not, since
+    it counts only G(v) < T/2.  If L < a < R, a qualifies, as G(a) >=
+    G(R), and a projection v > a does not, since v > L.  So the fit is R,
+    L or a: the clamp.  With a at the least projection (at most L) the fit
+    is L; at the greatest (at least R) it is R."""
+    values = [b for b, _ in projections]
+    keys, weights = _scaled(cfg, values, [w for _, w in projections])
+    phantoms = min(zip(keys, values)), max(zip(keys, values))
+    return tuple(_optima(REALS, [*values, b], weights, [*keys, k])[-1] for k, b in phantoms)
 
 
 def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:

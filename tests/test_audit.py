@@ -1030,18 +1030,23 @@ def test_srda_sweep_bounds():
 
 
 def reference_sweep(family, gammas, corpus, grid_points=21):
-    """The sweep rebuilt from the per-query path: every ratio is one
-    `approximation_ratio` call, with the mechanism rebuilt per instance."""
+    """The sweep by its definition, query by query: every ratio is the
+    `risk_ratio` of the `global_risk` of the outcome of the mechanism's
+    `fn` to `brute_force_optimal_risk`, with the mechanism rebuilt per
+    instance: no fit, compiled instance or integer risk pair."""
     rows = []
     for gamma in gammas:
         bc, br = family.bounds(gamma)
         consistency = robustness = 0
         for inst in corpus:
             mech = family.mechanism(gamma, inst.function_class)
+            best = brute_force_optimal_risk(inst)
             for advice in optimal_functions(inst):
-                consistency = max(consistency, approximation_ratio(mech, inst, advice))
+                ratio = risk_ratio(global_risk(mech.fn(inst, advice), inst), best)
+                consistency = max(consistency, ratio)
             for advice in advice_grid(inst, grid_points):
-                robustness = max(robustness, approximation_ratio(mech, inst, advice))
+                ratio = risk_ratio(global_risk(mech.fn(inst, advice), inst), best)
+                robustness = max(robustness, ratio)
         rows.append((gamma, consistency, robustness, bc, br, consistency <= bc and robustness <= br))
     return rows
 
@@ -1074,7 +1079,8 @@ SWEEP_CORPORA = {
     ],
 }
 SWEEP_CORPORA["srda-two-labeling"] = SWEEP_CORPORA["pfa-two-labeling"]
-SWEEP_GAMMAS = (F(1, 4), F(1, 2), F(2, 3), 1, F(3, 2), 2)
+# 0.5 is a float gamma: a float lam, and float lottery probabilities on exact instances
+SWEEP_GAMMAS = (F(1, 4), F(1, 2), 0.5, F(2, 3), 1, F(3, 2), 2)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CORPORA))

@@ -26,7 +26,7 @@ from advicemech import (
 )
 from advicemech import audit
 from advicemech.cli import main
-from advicemech.formats import InstanceParseError, format_number, parse_number
+from advicemech.formats import EXPONENT_MAX, InstanceParseError, format_number, parse_number
 from advicemech.model import ValueDomain
 
 
@@ -88,6 +88,14 @@ def test_parse_error_carries_line_number():
 def test_rejects_unknown_class():
     with pytest.raises(InstanceParseError):
         parse_instance(json.dumps({"class": "quadratic", "agents": [["1"]]}))
+
+
+def test_exponent_bound():
+    assert parse_number("1e1000") == 10**EXPONENT_MAX
+    assert parse_number("-2.5E-1000") == F(-25, 10**1001)
+    for token in ("1e1001", "1e-1001", "1e99999999", "1e9999999999", "3/1e99999999"):
+        with pytest.raises(InstanceParseError, match="exponent|not a number"):
+            parse_number(token)
 
 
 def test_rejects_float_json_numbers():
@@ -302,6 +310,12 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         (["run", "{inst}", "--mechanism", "pfa", "--advice", "0", "--seed", "x"], "--seed"),
         (["gen", "s", "--variant", "bogus"], "--variant"),
         (["sweep", "{inst}"], "--mechanism"),
+        # a file nested past the recursion limit, and exponents beyond the bound
+        (["run", "{deep}", "--mechanism", "pfa", "--advice", "0"], "nested too deeply"),
+        (["run", "{big_exponent}", "--mechanism", "pfa", "--advice", "0"], "1e9999999999"),
+        (["run", "{inst}", "--mechanism", "pfa", "--advice", "1e99999999"], "1e99999999"),
+        (["run", "{inst}", "--mechanism", "pfa", "--advice", "0", "--gamma", "1e-99999999"], "1e-99999999"),
+        (["gen", "s", "--z", "1e99999999"], "1e99999999"),
         # grid levels that do not parse or repeat
         (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:0,1,1,3"], "--space"),
         (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:"], "--space"),
@@ -317,6 +331,8 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         "run-directory", "sweep-manifest-names-directory", "audit-manifest-names-directory",
         "run-not-utf8", "audit-out-missing-dir", "sweep-out-missing-dir", "gen-out-directory",
         "run-seed-not-int", "gen-variant-not-a-choice", "sweep-mechanism-missing",
+        "run-deeply-nested-file", "run-label-exponent-beyond-bound", "run-advice-exponent-beyond-bound",
+        "run-gamma-exponent-beyond-bound", "gen-z-exponent-beyond-bound",
         "audit-grid-repeated-level", "audit-grid-empty", "audit-grid-empty-level",
     ],
 )
@@ -337,7 +353,12 @@ def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):
     bad_labeling.write_text('{"class": "labelings", "labelings": [0, "1"], "agents": ["1"]}', encoding="utf-8")
     bad_agent = tmp_path / "bad_agent.json"
     bad_agent.write_text('{"class": "labelings", "labelings": ["0", "1"], "agents": [1]}', encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"class": "constant", "agents": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    big_exponent = tmp_path / "big_exponent.json"
+    big_exponent.write_text('{"class": "constant", "agents": [["1e9999999999"]]}', encoding="utf-8")
     paths = {
+        "{deep}": str(deep), "{big_exponent}": str(big_exponent),
         "{empty}": str(empty), "{manifest}": str(listed), "{dir}": str(listed),
         "{names_dir}": str(names_dir), "{latin1}": str(latin1),
         "{bad_labeling}": str(bad_labeling), "{bad_agent}": str(bad_agent),

@@ -24,7 +24,7 @@ FUZZ = settings(
 )
 
 BOUNDARY = ["0", "-1", "1", "2", "2.0001", "1/3", "1e400"]
-MALFORMED = ["", "nan", "inf", "1/0", "abc"]
+MALFORMED = ["", "nan", "inf", "1/0", "abc", "1e99999999"]
 
 
 def run(argv):

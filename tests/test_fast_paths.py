@@ -58,7 +58,7 @@ from advicemech import (
 )
 from advicemech.audit import risk_ratio
 from advicemech.model import CompiledInstance, ConstantClass, exact_div
-from advicemech.regression import SLOPE_INVISIBLE, pfa_fit, projection
+from advicemech.regression import SLOPE_INVISIBLE, lpfa_fit, pfa_ends, pfa_fit, projection
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -418,6 +418,98 @@ def test_pfa_fit_against_a_plain_walk(data):
     advice_weight = confidence_weight(gamma) * sum(w for _, w in projections)
     expected = ConstantChoice(plain_optimum(domain, [*projections, (advice, advice_weight)]))
     assert got == expected and kinds(got) == kinds(expected)
+
+
+# ---------------------------------------------------------------------------
+# pfa_ends: on the real line the fit is the advice clamped between two ends
+# ---------------------------------------------------------------------------
+
+# lam 7/9, 1/2, 1/3, 1/4 and 0 (gamma 2, where the advice weighs nothing)
+CLAMP_GAMMAS = (F(1, 4), F(2, 3), 1, F(6, 5), 2)
+exact_sizes = st.one_of(st.integers(1, 4), st.builds(F, st.integers(1, 8), st.integers(1, 3)))
+clamp_profiles = st.lists(st.tuples(median_values, exact_sizes), min_size=1, max_size=5)
+
+
+def other_types(profile):
+    """The profile with each int as a Fraction and each integral Fraction
+    as an int: equal to it, and to a dict the same key."""
+    def swap(v):
+        if isinstance(v, int):
+            return F(v)
+        return v.numerator if v.denominator == 1 else v
+
+    return tuple(proj if proj == SLOPE_INVISIBLE else tuple(map(swap, proj)) for proj in profile)
+
+
+def clamp_advices(values, extra):
+    """Every projection value, one value below them all and one above, and
+    `extra`."""
+    return [*values, min(values) - 1, max(values) + 1, *extra] if values else list(extra)
+
+
+@EXAMPLES
+@given(st.sampled_from(CLAMP_GAMMAS), clamp_profiles, st.lists(median_values, min_size=1, max_size=3))
+def test_pfa_ends_clamp_is_pfa_fit(gamma, projections, extra):
+    # small int weights put many medians at exactly half the total weight
+    cfg = PfaConfig(gamma)
+    lo, hi = pfa_ends(cfg, projections)
+    mech = pfa_mechanism(gamma)
+    profile = tuple(projections)
+    for advice in clamp_advices([b for b, _ in projections], extra):
+        expected = pfa_fit(cfg, projections, advice)
+        clamped = ConstantChoice(min(max(advice, lo), hi))
+        assert clamped == expected and kinds(clamped) == kinds(expected), advice
+        # the mechanism's fit, whose memo the second, equal profile reads
+        for asked in (profile, other_types(profile)):
+            got = mech.fit(ConstantClass(), advice)(asked)
+            assert got == expected and kinds(got) == kinds(expected), (asked, advice)
+        # float advice equal to an end: the fit, not the clamp, picks the type
+        expected = pfa_fit(cfg, projections, float(advice))
+        got = mech.fit(ConstantClass(), float(advice))(profile)
+        assert got == expected and kinds(got) == kinds(expected), float(advice)
+
+
+@EXAMPLES
+@given(
+    st.sampled_from(CLAMP_GAMMAS),
+    st.lists(st.one_of(st.just(SLOPE_INVISIBLE), st.tuples(median_values, exact_sizes)), min_size=1, max_size=5),
+    st.lists(median_values, min_size=1, max_size=3),
+)
+def test_lpfa_fit_clamps_the_visible_projections(gamma, profile, extra):
+    # some profiles are partly slope-invisible, some fully, where the fit is the advice
+    cfg = PfaConfig(gamma)
+    mech = lpfa_mechanism(gamma)
+    profile = tuple(profile)
+    for advice in clamp_advices([proj[0] for proj in profile if proj != SLOPE_INVISIBLE], extra):
+        expected = lpfa_fit(cfg, profile, advice)
+        for asked in (profile, other_types(profile)):
+            got = mech.fit(LinearClass(), advice)(asked)
+            assert got == expected and kinds(got) == kinds(expected), (asked, advice)
+
+
+def test_pfa_ends_single_agent_and_exact_half_ties():
+    # one agent: both ends are its projection, whatever the gamma
+    for gamma in CLAMP_GAMMAS:
+        assert pfa_ends(PfaConfig(gamma), [(F(1, 2), 3)]) == (F(1, 2), F(1, 2))
+    # lam 1/2: projections 0, 1 and 3 of weights 1, 1 and 2 and the advice of
+    # weight 2 put exactly half the total at or above 1 with the advice at 0
+    cfg = PfaConfig(F(2, 3))
+    projections = [(0, 1), (1, 1), (3, 2)]
+    assert pfa_ends(cfg, projections) == (1, 3)
+    for advice in (-1, 0, 1, 2, 3, 4):
+        assert pfa_fit(cfg, projections, advice) == ConstantChoice(min(max(advice, 1), 3))
+    # gamma 2: the advice weighs nothing, and the fit is the upper median
+    assert pfa_ends(PfaConfig(2), [(0, 1), (2, 1)]) == (2, 2)
+
+
+def test_lpfa_fit_keeps_float_profiles_off_the_memo():
+    # (0.5, 1) == (1/2, 1): a float profile must not read the ends of an
+    # equal exact one, whose outcome would be exact
+    mech = lpfa_mechanism(1)
+    for profile in (((F(1, 2), 1), (2, 1)), ((0.5, 1), (2.0, 1))):
+        got = mech.fit(LinearClass(), 3)(profile)
+        expected = lpfa_fit(PfaConfig(1), profile, 3)
+        assert got == expected and kinds(got) == kinds(expected), profile
 
 
 # ---------------------------------------------------------------------------
