@@ -412,18 +412,21 @@ def _groups(mechanism, space, agent, cls) -> tuple:
 
 def _clamped(cfg: PfaConfig, fit, choice):
     """`(profile, advice, exact=True) -> outcome`: `fit` (`pfa_fit` or
-    `lpfa_fit`) at `cfg`, on the real line by the clamp identity of
-    `pfa_ends`.  The outcome is the `choice` of the advice clamped between
-    the ends of the profile's slope-visible projections, computed once per
-    profile and kept in a memo for the life of the mechanism, so the advice
-    values asked of one profile share one pair of median calls.  `fit`
-    itself answers a finite domain (the identity is proved on the real
-    line), a float lam or advice (whose outcome types the ends would not
-    keep), a profile with no visible projection, and one the caller does
-    not call `exact`: a profile holding a float must not reach the memo,
-    since 0.5 == 1/2 and it would read an exact profile's ends."""
+    `lpfa_fit`) at `cfg`, by the clamp identity of `pfa_ends`.  The
+    outcome is the `choice` of the advice clamped between the ends of the
+    profile's slope-visible projections, computed once per profile and kept
+    in a memo for the life of the mechanism, so the advice values asked of
+    one profile share one pair of median calls.  The identity is proved on
+    the real line, and it holds on a finite domain too: there every
+    projection and the advice are domain values, so the real-line fit, one
+    of them, is a domain value, and it is the one the finite fit returns.
+    `fit` itself answers a float lam, advice or domain value (whose outcome
+    types the ends would not keep), a profile with no visible projection,
+    and one the caller does not call `exact`: a profile holding a float
+    must not reach the memo, since 0.5 == 1/2 and it would read an exact
+    profile's ends."""
     memo = {}  # profile -> the ends of its visible projections, or () where `fit` answers
-    clamps = cfg.domain.is_reals and not isinstance(cfg.lam, float)
+    clamps = _exact((cfg.lam, *(cfg.domain.values or ())))
 
     def clamped(profile, advice, exact=True):
         ends = memo.get(profile) if exact else ()
@@ -439,14 +442,14 @@ def _clamped(cfg: PfaConfig, fit, choice):
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     """pfa whose signature is the agent's `projection` (b_i, |S_i|), so a
-    cache miss is one fit over the profile: on the real line the advice
-    clamped between the profile's `pfa_ends`, which the mechanism computes
-    once per profile (`_clamped`), and on a finite domain `pfa_fit`, the
-    weighted median of the projections and the advice.  The pfa mechanisms
-    alive on one domain share a context: the projection depends on the
-    domain, not on gamma; the ends depend on gamma and stay with the
-    mechanism.  `fit(cls, advice)` checks the class and the advice, which
-    the mechanism asks once per (class, advice)."""
+    cache miss is one fit over the profile: the advice clamped between the
+    profile's `pfa_ends`, which the mechanism computes once per profile
+    (`_clamped`), or, for a float gamma, advice or domain value,
+    `pfa_fit`, the weighted median of the projections and the advice.  The
+    pfa mechanisms alive on one domain share a context: the projection
+    depends on the domain, not on gamma; the ends depend on gamma and stay
+    with the mechanism.  `fit(cls, advice)` checks the class and the
+    advice, which the mechanism asks once per (class, advice)."""
     cfg = PfaConfig(gamma, domain)
     clamped = _clamped(cfg, pfa_fit, ConstantChoice)
 

@@ -6,13 +6,16 @@ function class the mechanism accepts and its gamma range; the sweep's
 bounds come from the same entry.
 
 stdout carries data (tab-separated key/value lines or TSV tables); stderr
-carries diagnostics.  Exit codes: 0 success (audit: no violations found),
-1 audit violations, 2 parse error (a malformed or unreadable file, an
-option value outside its documented range, a usage error, or an `--out`
-file that cannot be written), 3 class/advice mismatch (a mechanism,
-advice or misreport space that does not fit the instance's class), 4
-degenerate instance, 5 evaluation budget exceeded (an audit space too
-large to enumerate).
+carries diagnostics.  Each command computes its whole stdout text and
+returns it with its exit code, and `main` alone writes it, once the command
+has finished, so a code of 2 or more always comes with an empty stdout.
+Exit codes: 0 success (audit: no violations found), 1 audit violations, 2
+parse error (a malformed or unreadable file, an option value outside its
+documented range, a usage error, an `--out` file that cannot be written,
+or a result with more digits than the interpreter will print), 3
+class/advice mismatch (a mechanism, advice or misreport space that does
+not fit the instance's class), 4 degenerate instance, 5 evaluation budget
+exceeded (an audit space too large to enumerate).
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ EXIT_BUDGET = 5
 DEFAULT_SEED = 20250809  # fixed so runs without --seed are reproducible
 # sweep's gammas without --gamma, cut to the mechanism's range
 SWEEP_GAMMAS = (Fraction(1, 2), Fraction(1), Fraction(2))
+AUDIT_COLUMNS = "agents misreports risk_before risk_after gain instance gamma advice".split()
+SWEEP_COLUMNS = "gamma consistency robustness bound_consistency bound_robustness pass".split()
 
 
 def _parse_fraction(tok, what, allowed="[0, inf)", ok=lambda v: v >= 0):
@@ -82,11 +87,8 @@ def _parse_gamma_list(raw, family):
 def _parse_advice(raw, instance):
     cls = instance.function_class
     if isinstance(cls, LabelingsClass):
-        tok = str(raw).strip()
-        if tok.startswith("c"):
-            tok = tok[1:]
         try:
-            index = int(tok)
+            index = int(str(raw).strip().removeprefix("c"))
         except ValueError:
             raise InstanceParseError(f"--advice {raw!r} is not a labeling index") from None
         if not 0 <= index < len(cls.labelings):
@@ -106,23 +108,24 @@ def _describe(outcome) -> str:
     return f"lottery {parts}"
 
 
-def _emit(out, key, value):
-    out.write(f"{key}\t{value}\n")
+def _tsv(rows) -> str:
+    """stdout text: one tab-separated line per row, key/value pairs and
+    table rows alike."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
 
 
-def _write(path, text, out=None):
-    """`text` to the --out file `path` when one is given, then to `out`; a
-    failed write is a parse error naming --out, with nothing on `out`."""
+def _write(path, text) -> str:
+    """Writes `text` to the --out file `path`, when one is given, and
+    returns `text`; a failed write is a parse error naming --out."""
     if path:
         try:
             Path(path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise InstanceParseError(f"--out {path}: cannot write: {exc.strerror or exc}") from exc
-    if out is not None:
-        out.write(text)
+    return text
 
 
-def cmd_run(args, out, err) -> int:
+def cmd_run(args, err):
     instance = load_instance(args.instance)
     family = audit_mod.MECHANISMS[args.mechanism]
     gamma = _parse_gamma(str(args.gamma), family)
@@ -133,17 +136,19 @@ def cmd_run(args, out, err) -> int:
     achieved = global_risk(outcome, instance)
     best = audit_mod.brute_force_optimal_risk(instance)
     ratio = audit_mod.risk_ratio(achieved, best)
-    _emit(out, "mechanism", args.mechanism)
-    _emit(out, "gamma", format_number(gamma))
-    _emit(out, "advice", args.advice)
-    _emit(out, "choice", _describe(outcome))
-    _emit(out, "mechanism_risk", format_number(achieved))
-    _emit(out, "optimal_risk", format_number(best))
-    _emit(out, "ratio", "inf" if ratio == float("inf") else format_number(ratio))
+    table = [
+        ("mechanism", args.mechanism),
+        ("gamma", format_number(gamma)),
+        ("advice", args.advice),
+        ("choice", _describe(outcome)),
+        ("mechanism_risk", format_number(achieved)),
+        ("optimal_risk", format_number(best)),
+        ("ratio", "inf" if ratio == float("inf") else format_number(ratio)),
+    ]
     if isinstance(outcome, LabelingLottery):
         seed = args.seed if args.seed is not None else DEFAULT_SEED
-        _emit(out, "sampled", f"labeling {sample_outcome(outcome, seed)}")
-    return EXIT_OK
+        table.append(("sampled", f"labeling {sample_outcome(outcome, seed)}"))
+    return EXIT_OK, _tsv(table)
 
 
 def _corpus(path) -> list:
@@ -184,23 +189,19 @@ def _space(raw, instance, advice):
     raise ClassMismatchError(f"unknown misreport space {raw!r}")
 
 
-def cmd_audit(args, out, err) -> int:
-    if args.max_coalition < 1:
-        raise InstanceParseError(f"--max-coalition {args.max_coalition} lies outside [1, inf)")
+def cmd_audit(args, err):
+    _parse_fraction(args.max_coalition, "--max-coalition", "[1, inf)", lambda v: v >= 1)
     family = audit_mod.MECHANISMS[args.mechanism]
     corpus = _corpus(args.instance)
     gammas = _parse_gamma_list(args.gamma, family)
     epsilon = _parse_fraction(args.epsilon, "--epsilon")
-    lines = []
     violations = []
     checked = 0
     # per class, its mechanism at every gamma, alive together so that they
     # share a context; each advice's space, and so its plan, serves them all
     mechanisms = {}
     for name, instance in corpus:
-        advices = [
-            _parse_advice(tok, instance) for tok in str(args.advice).split(",")
-        ]
+        advices = [_parse_advice(tok, instance) for tok in str(args.advice).split(",")]
         cls = instance.function_class
         if cls not in mechanisms:
             mechanisms[cls] = [family.mechanism(gamma, cls) for gamma in gammas]
@@ -215,33 +216,29 @@ def cmd_audit(args, out, err) -> int:
                 checked += report.candidates_checked
                 rows += [(name, gamma, advice, v) for v in report.violations]
         violations += [row for rows in found for row in rows]
-    lines.append(("mechanism", args.mechanism))
-    lines.append(("gamma", ",".join(format_number(g) for g in gammas)))
-    lines.append(("advice", args.advice))
-    lines.append(("epsilon", args.epsilon))
-    lines.append(("max_coalition", args.max_coalition))
-    lines.append(("instances", len(corpus)))
-    lines.append(("candidates", checked))
-    lines.append(("violations", len(violations)))
-    body = [f"{k}\t{v}" for k, v in lines]
-    body.append("agents\tmisreports\trisk_before\trisk_after\tgain\tinstance\tgamma\tadvice")
+    table = [
+        ("mechanism", args.mechanism),
+        ("gamma", ",".join(map(format_number, gammas))),
+        ("advice", args.advice),
+        ("epsilon", args.epsilon),
+        ("max_coalition", args.max_coalition),
+        ("instances", len(corpus)),
+        ("candidates", checked),
+        ("violations", len(violations)),
+        AUDIT_COLUMNS,
+    ]
     for name, gamma, advice, v in violations:
-        body.append(
-            "\t".join(
-                [
-                    ",".join(str(i) for i in v.agents),
-                    ";".join(str(list(m)) for m in v.misreports),
-                    ",".join(format_number(r) for r in v.risks_before),
-                    ",".join(format_number(r) for r in v.risks_after),
-                    format_number(v.gain),
-                    name,
-                    format_number(gamma),
-                    str(advice),
-                ]
-            )
-        )
-    _write(args.out, "\n".join(body) + "\n", out)
-    return EXIT_OK if not violations else EXIT_VIOLATIONS
+        table.append((
+            ",".join(map(str, v.agents)),
+            ";".join(str(list(m)) for m in v.misreports),
+            ",".join(map(format_number, v.risks_before)),
+            ",".join(map(format_number, v.risks_after)),
+            format_number(v.gain),
+            name,
+            format_number(gamma),
+            advice,
+        ))
+    return EXIT_OK if not violations else EXIT_VIOLATIONS, _write(args.out, _tsv(table))
 
 
 def _voting_table(hardness, args):
@@ -266,24 +263,22 @@ GENERATORS = {
 }
 
 
-def cmd_gen(args, out, err) -> int:
+def cmd_gen(args, err):
     from . import hardness  # imported here: no other command needs it
 
     if args.k is None:  # randomized-lb's block structure needs k >= 2
         args.k = 2 if args.family == "randomized-lb" else 1
     instance = GENERATORS[args.family](hardness, args)
     text = serialize_instance(instance)
-    if args.out:
-        _write(args.out, text)
-        err.write(f"wrote {args.out}\n")
-    else:
-        out.write(text)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, text
+    _write(args.out, text)
+    err.write(f"wrote {args.out}\n")
+    return EXIT_OK, ""
 
 
-def cmd_sweep(args, out, err) -> int:
-    if args.grid_points < 2:
-        raise InstanceParseError(f"--grid-points {args.grid_points} lies outside [2, inf)")
+def cmd_sweep(args, err):
+    _parse_fraction(args.grid_points, "--grid-points", "[2, inf)", lambda v: v >= 2)
     corpus = [inst for _, inst in _corpus(args.corpus)]
     family = audit_mod.MECHANISMS[args.mechanism]
     if args.gamma is None:
@@ -295,22 +290,12 @@ def cmd_sweep(args, out, err) -> int:
         grid_points=args.grid_points,
         tolerance=_parse_fraction(args.tolerance, "--tolerance"),
     )
-    lines = ["gamma\tconsistency\trobustness\tbound_consistency\tbound_robustness\tpass"]
+    table = [SWEEP_COLUMNS]
     for r in rows:
-        lines.append(
-            "\t".join(
-                [
-                    format_number(r.gamma),
-                    f"{float(r.consistency):.12g}",
-                    f"{float(r.robustness):.12g}",
-                    f"{float(r.bound_consistency):.12g}",
-                    f"{float(r.bound_robustness):.12g}",
-                    "true" if r.ok else "false",
-                ]
-            )
-        )
-    _write(args.out, "\n".join(lines) + "\n", out)
-    return EXIT_OK
+        ratios = (r.consistency, r.robustness, r.bound_consistency, r.bound_robustness)
+        cells = [f"{float(x):.12g}" for x in ratios]
+        table.append((format_number(r.gamma), *cells, "true" if r.ok else "false"))
+    return EXIT_OK, _write(args.out, _tsv(table))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -376,28 +361,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, exit code, stderr prefix); the first that matches wins,
+# and the last catches ClassMismatchError, a ValueError
+FAILURES = (
+    ((InstanceParseError, FileNotFoundError), EXIT_PARSE, "parse error"),
+    (audit_mod.SpaceTooLargeError, EXIT_BUDGET, "evaluation budget exceeded"),
+    (DegenerateLinearInstance, EXIT_DEGENERATE, "degenerate instance"),
+    (InvalidInstanceError, EXIT_PARSE, "parse error: invalid instance"),
+    ((ValueError, ZeroDivisionError), EXIT_MISMATCH, "class/advice mismatch"),
+)
+
+
 def main(argv=None, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
+    """Runs the command `argv` names and writes its stdout text to `out`,
+    only once it has finished, or one stderr line for its failure."""
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, out, err)
-    except (InstanceParseError, FileNotFoundError) as exc:
-        err.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except audit_mod.SpaceTooLargeError as exc:
-        err.write(f"evaluation budget exceeded: {exc}\n")
-        return EXIT_BUDGET
-    except DegenerateLinearInstance as exc:
-        err.write(f"degenerate instance: {exc}\n")
-        return EXIT_DEGENERATE
-    except InvalidInstanceError as exc:
-        err.write(f"parse error: invalid instance: {exc}\n")
-        return EXIT_PARSE
-    except (ValueError, ZeroDivisionError) as exc:  # ClassMismatchError among them
-        err.write(f"class/advice mismatch: {exc}\n")
-        return EXIT_MISMATCH
+        code, text = args.fn(args, err)
+    except Exception as exc:
+        for types, code, what in FAILURES:
+            if isinstance(exc, types):
+                err.write(f"{what}: {exc}\n")
+                return code
+        raise
+    (out if out is not None else sys.stdout).write(text)
+    return code
 
 
 def entry() -> None:

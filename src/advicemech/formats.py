@@ -52,8 +52,14 @@ def parse_number(token, what="number") -> Fraction:
 
 
 def format_number(x) -> str:
+    """`x` as 'p' or 'p/q'; a numerator or denominator past the
+    interpreter's int-to-str digit limit is an InstanceParseError."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        cause = str(exc).partition(";")[0]  # not its hint to raise the limit
+        raise InstanceParseError(f"a number is too long to print: {cause}") from None
 
 
 def _parse_binary_vector(raw, what):

@@ -316,6 +316,8 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         (["run", "{inst}", "--mechanism", "pfa", "--advice", "1e99999999"], "1e99999999"),
         (["run", "{inst}", "--mechanism", "pfa", "--advice", "0", "--gamma", "1e-99999999"], "1e-99999999"),
         (["gen", "s", "--z", "1e99999999"], "1e99999999"),
+        # a risk whose numerator has more digits than the interpreter prints
+        (["run", "{long_number}", "--mechanism", "pfa", "--advice", "0"], "too long to print"),
         # grid levels that do not parse or repeat
         (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:0,1,1,3"], "--space"),
         (["audit", "{inst}", "--mechanism", "pfa", "--advice", "0", "--space", "grid:"], "--space"),
@@ -332,7 +334,7 @@ def test_labeling_input_that_does_not_fit_is_refused(tmp_path, argv, code, keywo
         "run-not-utf8", "audit-out-missing-dir", "sweep-out-missing-dir", "gen-out-directory",
         "run-seed-not-int", "gen-variant-not-a-choice", "sweep-mechanism-missing",
         "run-deeply-nested-file", "run-label-exponent-beyond-bound", "run-advice-exponent-beyond-bound",
-        "run-gamma-exponent-beyond-bound", "gen-z-exponent-beyond-bound",
+        "run-gamma-exponent-beyond-bound", "gen-z-exponent-beyond-bound", "run-number-too-long-to-print",
         "audit-grid-repeated-level", "audit-grid-empty", "audit-grid-empty-level",
     ],
 )
@@ -357,8 +359,11 @@ def test_input_that_certifies_nothing_is_a_parse_error(tmp_path, argv, keyword):
     deep.write_text('{"class": "constant", "agents": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
     big_exponent = tmp_path / "big_exponent.json"
     big_exponent.write_text('{"class": "constant", "agents": [["1e9999999999"]]}', encoding="utf-8")
+    nines = "9" * 4000  # a label the parser reads, whose square the printer refuses
+    long_number = tmp_path / "long_number.json"
+    long_number.write_text(json.dumps({"class": "constant", "agents": [[nines], [f"1/{nines}"]]}), encoding="utf-8")
     paths = {
-        "{deep}": str(deep), "{big_exponent}": str(big_exponent),
+        "{deep}": str(deep), "{big_exponent}": str(big_exponent), "{long_number}": str(long_number),
         "{empty}": str(empty), "{manifest}": str(listed), "{dir}": str(listed),
         "{names_dir}": str(names_dir), "{latin1}": str(latin1),
         "{bad_labeling}": str(bad_labeling), "{bad_agent}": str(bad_agent),
@@ -699,3 +704,74 @@ def test_sweep_srda_bound_columns(tmp_path):
     assert code == 0
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
     assert [r[4] for r in rows] == ["3", "2"]  # 1 + 1/gamma
+
+
+# ---------------------------------------------------------------------------
+# golden output: each command's exact stdout, stderr and exit code
+# ---------------------------------------------------------------------------
+
+GEN_S = """{
+  "class": "constant",
+  "domain": "reals",
+  "agents": [
+    [
+      "0",
+      "0",
+      "0"
+    ],
+    [
+      "0",
+      "3",
+      "3"
+    ]
+  ]
+}
+"""
+
+
+def test_every_command_prints_its_pinned_output(tmp_path):
+    constant = write(tmp_path, "c.json", constant_instance([[0], [0, 2], [5]]))
+    linear = write(tmp_path, "l.json", linear_instance([[(1, 1)], [(2, 1), (-1, 2)]]))
+    binary = write(tmp_path, "b.json", shared_binary_instance([(1, 0, 1), (0, 0, 0), (1, 1, 0)]))
+    gen_s = ["gen", "s", "--n", "2", "--k", "1", "--t", "1", "--z", "3"]
+    s_path = tmp_path / "s.json"
+    assert run_cli(*gen_s, "--out", str(s_path)) == (0, "", f"wrote {s_path}\n")
+    assert s_path.read_text(encoding="utf-8") == GEN_S
+    cases = [
+        (
+            ["run", constant, "--mechanism", "pfa", "--gamma", "1/2", "--advice", "3"], 0,
+            "mechanism\tpfa\ngamma\t1/2\nadvice\t3\nchoice\tconstant 3\n"
+            "mechanism_risk\t9/4\noptimal_risk\t7/4\nratio\t9/7\n",
+        ),
+        (
+            ["run", linear, "--mechanism", "lpfa", "--advice", "1/3"], 0,
+            "mechanism\tlpfa\ngamma\t1\nadvice\t1/3\nchoice\tslope 1/2\n"
+            "mechanism_risk\t1\noptimal_risk\t1\nratio\t1\n",
+        ),
+        (
+            ["run", binary, "--mechanism", "srda", "--gamma", "1/2", "--advice", "c1", "--seed", "7"], 0,
+            "mechanism\tsrda\ngamma\t1/2\nadvice\tc1\nchoice\tlottery 1:16/17 0:1/17\n"
+            "mechanism_risk\t28/51\noptimal_risk\t4/9\nratio\t21/17\nsampled\tlabeling 1\n",
+        ),
+        (gen_s, 0, GEN_S),
+        (
+            # misreports print as Python reprs of the labels read from the file
+            ["audit", str(s_path), "--mechanism", "mean", "--advice", "0"], 1,
+            "mechanism\tmean\ngamma\t1\nadvice\t0\nepsilon\t0\nmax_coalition\t1\n"
+            "instances\t1\ncandidates\t4\nviolations\t1\n"
+            "agents\tmisreports\trisk_before\trisk_after\tgain\tinstance\tgamma\tadvice\n"
+            "1\t[Fraction(3, 1), Fraction(3, 1), Fraction(3, 1)]\t5/3\t3/2\t1/6\ts.json\t1\t0\n",
+        ),
+        (
+            ["sweep", constant, "--mechanism", "pfa", "--gamma", "1/3,1", "--grid-points", "4"], 0,
+            "gamma\tconsistency\trobustness\tbound_consistency\tbound_robustness\tpass\n"
+            "1/3\t1\t1.85714285714\t1.33333333333\t13\ttrue\n"
+            "1\t1\t1\t2\t5\ttrue\n",
+        ),
+    ]
+    for argv, code, stdout in cases:
+        assert run_cli(*argv) == (code, stdout, ""), argv
+        if argv[0] in ("audit", "sweep"):  # the --out file holds what stdout shows
+            report = tmp_path / f"{argv[0]}.tsv"
+            assert run_cli(*argv, "--out", str(report)) == (code, stdout, ""), argv
+            assert report.read_text(encoding="utf-8") == stdout, argv

@@ -24,6 +24,7 @@ FUZZ = settings(
 )
 
 BOUNDARY = ["0", "-1", "1", "2", "2.0001", "1/3", "1e400"]
+LONG_LABELS = {"class": "constant", "agents": [["9" * 4000], ["1/" + "9" * 4000]]}
 MALFORMED = ["", "nan", "inf", "1/0", "abc", "1e99999999"]
 
 
@@ -190,6 +191,9 @@ def invocations(draw):
 @given(invocations())
 # the draws give no audit with violations; mean gains on this `gen s` file
 @example((["audit", "{instance}", "--mechanism", "mean", "--advice", "0"], json.dumps(BASES[0][0])))
+# a 4,000-digit label and its reciprocal: risks too long to print, after
+# `run` has computed every line it would print
+@example((["run", "{instance}", "--mechanism", "pfa", "--advice", "0"], json.dumps(LONG_LABELS)))
 def test_cli_exit_code_contract(invocation):
     argv, instance = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -470,6 +470,32 @@ def test_pfa_ends_clamp_is_pfa_fit(gamma, projections, extra):
 
 
 @EXAMPLES
+@given(st.sampled_from(CLAMP_GAMMAS), st.sets(median_values, min_size=1, max_size=4), st.data())
+def test_pfa_fit_clamps_on_a_finite_exact_domain(gamma, values, data):
+    # projections and advice are domain values; each integral one also as the other exact type
+    domain = ValueDomain.finite(values)
+    members = st.tuples(st.sampled_from(domain.values), exact_sizes)
+    profile = tuple(data.draw(st.lists(members, min_size=1, max_size=5), "profile"))
+    cfg = PfaConfig(gamma, domain)
+    mech = pfa_mechanism(gamma, domain)
+    for advice in [F(v) for v in domain.values] + [int(v) for v in domain.values if v == int(v)]:
+        expected = pfa_fit(cfg, profile, advice)
+        for asked in (profile, other_types(profile)):
+            got = mech.fit(ConstantClass(domain), advice)(asked)
+            assert got == expected and kinds(got) == kinds(expected), (asked, advice)
+
+
+def test_pfa_fit_on_a_float_domain_keeps_the_domain_value():
+    # 1/2 == 0.5: a clamp would return the exact advice, the fit the domain's float
+    domain = ValueDomain.finite([0.5, 1.0, 2])
+    profile = ((0.5, 2), (2, 1))
+    got = pfa_mechanism(1, domain).fit(ConstantClass(domain), F(1, 2))(profile)
+    expected = pfa_fit(PfaConfig(1, domain), profile, F(1, 2))
+    assert got == expected == ConstantChoice(0.5)
+    assert kinds(got) == kinds(expected) == (ConstantChoice, (float,))
+
+
+@EXAMPLES
 @given(
     st.sampled_from(CLAMP_GAMMAS),
     st.lists(st.one_of(st.just(SLOPE_INVISIBLE), st.tuples(median_values, exact_sizes)), min_size=1, max_size=5),
