@@ -21,6 +21,11 @@ raises what `fn` raises for that class and advice, and otherwise returns
 `profile -> outcome`.  A mechanism keeps one entry (`_Entry`) per (class,
 advice) it meets: that function, made and checked once, the outcome cache
 keyed by the profile alone, and the rows.  The fit serves the caches only.
+Each registered fit hands back one object per value of what it reads:
+pfa's and lpfa's the interned outcomes of a profile's two ends or of the
+advice (`_clamped`), mean's one per (sum of labels, sum of sizes), srda's
+one per (count, number of agents, advice) and the two-labeling pfa's one
+per (count, number of agents), each kept in a `functools.cache`.
 
 `check_strategyproof` and `check_group_strategyproof` are one engine,
 `_audit`, at coalition size 1 and up to `max_coalition`, built from three
@@ -28,14 +33,16 @@ pieces:
 
 - A plan (`_Plan`) prepares an instance and a space once for audits at
   every advice: the signature profile, report counts and budgets, loss
-  tables, pools, and per coalition the sorted signatures of the agents
-  outside it ("others") and its row slot.
+  tables, pools, and per coalition its member pools, its row slot and the
+  slot's profiles.
 - An outcome row holds the outcome of each joint report of a coalition,
   in product order of its members' pools, and nothing else.  Registered
   mechanisms are anonymous (the outcome depends on the multiset of
   signatures), so a row is shared by every instance with the same class,
-  advice, others and member pool signatures, and its outcomes are cached
-  by the sorted full profile.
+  advice, the same signatures outside the coalition ("others") and member
+  pool signatures, and its outcomes are cached by the sorted full profile.
+  Those profiles depend on neither gamma nor advice: they are sorted once
+  per slot, when the context numbers it.
 - Gains (`_gains`) are computed once per distinct outcome of a row, not
   per joint report, and on integers for every exact outcome, rational
   ones included: each agent's loss table maps an outcome to the ints
@@ -46,19 +53,28 @@ pieces:
   outcome, so violations keep coalition order and product order.
 
 The caches split by what gamma changes.  A mechanism keeps its entries,
-with their outcome caches and rows.  Everything else (the signature and
-its memo, pools, loss tables, the outcome intern, row slot numbers and the
-last plan) lives in a context (`_Context`).  `pfa_mechanism` and
-`srda_mechanism` take the context of their family and the parameters
-their signature depends on (pfa's domain, srda's `literal_indicator`)
-from a registry of weak values, so the gamma-mechanisms alive together,
-one per gamma, share one, and it dies with the last of them: a caller
-that drops its mechanisms starts cold, and so does one that builds a
-gamma again while it holds the last.
-Every other mechanism has a context of its own.  The intern keeps one
+with their outcome caches and rows, and its fit's memos.  Everything else
+(the signature and its memo, pools, loss tables, the outcome intern, row
+slot numbers with their profiles and the last plan) lives in a context
+(`_Context`).  `pfa_mechanism` and `srda_mechanism` take the context of
+their family and the parameters their signature depends on (pfa's domain,
+srda's `literal_indicator`) from a registry of weak values, so the
+gamma-mechanisms alive together, one per gamma, share one, and it dies
+with the last of them: a caller that drops its mechanisms starts cold, and
+so does one that builds a gamma again while it holds the last.  Every
+other mechanism has a context of its own.  The intern keeps one
 object per distinct outcome alive as long as its context, so loss tables
 and rows key an outcome by `id()`, not by its hash, and rows are keyed by
 slot number, never by a mechanism's id, which a new mechanism may reuse.
+
+So a cold audit pays per distinct outcome, not per (gamma, advice,
+profile).  An outcome-cache miss is one fit call that returns an object
+its memo already holds, or builds one per new statistic value, and one
+check of the object's id against the intern's (`_Entry`); only an object
+the intern does not hold yet is scanned for floats and looked up by
+value.  Filling a row is one cache lookup per joint report of the slot's
+profiles, with no sort, and one pass by identity for its distinct
+outcomes (`_row`).
 
 These caches compare keys by ==, and 0.5 == 1/2, so they hold exact work
 only: a report holding a float is a signature class of its own, and no
@@ -83,8 +99,8 @@ and advice grid; `frontier_row` is the sweep at one gamma), per call in
 costs one mechanism outcome (a cache lookup or one fit) plus one bisect,
 and its risk is the int pair of `CompiledInstance.risk_pair`.  pfa's and
 lpfa's fits on the real line clamp the advice between two ends of the
-profile (`regression.pfa_ends`), computed once per (gamma, profile), so a
-sweep's ~22 advice values per instance share one pair of median calls.  A
+profile (`regression.pfa_ends`, one scan), computed once per (gamma,
+profile), so a sweep's ~22 advice values per instance share one scan.  A
 sweep keeps the worst risk per (gamma, instance), over the optimal
 functions and over the grid, as an int pair compared by
 cross-multiplication, and builds one Fraction and one ratio for each
@@ -95,7 +111,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import comb
 
@@ -235,10 +251,12 @@ class _Context:
     """What every mechanism of one signature family and its parameters
     shares, since none of it depends on gamma: the signature (with any memo
     it keeps), the pools (`grouped_reports`), each agent's loss table, the
-    outcome intern, the row slots and the plan of the instance audited
-    last.  The intern holds one object per distinct cached outcome for as
-    long as the context lives, so loss tables and rows key an outcome by
-    its `id()`.  Nothing here refers to a mechanism: mechanisms hold their
+    outcome intern, the row slots with their profiles and the plan of the
+    instance audited last.  The intern (`outcomes`, and `held`, the ids of
+    its objects) holds one object per distinct cached outcome for as long
+    as the context lives, so loss tables and rows key an outcome by its
+    `id()`, and an id in `held` is never reused while the context lives.
+    Nothing here refers to a mechanism: mechanisms hold their
     context, so it lives exactly as long as one of them does; `names` are
     theirs, each dropped when its mechanism dies."""
 
@@ -254,9 +272,22 @@ class _Context:
         self.groups = {}  # (space, xs, class) -> the agent's pools
         self.tables = {}  # (xs, labels, class) -> the agent's loss table: id(outcome) -> (num, den)
         self.outcomes = {}  # one object per distinct cached outcome
-        self.slots = {}  # (class, others, pool signatures) -> the number of a row slot
+        self.held = set()  # the ids of those objects
+        # (class, others, pool signatures) -> (a row slot's number, the
+        # sorted full profile of each joint report, in product order)
+        self.slots = {}
         self.plan = None  # the _Plan of the instance audited last; `_audit` keeps it
         self.names = set()  # the names of the live mechanisms `_sharing` gave it
+
+    def intern(self, out):
+        """The intern's object equal to `out`, which becomes it if there is
+        none.  An outcome holding a float raises AttributeError before the
+        lookup, since 0.5 == 1/2, and is not interned."""
+        if not _exact_outcome(out):
+            raise AttributeError(f"{out!r} holds a float")
+        out = self.outcomes.setdefault(out, out)
+        self.held.add(id(out))
+        return out
 
 
 # (family, the parameters its signature depends on) -> the context of the
@@ -268,20 +299,24 @@ class _Entry(dict):
     """A mechanism's state at one (class, advice): the function its
     `fit(cls, advice)` returned, `rows` (row slot -> row), and the entry
     itself, the outcome cache: profile -> outcome.  A miss runs the fit on
-    the profile and interns the outcome in the context, one object per
-    distinct outcome; an outcome holding a float raises AttributeError, as
-    `_risk_sum` does on one, and is not stored."""
+    the profile.  The registered fits hand back one object per value of
+    what they read, most of them the intern's already, so a miss checks
+    the object's id against the context's `held` and passes it through
+    `_Context.intern` only when it is not there: one float scan and one
+    intern lookup per distinct object a fit makes, not per miss.  An
+    outcome holding a float raises AttributeError, as `_risk_sum` does on
+    one, and is not stored."""
 
-    __slots__ = ("fit", "rows", "intern")
+    __slots__ = ("fit", "rows", "held", "intern")
 
-    def __init__(self, fit, intern):
-        self.fit, self.rows, self.intern = fit, {}, intern
+    def __init__(self, fit, context):
+        self.fit, self.rows, self.held, self.intern = fit, {}, context.held, context.intern
 
     def __missing__(self, profile):
         out = self.fit(profile)
-        if not _exact_outcome(out):
-            raise AttributeError(f"{out!r} holds a float")
-        out = self[profile] = self.intern.setdefault(out, out)
+        if id(out) not in self.held:
+            out = self.intern(out)
+        self[profile] = out
         return out
 
 
@@ -356,7 +391,7 @@ class AuditableMechanism:
             self._view = (cls, self._cache.setdefault(cls, {}))
         entry = self._view[1].get(advice)
         if entry is None:
-            entry = self._view[1][advice] = _Entry(self.fit(cls, advice), self.context.outcomes)
+            entry = self._view[1][advice] = _Entry(self.fit(cls, advice), self.context)
         return entry
 
     def outcome(self, instance: Instance, advice, profile=None):
@@ -410,34 +445,48 @@ def _groups(mechanism, space, agent, cls) -> tuple:
     return tuple(groups.items())
 
 
-def _clamped(cfg: PfaConfig, fit, choice):
-    """`(profile, advice, exact=True) -> outcome`: `fit` (`pfa_fit` or
-    `lpfa_fit`) at `cfg`, by the clamp identity of `pfa_ends`.  The
-    outcome is the `choice` of the advice clamped between the ends of the
-    profile's slope-visible projections, computed once per profile and kept
-    in a memo for the life of the mechanism, so the advice values asked of
-    one profile share one pair of median calls.  The identity is proved on
-    the real line, and it holds on a finite domain too: there every
-    projection and the advice are domain values, so the real-line fit, one
-    of them, is a domain value, and it is the one the finite fit returns.
-    `fit` itself answers a float lam, advice or domain value (whose outcome
-    types the ends would not keep), a profile with no visible projection,
-    and one the caller does not call `exact`: a profile holding a float
-    must not reach the memo, since 0.5 == 1/2 and it would read an exact
-    profile's ends."""
-    memo = {}  # profile -> the ends of its visible projections, or () where `fit` answers
+def _clamped(cfg: PfaConfig, fit, choice, intern):
+    """`advice -> (profile -> outcome)`: `fit` (`pfa_fit` or `lpfa_fit`) at
+    `cfg`, by the clamp identity of `pfa_ends`.  The outcome is the
+    `choice` of the advice clamped between the ends of the profile's
+    slope-visible projections.  A memo, kept for the life of the
+    mechanism, holds per profile its ends and their outcomes; the outcome
+    of the advice is made when the fit is, once per (class, advice) entry;
+    and each outcome is made once per value and passed through `intern`
+    (the context's).  So a miss compares the advice with two ends and
+    returns one of three interned objects, and the advice values asked of
+    one profile share one `pfa_ends` scan.  With no visible projection the
+    fit is the advice.  The identity is proved on the real line, and it
+    holds on a finite domain too: there every projection and the advice are
+    domain values, so the real-line fit, one of them, is a domain value,
+    and it is the one the finite fit returns.  `fit` itself answers a float
+    lam, advice or domain value, whose outcome types the ends would not
+    keep.  Profiles must be exact: one holding a float must not reach the
+    memo, since 0.5 == 1/2 and it would read an exact profile's ends."""
     clamps = _exact((cfg.lam, *(cfg.domain.values or ())))
+    chosen = cache(lambda value: intern(choice(value)))  # an exact value -> its interned outcome
 
-    def clamped(profile, advice, exact=True):
-        ends = memo.get(profile) if exact else ()
-        if ends is None:
-            visible = [proj for proj in profile if proj]  # SLOPE_INVISIBLE is the empty tuple
-            ends = memo[profile] = pfa_ends(cfg, visible) if clamps and visible else ()
-        if not ends or isinstance(advice, float):
-            return fit(cfg, profile, advice)
-        return choice(min(max(advice, ends[0]), ends[1]))
+    def ends_of(profile):
+        visible = [proj for proj in profile if proj]  # SLOPE_INVISIBLE is the empty tuple
+        if not visible:  # every slope fits: the advice, between no ends
+            return -INF, INF, None, None
+        lo, hi = pfa_ends(cfg, visible)
+        return lo, hi, chosen(lo), chosen(hi)
 
-    return clamped
+    ends = {}  # profile -> (L, R, the outcome at L, at R)
+
+    def at(advice):
+        if not clamps or isinstance(advice, float):
+            return lambda profile: fit(cfg, profile, advice)
+        inside = chosen(advice)
+
+        def clamped(profile):
+            lo, hi, at_lo, at_hi = ends.get(profile) or ends.setdefault(profile, ends_of(profile))
+            return at_lo if advice <= lo else at_hi if advice >= hi else inside
+
+        return clamped
+
+    return at
 
 
 def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
@@ -448,18 +497,18 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     `pfa_fit`, the weighted median of the projections and the advice.  The
     pfa mechanisms alive on one domain share a context: the projection
     depends on the domain, not on gamma; the ends depend on gamma and stay
-    with the mechanism.  `fit(cls, advice)` checks the class and the
-    advice, which the mechanism asks once per (class, advice)."""
+    with the mechanism, their outcomes in the shared intern.  `fit(cls,
+    advice)` checks the class and the advice, which the mechanism asks once
+    per (class, advice)."""
     cfg = PfaConfig(gamma, domain)
-    clamped = _clamped(cfg, pfa_fit, ConstantChoice)
 
     def fn(instance, advice):
         return pfa(cfg, instance, advice)
 
-    def fit(cls, advice):
+    def fit(cls, advice):  # `clamped` is made below, once the context is known
         check_pfa_inputs(cfg, cls, advice)
         # a projection holds no float: a report with a float label is a class of its own
-        return lambda profile: clamped(profile, advice)
+        return clamped(advice)
 
     def signature():
         constant = ConstantClass(domain)  # the memo is keyed by labels alone, not by cls
@@ -477,7 +526,9 @@ def pfa_mechanism(gamma, domain: ValueDomain = REALS) -> AuditableMechanism:
     # the memo is keyed by labels alone, and an equal domain of other value
     # types (0.5 for 1/2) may project to other types
     key = "pfa", domain, tuple(map(type, domain.values or ()))
-    return _sharing(key, signature, fn, f"pfa(gamma={gamma})", fit)
+    mechanism = _sharing(key, signature, fn, f"pfa(gamma={gamma})", fit)
+    clamped = _clamped(cfg, pfa_fit, ConstantChoice, mechanism.context.intern)  # on the shared intern
+    return mechanism
 
 
 def lpfa_mechanism(gamma) -> AuditableMechanism:
@@ -487,7 +538,6 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
     (`_clamped`), or the advice slope itself when no projection is
     visible."""
     cfg = PfaConfig(gamma)
-    clamped = _clamped(cfg, lpfa_fit, LinearChoice)
 
     def fn(instance, advice):
         return lpfa(gamma, instance, advice)
@@ -495,18 +545,22 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
     def signature(xs, labels, cls):
         return projection(REALS, LinearClass(), xs, labels)
 
-    def fit(cls, advice):
+    def fit(cls, advice):  # `clamped` is made below, once the context is known
         if not isinstance(cls, LinearClass):
             raise ClassMismatchError("linear-class instance required")
+        exact = clamped(advice)
         # a float x projects to floats, which go to the fit itself
-        return lambda profile: clamped(profile, advice, _exact(chain.from_iterable(profile)))
+        return lambda prof: exact(prof) if _exact(chain.from_iterable(prof)) else lpfa_fit(cfg, prof, advice)
 
-    return AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
+    mechanism = AuditableMechanism(fn, f"lpfa(gamma={gamma})", signature, fit)
+    clamped = _clamped(cfg, lpfa_fit, LinearChoice, mechanism.context.intern)
+    return mechanism
 
 
 def mean_mechanism() -> AuditableMechanism:
     """Non-strategyproof baseline: the plain average of all reported labels.
-    Its signature is (sum, |S_i|)."""
+    Its signature is (sum, |S_i|), and its fit keeps one outcome per
+    (sum of the sums, sum of the sizes)."""
 
     def fn(instance, advice):
         labels = instance.all_labels()
@@ -515,8 +569,10 @@ def mean_mechanism() -> AuditableMechanism:
     def signature(xs, labels, cls):
         return sum(labels), len(labels)
 
+    means = cache(lambda total, size: ConstantChoice(exact_div(total, size)))
+
     def mean(profile):
-        return ConstantChoice(exact_div(sum(s for s, _ in profile), sum(m for _, m in profile)))
+        return means(sum(s for s, _ in profile), sum(m for _, m in profile))
 
     return AuditableMechanism(fn, "mean-baseline", signature, lambda cls, advice: mean)
 
@@ -540,13 +596,16 @@ def _side_signature(literal_indicator: bool = False):
 
 def _srda_fit(gamma, reduced: bool):
     """srda's lottery from the count of True signatures, on the instance's
-    class or (`reduced`) on the {c0, c1} class `two_labeling_reduce` maps to."""
+    class or (`reduced`) on the {c0, c1} class `two_labeling_reduce` maps to.
+    The lottery depends on the class only through its checks, so the
+    mechanism keeps one per (gamma, count, agents, advice) for every class."""
+    lottery = cache(lambda g, count, n, advice: srda_fit(g, Fraction(count, n), advice))
 
     def fit(cls, advice):
         if reduced:
             cls = c0c1_class(len(disagreement_points(cls, advice)))
         g = check_srda_inputs(gamma, cls, advice)
-        return lambda profile: srda_fit(g, Fraction(sum(s for (s,) in profile), len(profile)), advice)
+        return lambda profile: lottery(g, sum(s for (s,) in profile), len(profile), advice)
 
     return fit
 
@@ -571,9 +630,10 @@ def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
     def fit(cls, advice):
         m = len(disagreement_points(cls, advice))
         cfg = PfaConfig(gamma, BINARY_DOMAIN)
-        return lambda profile: LabelingChoice(
-            int(pfa_fit(cfg, [(int(s), m) for (s,) in profile], advice).value)
-        )
+        choice = cache(lambda count, n: LabelingChoice(
+            int(pfa_fit(cfg, [(1, m)] * count + [(0, m)] * (n - count), advice).value)
+        ))
+        return lambda profile: choice(sum(s for (s,) in profile), len(profile))
 
     return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
 
@@ -614,10 +674,7 @@ def _exact_outcome(out) -> bool:
     """No float among an outcome's fields or lottery probabilities."""
     if isinstance(out, LabelingLottery):
         return _exact(chain.from_iterable(out.branches))
-    for name in out._fields:  # a plain loop: every fit miss runs it
-        if isinstance(getattr(out, name), float):
-            return False
-    return True
+    return _exact(map(getattr, repeat(out), out._fields))
 
 
 def _joint_report(instance: Instance, coalition, joint) -> Instance:
@@ -629,18 +686,20 @@ def _joint_report(instance: Instance, coalition, joint) -> Instance:
 class _Plan:
     """An instance and a misreport space prepared for audits at many advice
     values, by every mechanism of one context: the signature profile, each
-    agent's report count, the budget per `max_coalition` and, when the plan
-    is `cached`, its loss tables and, once a budget has passed, the pools
-    and every coalition's member pools, the sorted signatures of the agents
-    outside it ("others") and its row slot.
+    agent's report count and size, the budget per `max_coalition` and, when
+    the plan is `cached`, its loss tables and, once a budget has passed,
+    the pools and every coalition's member pools, row slot and the slot's
+    profiles.
 
     A plan is `cached` when the mechanism has a fit and the instance and the
     space are exact; only then do audits read and write the caches.  A slot
-    is the number the context gives (class, others, the member pools'
+    is the number the context gives (class, the sorted signatures of the
+    agents outside the coalition ("others"), the member pools'
     signatures), and each mechanism keys its rows (in its entry at the
     audit's class and advice) by slot, so every instance whose coalition
-    has the same others and pool signatures shares its rows.  A plan holds the
-    context's tables and slots, but neither the context nor a mechanism."""
+    has the same others and pool signatures shares its rows.  A plan holds
+    the context's tables and slots, but neither the context nor a
+    mechanism."""
 
     def __init__(self, mechanism, instance, space):
         context = mechanism.context
@@ -655,6 +714,7 @@ class _Plan:
             self.tables = [context.tables.setdefault((a.xs, a.labels, self.cls), {}) for a in agents]
         self.slots = context.slots
         self.counts = [space.count(a) for a in agents]
+        self.sizes = [len(a) for a in agents]
         self.budgets = {}  # max_coalition -> budget
         self.pools = None  # set by the first audit to reach the cached gain loop
         self.coalitions = {}
@@ -673,8 +733,12 @@ class _Plan:
         return budget
 
     def coalition_rows(self, size: int) -> list:
-        """(coalition, member pools, others, the pools' signatures, slot) of
-        every coalition of `size`, in `combinations` order."""
+        """(coalition, member pools, row slot, the slot's profiles) of every
+        coalition of `size`, in `combinations` order.  A slot's profiles,
+        the sorted full profile of each joint report in product order of
+        the member pools' signatures, are built once, when the context
+        numbers the slot, and read by every (gamma, advice) that fills a
+        row there."""
         entries = self.coalitions.get(size)
         if entries is not None:
             return entries
@@ -686,25 +750,25 @@ class _Plan:
             others = tuple(sorted(self.profile[j] for j in range(n) if j not in coalition))
             # a row depends on the pools' signatures, not on their reports
             sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
-            slot = slots.setdefault((self.cls, others, sigs), len(slots))
-            entries.append((coalition, members, others, sigs, slot))
+            key = self.cls, others, sigs
+            # a new slot: its number, and the sorted full profile of each joint report
+            slot = slots.get(key) or slots.setdefault(
+                key, (len(slots), tuple(tuple(sorted(others + joint)) for joint in product(*sigs))))
+            entries.append((coalition, members, *slot))
         return entries
 
 
-def _row(entry: _Entry, others, sigs) -> tuple:
-    """The outcome of every joint report of a coalition, in product order of
-    its member pools' signatures `sigs`, as (distinct outcomes in order of
-    first appearance, the index of each joint's outcome among them), read
-    from the mechanism's `entry` at the audit's class and advice by the
-    sorted full profile, the same for every instance that shares the row;
-    the fit runs on a miss only, and an outcome holding a float raises
-    AttributeError.  Outcomes are interned, so they are told apart by
-    identity."""
-    distinct = {}  # id(outcome) -> its index
-    outcomes = []
-    index = []
-    for joint in product(*sigs):
-        out = entry[tuple(sorted(others + joint))]
+def _row(entry: _Entry, profiles) -> tuple:
+    """The outcome of every joint report of a coalition, as (distinct
+    outcomes in order of first appearance, the index of each joint's
+    outcome among them), read from the mechanism's `entry` at the audit's
+    class and advice by the slot's `profiles` (`_Plan.coalition_rows`),
+    the same for every instance that shares the row; the fit runs on a
+    miss only, and an outcome holding a float raises AttributeError.
+    Outcomes are interned, so they are told apart by identity."""
+    distinct, outcomes, index = {}, [], []  # id(outcome) -> its index among `outcomes`
+    for profile in profiles:
+        out = entry[profile]
         k = distinct.setdefault(id(out), len(outcomes))
         if k == len(outcomes):
             outcomes.append(out)
@@ -778,17 +842,16 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
     if plan.pools is None:
         plan.pools = [mechanism.grouped_reports(plan.space, a, cls) for a in agents]
     rows = entry.rows
-    sizes = [len(a) for a in agents]
     bn, bd = zip(*before)
-    bs = [d * s for d, s in zip(bd, sizes)]  # a risk before is bn/bs
+    bs = [d * s for d, s in zip(bd, plan.sizes)]  # a risk before is bn/bs
     en, ed = epsilon.numerator, epsilon.denominator
     tn, td = 0, 1  # max_gain is tn/td
     violations = []
     for size in range(1, max_coalition + 1):
-        for coalition, members, others, sigs, slot in plan.coalition_rows(size):
+        for coalition, members, slot, profiles in plan.coalition_rows(size):
             row = rows.get(slot)
             if row is None:
-                row = rows[slot] = _row(entry, others, sigs)
+                row = rows[slot] = _row(entry, profiles)
             outcomes, index = row
             found = {}  # outcome index -> (risks before, risks after, gain)
             for k, out in enumerate(outcomes):
@@ -807,7 +870,7 @@ def _gains(mechanism, plan: _Plan, advice, epsilon, max_coalition, budget) -> Au
                     after = [(i, *tables[i][id(out)]) for i in coalition]
                     found[k] = (
                         tuple(Fraction(bn[i], bs[i]) for i in coalition),
-                        tuple(Fraction(an, ad * sizes[i]) for i, an, ad in after),
+                        tuple(Fraction(an, ad * plan.sizes[i]) for i, an, ad in after),
                         max(Fraction(bn[i] * ad - an * bd[i], bs[i] * ad) for i, an, ad in after),
                     )
             if found:

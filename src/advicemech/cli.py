@@ -9,6 +9,8 @@ stdout carries data (tab-separated key/value lines or TSV tables); stderr
 carries diagnostics.  Each command computes its whole stdout text and
 returns it with its exit code, and `main` alone writes it, once the command
 has finished, so a code of 2 or more always comes with an empty stdout.
+`main` writes to the streams it is given, and returns the exit code of a
+usage error and of `--help` too, whose text is stdout data.
 Exit codes: 0 success (audit: no violations found), 1 audit violations, 2
 parse error (a malformed or unreadable file, an option value outside its
 documented range, a usage error, an `--out` file that cannot be written,
@@ -298,13 +300,21 @@ def cmd_sweep(args, err):
     return EXIT_OK, _write(args.out, _tsv(table))
 
 
+class _Help(Exception):
+    """`--help` was asked for: the help text, stdout data for `main` to
+    write with exit 0."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors, like every other parse error,
-    are one stderr line and exit 2 (raised as SystemExit)."""
+    """An ArgumentParser that writes nothing and never exits: `--help`
+    raises `_Help`, and a usage error raises InstanceParseError, so it is
+    one stderr line and exit 2 like every other parse error."""
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
     def error(self, message):
-        message = " ".join(message.splitlines())
-        self.exit(EXIT_PARSE, f"parse error: {self.prog}: {message}\n")
+        raise InstanceParseError(f"{self.prog}: {' '.join(message.splitlines())}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,9 +386,11 @@ def main(argv=None, out=None, err=None) -> int:
     """Runs the command `argv` names and writes its stdout text to `out`,
     only once it has finished, or one stderr line for its failure."""
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, text = args.fn(args, err)
+    except _Help as asked:
+        code, text = EXIT_OK, asked.args[0]
     except Exception as exc:
         for types, code, what in FAILURES:
             if isinstance(exc, types):

@@ -111,30 +111,22 @@ def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
     lam * sum(w_i) themselves."""
     values = [b for b, _ in projections] + [advice]
     sizes = [w for _, w in projections]
-    try:
-        keys, weights = _scaled(cfg, values, sizes)
-    except AttributeError:  # a float
+    try:  # a float raises AttributeError
+        p, q = cfg.lam.numerator, cfg.lam.denominator
+        _, keys = _common(values + sizes)
+        keys, scaled = keys[: len(values)], keys[len(values) :]
+        weights = [w * q for w in scaled] + [p * sum(scaled)]
+    except AttributeError:
         keys, weights = None, [*sizes, cfg.lam * sum(sizes)]
     return ConstantChoice(_optima(cfg.domain, values, weights, keys)[-1])
 
 
-def _scaled(cfg: PfaConfig, values, sizes) -> tuple:
-    """(keys, weights) of the fit: the values and sizes scaled to ints over
-    one common denominator, and the weights, for lam = p/q, the scaled
-    sizes times q and then p times their sum, the advice's weight.  A
-    float raises AttributeError."""
-    p, q = cfg.lam.numerator, cfg.lam.denominator
-    _, keys = _common(values + sizes)
-    keys, sizes = keys[: len(values)], keys[len(values) :]
-    return keys, [w * q for w in sizes] + [p * sum(sizes)]
-
-
 def pfa_ends(cfg: PfaConfig, projections) -> tuple:
     """(L, R): the `pfa_fit` of the projections on the real line with the
-    advice at the least projection and at the greatest, from the values
-    and sizes scaled once (`_scaled`, as in `pfa_fit`) and two calls to
-    the median kernel.  For every advice a, pfa_fit(cfg, projections, a) is
-    min(max(a, L), R).  Exact inputs only: a float raises AttributeError.
+    advice at the least projection and at the greatest, by one scan down
+    the projections sorted by value, on their weights as ints.  For every
+    advice a, pfa_fit(cfg, projections, a) is min(max(a, L), R).  Exact
+    inputs only.
 
     Proof.  Write G(x) for the weight of the projections at or above x, Q
     for their total and A = lam * Q for the advice's, so the total is
@@ -148,12 +140,19 @@ def pfa_ends(cfg: PfaConfig, projections) -> tuple:
     < T/2.  If a <= L, L qualifies, and a projection v > L does not, since
     it counts only G(v) < T/2.  If L < a < R, a qualifies, as G(a) >=
     G(R), and a projection v > a does not, since v > L.  So the fit is R,
-    L or a: the clamp.  With a at the least projection (at most L) the fit
-    is L; at the greatest (at least R) it is R."""
-    values = [b for b, _ in projections]
-    keys, weights = _scaled(cfg, values, [w for _, w in projections])
-    phantoms = min(zip(keys, values)), max(zip(keys, values))
-    return tuple(_optima(REALS, [*values, b], weights, [*keys, k])[-1] for k, b in phantoms)
+    L or a: the clamp.  With lam = p/q, G + A >= T/2 reads 2qG >= (q - p)Q
+    and G >= T/2 reads 2qG >= (q + p)Q, so the scan down meets R first and
+    stops at L."""
+    order = sorted(projections, reverse=True)
+    _, weights = _common([w for _, w in order])
+    p, q = cfg.lam.numerator, cfg.lam.denominator
+    total, acc, hi = sum(weights), 0, None
+    for (b, _), w in zip(order, weights):
+        acc += 2 * q * w
+        if hi is None and acc >= (q - p) * total:
+            hi = b
+        if acc >= (q + p) * total:
+            return b, hi
 
 
 def pfa(cfg: PfaConfig, instance: Instance, advice: Real) -> ConstantChoice:

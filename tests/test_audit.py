@@ -9,6 +9,8 @@ from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advicemech import (
     MECHANISMS,
@@ -45,7 +47,9 @@ from advicemech.audit import AuditReport, Violation, risk_ratio
 from advicemech.model import (
     ClassMismatchError,
     Instance,
+    LabelingsClass,
     ValueDomain,
+    c0c1_class,
     global_risk,
     personal_risk,
 )
@@ -957,6 +961,87 @@ def test_each_class_and_advice_is_checked_once_per_mechanism(monkeypatch):
                 check_strategyproof(mech, inst, advice, space)
                 check_group_strategyproof(mech, inst, advice, space, 2)
         assert sorted(calls) == sorted(checks * len(advices)), mech.name
+
+
+def cached_outcomes(mech):
+    """Every outcome the mechanism's entries and their rows hold."""
+    for entries in mech._cache.values():
+        for entry in entries.values():
+            yield from entry.values()
+            for outcomes, _ in entry.rows.values():
+                yield from outcomes
+
+
+def test_every_cached_outcome_is_the_interns_own_object():
+    # several gammas and advice values on one shared context: equal outcomes
+    # come from other profiles (mean's 2/2 and 4/4), other gammas and other
+    # advice (srda's sure lotteries at a count of 0 or n)
+    rng = random.Random(89)
+    grid, binary = GridLabels((0, 1, 2)), AllBinaryVectors(3)
+    families = [
+        ([pfa_mechanism(g) for g in (F(1, 2), 1, 2)], lambda: seeded_constant(rng, (0, 1, 2)), grid, (0, 1, 2)),
+        ([mean_mechanism()], lambda: seeded_constant(rng, (0, 1, 2)), grid, (0, 1)),
+        ([srda_mechanism(g) for g in (F(1, 4), F(1, 2), 1)],
+         lambda: shared_binary_instance([tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(3)]),
+         binary, (0, 1)),
+    ]
+    for mechs, make, space, advices in families:
+        for _ in range(6):
+            inst = make()
+            for advice in advices:
+                for mech in rng.sample(mechs, len(mechs)):
+                    check_group_strategyproof(mech, inst, advice, space, 2)
+        context = mechs[0].context
+        assert all(mech.context is context for mech in mechs)
+        assert context.held == {id(out) for out in context.outcomes}
+        seen = [out for mech in mechs for out in cached_outcomes(mech)]
+        assert seen and all(context.outcomes[out] is out for out in seen), mechs[0].name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_warm_and_fresh_contexts_audit_by_the_definition(data):
+    # one (gamma, advice) audited on a fresh context and on one warmed first
+    # by every other (gamma, advice), in a drawn order, on drawn instances
+    kind = data.draw(st.sampled_from(["pfa", "mean", "srda"]), "kind")
+    if kind == "srda":
+        m = data.draw(st.integers(1, 3), "m")
+        vectors = st.lists(st.tuples(*[st.integers(0, 1)] * m), min_size=2, max_size=3)
+        instances = [shared_binary_instance(data.draw(vectors, "vectors")) for _ in range(2)]
+        space, gammas, advices = AllBinaryVectors(m), (F(1, 4), F(1, 2), 1), (0, 1)
+        make = srda_mechanism
+    else:
+        labels = st.lists(st.lists(st.sampled_from((0, F(1, 2), 1, 2)), min_size=1, max_size=2),
+                          min_size=2, max_size=3)
+        instances = [constant_instance(data.draw(labels, "labels")) for _ in range(2)]
+        space, gammas, advices = GridLabels((0, F(1, 2), 2)), (F(1, 2), 1, 2), (0, 1, F(3, 2))
+        mean = mean_mechanism()
+        make = pfa_mechanism if kind == "pfa" else (lambda gamma: mean)
+    pairs = data.draw(st.permutations([(g, a) for g in gammas for a in advices]), "order")
+    (gamma, advice), warm_up = pairs[0], pairs[1:]
+    inst, size = instances[0], data.draw(st.integers(1, 2), "size")
+    warmed = {g: make(g) for g in gammas}
+    for g, a in warm_up:
+        other = data.draw(st.sampled_from(instances), "warm-up instance")
+        check_group_strategyproof(warmed[g], other, a, space, 2)
+    # at a gamma alive in `warmed`, a pfa or srda mechanism starts a context of its own
+    fresh = mean_mechanism() if kind == "mean" else make(gamma)
+    assert not fresh.context.tables
+    assert audited(fresh, inst, advice, space, size) == audited(warmed[gamma], inst, advice, space, size)
+
+
+def test_equal_agents_under_other_classes_are_audited_by_their_own_class():
+    # one agents tuple under three two-labeling classes, in turn on one
+    # context: the side signatures, loss tables, pools and slot profiles of
+    # one class must not serve another, though the profiles' multisets agree
+    agents = shared_binary_instance([(1, 0, 1), (0, 0, 1), (1, 1, 0)]).agents
+    classes = [c0c1_class(3), LabelingsClass(((0, 0, 1), (1, 0, 0))), LabelingsClass(((1, 1, 1), (0, 1, 0)))]
+    space = AllBinaryVectors(3)
+    for mech in (pfa_two_labeling_mechanism(1), srda_two_labeling_mechanism(F(1, 2))):
+        for cls in classes + classes[::-1]:
+            inst = Instance(agents, cls)
+            for advice in (0, 1):
+                audited(mech, inst, advice, space, 2)
 
 
 # ---------------------------------------------------------------------------

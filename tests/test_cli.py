@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import weakref
-from contextlib import redirect_stderr
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -32,11 +31,7 @@ from advicemech.model import ValueDomain
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stderr(err):
-            code = main(list(argv), out=out, err=err)
-    except SystemExit as exc:  # argparse's own usage errors
-        code = exc.code
+    code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -403,13 +398,30 @@ def test_registry_gamma_range_holds_on_every_command(tmp_path, command, name):
     assert "gamma" in err and "Traceback" not in err
 
 
-def test_mechanism_choices_are_the_registry(capsys):
+def test_mechanism_choices_are_the_registry():
     assert set(MECHANISMS) == {*FITTING_INSTANCES, "mean"}
     for command in ("run", "audit", "sweep"):
-        with pytest.raises(SystemExit):
-            main([command, "x", "--mechanism", "nope", "--advice", "0"])
-        err = capsys.readouterr().err
+        code, out, err = run_cli(command, "x", "--mechanism", "nope", "--advice", "0")
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("parse error: ")
         assert all(f"'{name}'" in err for name in MECHANISMS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["run", "x.json"], ["audit"], ["sweep", "c", "--mechanism", "pfa", "--nope"], ["frobnicate"]],
+)
+def test_a_usage_error_is_one_line_on_mains_err(argv, capsys):
+    # nothing reaches the process's own streams, and nothing raises SystemExit
+    code, out, err = run_cli(*argv)
+    assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("parse error: advicemech")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["audit", "--help"], ["gen", "-h"]])
+def test_help_is_stdout_data_with_exit_0(argv, capsys):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "") and out.startswith("usage: advicemech")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cli_import_leaves_learning_unloaded():

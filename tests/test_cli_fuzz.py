@@ -29,14 +29,12 @@ MALFORMED = ["", "nan", "inf", "1/0", "abc", "1e99999999"]
 
 
 def run(argv):
-    """(exit code, stdout, stderr) of one in-process CLI call; argparse's
-    own errors raise SystemExit and write to sys.stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv, out=out, err=err)
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of one in-process CLI call, which must
+    write nothing to the process's own streams."""
+    out, err, stray = io.StringIO(), io.StringIO(), io.StringIO()
+    with redirect_stdout(stray), redirect_stderr(stray):
+        code = main(argv, out=out, err=err)
+    assert stray.getvalue() == "", argv
     return code, out.getvalue(), err.getvalue()
 
 

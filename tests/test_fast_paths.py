@@ -57,7 +57,7 @@ from advicemech import (
     weighted_median_bounds,
 )
 from advicemech.audit import risk_ratio
-from advicemech.model import CompiledInstance, ConstantClass, exact_div
+from advicemech.model import CompiledInstance, ConstantClass, _common, _optima, exact_div
 from advicemech.regression import SLOPE_INVISIBLE, lpfa_fit, pfa_ends, pfa_fit, projection
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -511,6 +511,56 @@ def test_lpfa_fit_clamps_the_visible_projections(gamma, profile, extra):
         for asked in (profile, other_types(profile)):
             got = mech.fit(LinearClass(), advice)(asked)
             assert got == expected and kinds(got) == kinds(expected), (asked, advice)
+
+
+def reference_pfa_ends(cfg, projections):
+    """`pfa_ends` by its definition: `pfa_fit` on the real line with the
+    advice at the least projection and at the greatest, each one call to
+    the median kernel with the advice as a phantom projection, on the
+    values and sizes scaled to ints over one common denominator and, for
+    lam = p/q, the scaled sizes times q and the advice's weight p times
+    their sum, as `pfa_fit` scales them."""
+    values, sizes = [b for b, _ in projections], [w for _, w in projections]
+    p, q = cfg.lam.numerator, cfg.lam.denominator
+    _, keys = _common(values + sizes)
+    keys, sizes = keys[: len(values)], keys[len(values) :]
+    weights = [w * q for w in sizes] + [p * sum(sizes)]
+    phantoms = min(zip(keys, values)), max(zip(keys, values))
+    return tuple(_optima(REALS, [*values, b], weights, [*keys, k])[-1] for k, b in phantoms)
+
+
+@EXAMPLES
+@given(
+    st.sampled_from(CLAMP_GAMMAS),
+    st.lists(st.tuples(median_values, exact_sizes), min_size=1, max_size=6),
+)
+def test_pfa_ends_is_the_two_phantom_fits(gamma, projections):
+    # Fraction sizes are lpfa's |x| weights; small ints put many scans at exactly half
+    cfg = PfaConfig(gamma)
+    got, expected = pfa_ends(cfg, projections), reference_pfa_ends(cfg, projections)
+    assert got == expected
+    # 4 and Fraction(4) may tie, and either is an end: the outcomes agree in type
+    for choice in (ConstantChoice, LinearChoice):
+        for end, reference in zip(got, expected):
+            assert kinds(choice(end)) == kinds(choice(reference)), (choice, end, reference)
+
+
+def test_pfa_ends_meets_half_the_weight_exactly():
+    # lam 1/2: projection weights of total Q = 4 and the advice's A = 2, so
+    # T/2 = 3.  Weights 1, 1, 2 at 3, 1, 0: at 3, G + A = 1 + 2 is exactly
+    # T/2, so R is 3; L is 0, where G first reaches 3.  Weights 2, 1, 1 at
+    # 3, 1, 0: R is 3 again, and at 1, G = 3 is exactly T/2, so L is 1.
+    cfg = PfaConfig(F(2, 3))
+    cases = [
+        ([(3, 1), (1, 1), (0, 2)], (0, 3)),
+        ([(F(3), F(2, 2)), (1, F(1)), (0, 2)], (0, 3)),
+        ([(0, 1), (1, 1), (3, 2)], (1, 3)),
+        ([(F(3), F(4, 2)), (1, F(1)), (0, 1)], (1, 3)),
+    ]
+    for projections, ends in cases:
+        assert pfa_ends(cfg, projections) == reference_pfa_ends(cfg, projections) == ends
+    # gamma 2, lam 0: both ends are the upper weighted median, here at exactly half
+    assert pfa_ends(PfaConfig(2), [(0, 1), (2, 1)]) == reference_pfa_ends(PfaConfig(2), [(0, 1), (2, 1)]) == (2, 2)
 
 
 def test_pfa_ends_single_agent_and_exact_half_ties():
