@@ -1,16 +1,18 @@
 """Strategyproof fitting mechanisms with advice and the audit machinery
-that measures their consistency/robustness tradeoffs empirically."""
+that measures their consistency/robustness tradeoffs empirically.
+
+The package re-exports the public names that the README, the demos, the
+tests or the benchmark read through `advicemech`, and no others.  Every
+other public name is imported from its own module, for example
+`advicemech.audit.AuditReport` or `advicemech.formats.load_instance`."""
 
 from .model import (
-    BINARY_DOMAIN,
     REALS,
     AgentDataset,
     ClassMismatchError,
     ConstantChoice,
-    ConstantClass,
     Instance,
     InvalidInstanceError,
-    LabeledPoint,
     LabelingChoice,
     LabelingLottery,
     LabelingsClass,
@@ -18,10 +20,8 @@ from .model import (
     LinearClass,
     ValueDomain,
     WeightedSample,
-    advice_error,
     advice_error_constant,
     augmented_risk,
-    c0c1_class,
     constant_instance,
     erm_constant,
     global_risk,
@@ -33,7 +33,6 @@ from .model import (
 )
 from .regression import (
     DegenerateLinearInstance,
-    MappedLinearInstance,
     PfaConfig,
     advice_error_linear,
     advice_error_mapped,
@@ -45,7 +44,6 @@ from .regression import (
     projection,
 )
 from .classification import (
-    TwoLabelingReduction,
     pfa_two_labeling,
     preference_summary,
     sample_outcome,
@@ -56,13 +54,10 @@ from .classification import (
 from .audit import (
     AllBinaryVectors,
     AuditableMechanism,
-    AuditReport,
     GridLabels,
     MECHANISMS,
-    MechanismFamily,
     ProjectedConstant,
     SpaceTooLargeError,
-    Violation,
     advice_grid,
     approximation_ratio,
     brute_force_optimal_risk,
@@ -84,8 +79,6 @@ from .audit import (
     srda_two_labeling_mechanism,
 )
 from .formats import (
-    InstanceParseError,
-    load_instance,
     parse_instance,
     serialize_instance,
 )
@@ -108,8 +101,6 @@ _LEARNING = frozenset({
     "sup_personal_gap",
 })
 _HARDNESS = frozenset({
-    "VOTING_LABELINGS",
-    "VOTING_TABLE",
     "ZBlock",
     "consistency_ceiling",
     "gen_randomized_lb",

@@ -372,7 +372,7 @@ class AuditableMechanism:
         audit.  The caller holds the table, so its key is not hashed
         again.  An outcome holding a float raises AttributeError and is not
         stored."""
-        return table.setdefault(id(outcome), _risk_sum(outcome, cls, (agent.points,)))
+        return table.setdefault(id(outcome), _risk_sum(outcome, cls, (agent,)))
 
     def __call__(self, instance: Instance, advice):
         return self.fn(instance, advice)
@@ -949,10 +949,10 @@ def brute_force_optimal_risk(instance: Instance) -> Real:
         return min(global_risk(c, instance) for c in candidates)
     if isinstance(cls, LinearClass):
         candidates = {
-            exact_div(p.y, p.x)
+            exact_div(y, x)
             for a in instance.agents
-            for p in a.points
-            if p.x != 0
+            for x, y in zip(a.xs, a.labels)
+            if x != 0
         }
         if not candidates:
             candidates = {0}

@@ -16,7 +16,6 @@ from .model import (
     BINARY_DOMAIN,
     ClassMismatchError,
     Instance,
-    LabeledPoint,
     LabelingChoice,
     LabelingLottery,
     LabelingsClass,
@@ -162,9 +161,7 @@ def two_labeling_reduce(instance: Instance, advice: int) -> TwoLabelingReduction
             1 for j, y in enumerate(labels) if j not in disagree and first[j] != y
         )
         transformed = tuple(0 if labels[j] == first[j] else 1 for j in J)
-        agents.append(
-            AgentDataset(tuple(LabeledPoint(pos, y) for pos, y in enumerate(transformed)))
-        )
+        agents.append(AgentDataset(enumerate(transformed)))
     reduced = Instance(tuple(agents), c0c1_class(len(J)))
     return TwoLabelingReduction(reduced, J, off_errors)
 

@@ -148,7 +148,7 @@ def serialize_instance(instance: Instance) -> str:
         doc = {
             "class": "homogeneous_linear",
             "agents": [
-                [[format_number(p.x), format_number(p.y)] for p in a.points]
+                [[format_number(x), format_number(y)] for x, y in zip(a.xs, a.labels)]
                 for a in instance.agents
             ],
         }

@@ -20,7 +20,6 @@ from .model import (
     ConstantClass,
     Instance,
     InvalidInstanceError,
-    LabeledPoint,
     Real,
     REALS,
     Value,
@@ -106,9 +105,7 @@ def sample_instance(
         xs = [x for x, _ in agent.support]
         weights = [float(p) for _, p in agent.support]
         draws = rng.choices(xs, weights=weights, k=m)
-        sampled.append(
-            AgentDataset(tuple(LabeledPoint(x, agent.label_of(x)) for x in draws))
-        )
+        sampled.append(AgentDataset((x, agent.label_of(x)) for x in draws))
     return Instance(tuple(sampled), function_class)
 
 

@@ -1,7 +1,10 @@
 """Core data model: strategic datasets, exact risk functionals, and the
-weighted-median kernel, `_optima`.  Every median of the package is one
-call to it: `weighted_median_bounds` and `erm_constant` over a
-`WeightedSample`, `optimal_set`, and the projection and fit steps of
+weighted-median kernel, `_optima`.  A dataset, `AgentDataset`, is one
+agent's public x values and reported labels, stored once as two tuples;
+the risk kernels read them as they are.  Every median of the package is
+one call to `_optima`, which scales exact inputs itself:
+`weighted_median_bounds` and `erm_constant` over a `WeightedSample`'s
+values and weights, `optimal_set`, and the projection and fit steps of
 `regression`.
 
 Everything here is a pure function of immutable inputs.  Feed `int` or
@@ -43,9 +46,10 @@ class DegenerateLinearInstance(InvalidInstanceError):
     """Every slope fits equally well: all input x values are zero."""
 
 
-def _check_finite(x: Real, what: str) -> None:
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InvalidInstanceError(f"{what} must be finite, got {x!r}")
+def _check_finite(values, what: str) -> None:
+    for x in values:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise InvalidInstanceError(f"{what} must be finite, got {x!r}")
 
 
 def exact_div(num: Real, den: Real) -> Real:
@@ -135,8 +139,7 @@ class ValueDomain(Value):
             values = tuple(values)
             if not values:
                 raise InvalidInstanceError("finite domain must be nonempty")
-            for v in values:
-                _check_finite(v, "domain value")
+            _check_finite(values, "domain value")
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise InvalidInstanceError("finite domain must be strictly increasing")
         Value.__init__(self, values)
@@ -225,44 +228,45 @@ def c0c1_class(m: int) -> LabelingsClass:
 # ---------------------------------------------------------------------------
 
 
-class LabeledPoint(Value):
-    _fields = ("x", "y")
-
-    def __init__(self, x: Real, y: Real):
-        _check_finite(x, "point x")
-        _check_finite(y, "label y")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 class AgentDataset(Value):
-    """One agent's reported points; the unit of strategic misreporting.
-    `xs` and `labels` are the points' x values and labels, as tuples."""
+    """One agent's data, the unit of strategic misreporting: its public x
+    values `xs` and its reported `labels`, two tuples of one positive
+    length, every entry finite.  Point j is (xs[j], labels[j]).  The
+    constructor takes (x, y) pairs; `from_labels` puts every point at
+    x = 0, and `with_labels` keeps the x values and relabels them."""
 
-    _fields = ("points",)
+    _fields = ("xs", "labels")
 
-    def __init__(self, points: tuple):
-        pts = tuple(p if isinstance(p, LabeledPoint) else LabeledPoint(p[0], p[1]) for p in points)
-        if not pts:
+    def __init__(self, points: Iterable):
+        points = tuple(points)
+        xs = tuple([p[0] for p in points])
+        _check_finite(xs, "point x")
+        self._fill(xs, tuple([p[1] for p in points]))
+
+    def _fill(self, xs: tuple, labels: tuple) -> "AgentDataset":
+        """Set the two tuples, refusing an empty or non-finite `labels`
+        (the caller checks `xs`), and return the dataset."""
+        if not labels:
             raise InvalidInstanceError("agent dataset must contain at least one point")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "xs", tuple([p.x for p in pts]))
-        object.__setattr__(self, "labels", tuple([p.y for p in pts]))
+        _check_finite(labels, "label y")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "labels", labels)
+        return self
 
     @classmethod
     def from_labels(cls, labels: Iterable[Real]) -> "AgentDataset":
-        return cls(tuple(LabeledPoint(0, y) for y in labels))
+        labels = tuple(labels)
+        return object.__new__(cls)._fill((0,) * len(labels), labels)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.labels)
 
     def with_labels(self, labels: Sequence[Real]) -> "AgentDataset":
         """Same public x values, different (possibly misreported) labels."""
-        if len(labels) != len(self.points):
+        labels = tuple(labels)
+        if len(labels) != len(self.labels):
             raise InvalidInstanceError("misreport must relabel exactly the same points")
-        return AgentDataset(
-            tuple(LabeledPoint(p.x, y) for p, y in zip(self.points, labels))
-        )
+        return object.__new__(AgentDataset)._fill(self.xs, labels)
 
 
 class Instance(Value):
@@ -273,7 +277,7 @@ class Instance(Value):
     _fields = ("agents", "function_class")
 
     def __init__(self, agents: tuple, function_class: FunctionClass):
-        agents = tuple(a if isinstance(a, AgentDataset) else AgentDataset(tuple(a)) for a in agents)
+        agents = tuple(a if isinstance(a, AgentDataset) else AgentDataset(a) for a in agents)
         if not agents:
             raise InvalidInstanceError("instance needs at least one agent")
         cls = function_class
@@ -323,9 +327,7 @@ def constant_instance(label_lists, domain: ValueDomain = REALS) -> Instance:
 
 def linear_instance(pair_lists) -> Instance:
     """Instance over homogeneous linear functions; agents as (x, y) pair lists."""
-    return Instance(
-        tuple(AgentDataset(tuple(pairs)) for pairs in pair_lists), LinearClass()
-    )
+    return Instance(tuple(AgentDataset(pairs) for pairs in pair_lists), LinearClass())
 
 
 def shared_binary_instance(vectors, labelings=None) -> Instance:
@@ -335,11 +337,7 @@ def shared_binary_instance(vectors, labelings=None) -> Instance:
         raise InvalidInstanceError("instance needs at least one agent")
     m = len(vectors[0])
     cls = c0c1_class(m) if labelings is None else LabelingsClass(tuple(labelings))
-    agents = tuple(
-        AgentDataset(tuple(LabeledPoint(j, y) for j, y in enumerate(v)))
-        for v in vectors
-    )
-    return Instance(agents, cls)
+    return Instance(tuple(AgentDataset(enumerate(v)) for v in vectors), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -348,34 +346,27 @@ def shared_binary_instance(vectors, labelings=None) -> Instance:
 
 
 class WeightedSample(Value):
-    """(value, nonnegative weight) pairs, checked on construction: what
+    """(value, weight) pairs, checked on construction: what
     `weighted_median_bounds` and `erm_constant` take from outside the
-    package.  Fractional weights are first-class citizens.  Exact weights
-    are scaled once to ints over their common denominator
-    (`scaled_weights`, the weights themselves when one is a float), and
-    `total_weight` is summed from those; neither is a field."""
+    package.  Every value and weight is finite, every weight nonnegative,
+    and the weights have a positive sum, `total_weight` (no field).
+    Fractional weights are first-class citizens.  The sample keeps no
+    scaled weights: `_optima` scales its inputs itself."""
 
     _fields = ("entries",)
 
     def __init__(self, entries: tuple):
         entries = tuple(map(tuple, entries))
+        _check_finite([v for v, _ in entries], "sample value")
         weights = [w for _, w in entries]
-        try:
-            d, scaled = _common(weights)  # ints with the weights' signs
-        except AttributeError:  # a float
-            d, scaled = 1, weights
-        for (v, w), s in zip(entries, scaled):
-            if s < 0 or isinstance(v, float) or isinstance(w, float):
-                _check_finite(v, "sample value")
-                _check_finite(w, "sample weight")
-                if s < 0:
-                    raise InvalidInstanceError("weights must be nonnegative")
-        total = sum(scaled) if d == 1 else Fraction(sum(scaled), d)
-        if not entries or total <= 0:
+        _check_finite(weights, "sample weight")
+        if any(w < 0 for w in weights):
+            raise InvalidInstanceError("weights must be nonnegative")
+        total = sum(weights)
+        if total <= 0:
             raise InvalidInstanceError("total weight must be positive")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "total_weight", total)
-        object.__setattr__(self, "scaled_weights", scaled)
 
     @classmethod
     def from_values(cls, values: Iterable[Real]) -> "WeightedSample":
@@ -450,15 +441,15 @@ def _optima(domain: ValueDomain, values, weights, keys=None) -> tuple:
 
 def weighted_median_bounds(sample: WeightedSample) -> tuple:
     """The closed interval [lo, hi] of minimizers of the sample's weighted
-    absolute loss: the `_optima` of its values and `scaled_weights` on the
-    real line."""
-    return _optima(REALS, [v for v, _ in sample.entries], sample.scaled_weights)
+    absolute loss: the `_optima` of its values and weights on the real
+    line."""
+    return _optima(REALS, *zip(*sample.entries))
 
 
 def erm_constant(domain: ValueDomain, sample: WeightedSample) -> Real:
     """The largest minimizer over `domain` of the sample's weighted
     absolute loss: the last of its `_optima`."""
-    return _optima(domain, [v for v, _ in sample.entries], sample.scaled_weights)[-1]
+    return _optima(domain, *zip(*sample.entries))[-1]
 
 
 def class_entries(cls: FunctionClass, xs, labels) -> tuple:
@@ -627,25 +618,24 @@ def _bare_function(f, cls: FunctionClass):
     return f
 
 
-def _loss_sum(g, cls: FunctionClass, datasets) -> tuple:
-    """The loss sum of the bare function g over the points of `datasets`
-    (tuples of LabeledPoints, a labeling's index restarting in each) as
+def _loss_sum(g, cls: FunctionClass, agents) -> tuple:
+    """The loss sum of the bare function g over the points of the
+    `AgentDataset`s `agents` (a labeling's index restarting in each) as
     ints (num, den): the sum is num/den.  den is the lcm of g's and the
     labels' denominators, for linear points with g's denominator times the
     lcm of the x denominators in place of g's.  A float has no denominator:
     AttributeError."""
     if isinstance(cls, LabelingsClass):
         labeling = cls.labelings[g]
-        return sum(labeling[j] != p.y for pts in datasets for j, p in enumerate(pts)), 1
-    points = [p for pts in datasets for p in pts]
-    dy, ys = _common([p.y for p in points])
+        return sum([z != y for a in agents for z, y in zip(labeling, a.labels)]), 1
+    dy, ys = _common([y for a in agents for y in a.labels])
     if isinstance(cls, ConstantClass):
         q = g.denominator
         den = lcm(q, dy)
         a, b = g.numerator * (den // q), den // dy
         return sum([abs(a - b * y) for y in ys]), den
     if isinstance(cls, LinearClass):
-        dx, xs = _common([p.x for p in points])
+        dx, xs = _common([x for a in agents for x in a.xs])
         q = g.denominator * dx
         den = lcm(q, dy)
         a, b = g.numerator * (den // q), den // dy
@@ -668,36 +658,37 @@ def _lottery_sum(f: "LabelingLottery", cls: FunctionClass, branch_sum) -> tuple:
     return num, den
 
 
-def _risk_sum(f, cls: FunctionClass, datasets) -> tuple:
+def _risk_sum(f, cls: FunctionClass, agents) -> tuple:
     """`_loss_sum` of f, a bare function or a lottery."""
     if isinstance(f, LabelingLottery):
-        return _lottery_sum(f, cls, lambda i: _loss_sum(i, cls, datasets))
-    return _loss_sum(_bare_function(f, cls), cls, datasets)
+        return _lottery_sum(f, cls, lambda i: _loss_sum(i, cls, agents))
+    return _loss_sum(_bare_function(f, cls), cls, agents)
 
 
-def _risk(f, cls: FunctionClass, datasets, size: int) -> Real:
-    """Average loss of f over the `size` points of `datasets`: one Fraction
-    from the integer loss sum, or on a float the loss formula itself."""
+def _risk(f, cls: FunctionClass, agents) -> Real:
+    """Average loss of f over the points of the `AgentDataset`s `agents`:
+    one Fraction from the integer loss sum, or on a float the loss formula
+    itself."""
+    size = sum([len(a.labels) for a in agents])
     try:
-        num, den = _risk_sum(f, cls, datasets)
+        num, den = _risk_sum(f, cls, agents)
     except AttributeError:  # a float
         if isinstance(f, LabelingLottery):
-            return sum(p * _risk(i, cls, datasets, size) for i, p in f.branches if p != 0)
+            return sum(p * _risk(i, cls, agents) for i, p in f.branches if p != 0)
         g = _bare_function(f, cls)
-        total = sum(_point_loss(g, cls, p.x, p.y) for pts in datasets for p in pts)
+        total = sum(_point_loss(g, cls, x, y) for a in agents for x, y in zip(a.xs, a.labels))
         return exact_div(total, size)
     return Fraction(num, den * size)
 
 
 def personal_risk(f, agent: AgentDataset, cls: FunctionClass) -> Real:
     """Average loss of f on one agent's data; lotteries in closed form."""
-    return _risk(f, cls, (agent.points,), len(agent))
+    return _risk(f, cls, (agent,))
 
 
 def global_risk(f, instance: Instance) -> Real:
     """Average loss of f over the full multiset; lotteries in closed form."""
-    cls = instance.function_class
-    return _risk(f, cls, [a.points for a in instance.agents], instance.total_points)
+    return _risk(f, instance.function_class, instance.agents)
 
 
 class CompiledInstance:
@@ -724,9 +715,8 @@ class CompiledInstance:
         self.size = instance.total_points
         self.labeling_sums = None
         if isinstance(cls, LabelingsClass):
-            datasets = [a.points for a in instance.agents]
             self.labeling_sums = tuple(
-                _loss_sum(i, cls, datasets)[0] for i in range(len(cls.labelings))
+                _loss_sum(i, cls, instance.agents)[0] for i in range(len(cls.labelings))
             )
             return
         xs = [x for agent in instance.agents for x in agent.xs]

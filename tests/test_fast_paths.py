@@ -209,24 +209,24 @@ def test_unanimous_float_labels_keep_ratio_one():
 # ---------------------------------------------------------------------------
 
 
-def plain_risk(f, datasets, cls):
-    """The average loss of f over the points of `datasets`, summed point by
+def plain_risk(f, agents, cls):
+    """The average loss of f over the points (x, y) of `agents`, summed point by
     point in plain Fraction arithmetic (float arithmetic when a float is
     involved), lotteries as the probability-weighted sum of their branches."""
     if isinstance(f, LabelingLottery):
-        return sum(p * plain_risk(i, datasets, cls) for i, p in f.branches if p != 0)
+        return sum(p * plain_risk(i, agents, cls) for i, p in f.branches if p != 0)
     g = f.value if isinstance(f, ConstantChoice) else f.slope if isinstance(f, LinearChoice) else f
     g = f.index if isinstance(f, LabelingChoice) else g
     exact = lambda v: v if isinstance(v, float) else F(v)  # noqa: E731
     total, count = 0, 0
-    for points in datasets:
-        for j, p in enumerate(points):
+    for a in agents:
+        for j, (x, y) in enumerate(zip(a.xs, a.labels)):
             if isinstance(cls, LabelingsClass):
-                total += 0 if cls.labelings[g][j] == p.y else 1
+                total += 0 if cls.labelings[g][j] == y else 1
             elif isinstance(cls, LinearClass):
-                total += abs(exact(g) * exact(p.x) - exact(p.y))
+                total += abs(exact(g) * exact(x) - exact(y))
             else:
-                total += abs(exact(g) - exact(p.y))
+                total += abs(exact(g) - exact(y))
             count += 1
     return total / count if isinstance(total, float) else F(total) / count
 
@@ -237,13 +237,12 @@ def assert_kernel_matches(instance, queries):
     plain sum is one."""
     cls = instance.function_class
     compiled = CompiledInstance(instance)
-    everyone = [a.points for a in instance.agents]
     for f in queries:
-        expected = plain_risk(f, everyone, cls)
+        expected = plain_risk(f, instance.agents, cls)
         for got in (global_risk(f, instance), compiled.risk(f)):
             assert got == expected and type(got) is type(expected), (f, got, expected)
         for agent in instance.agents:
-            expected = plain_risk(f, [agent.points], cls)
+            expected = plain_risk(f, [agent], cls)
             got = personal_risk(f, agent, cls)
             assert got == expected and type(got) is type(expected), (f, got, expected)
 

@@ -34,7 +34,6 @@ from advicemech.model import (
     ConstantChoice,
     ConstantClass,
     FunctionClass,
-    LabeledPoint,
     LabelingChoice,
     LinearChoice,
     LinearClass,
@@ -92,6 +91,54 @@ def test_domain_must_increase():
         ValueDomain.finite([1, 1, 2])
     with pytest.raises(InvalidInstanceError):
         ValueDomain((2, 1))
+
+
+def refusals():
+    """(id, call) for every check the datasets keep, through each entry
+    point that can take the input: a non-finite x or label, an empty
+    dataset and a misreport of the wrong length."""
+    agent = AgentDataset(((1, 2), (F(1, 2), 3)))
+    inst = linear_instance([[(1, 2), (F(1, 2), 3)], [(2, 0)]])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        yield f"x={bad}-pairs", lambda b=bad: AgentDataset(((1, 2), (b, 3)))
+        yield f"x={bad}-linear_instance", lambda b=bad: linear_instance([[(1, 2)], [(b, 3)]])
+        yield f"label={bad}-pairs", lambda b=bad: AgentDataset(((1, 2), (1, b)))
+        yield f"label={bad}-from_labels", lambda b=bad: AgentDataset.from_labels([0, b])
+        yield f"label={bad}-with_labels", lambda b=bad: agent.with_labels((2, b))
+        yield f"label={bad}-with_agent_labels", lambda b=bad: inst.with_agent_labels(1, [b])
+        yield f"label={bad}-linear_instance", lambda b=bad: linear_instance([[(1, b)], [(2, 3)]])
+    yield "empty-pairs", lambda: AgentDataset(())
+    yield "empty-from_labels", lambda: AgentDataset.from_labels([])
+    yield "empty-Instance", lambda: Instance(((),), LinearClass())
+    yield "empty-linear_instance", lambda: linear_instance([[(1, 2)], []])
+    for labels in ((), (2,), (2, 3, 4)):
+        yield f"length={len(labels)}-with_labels", lambda v=labels: agent.with_labels(v)
+        yield f"length={len(labels)}-with_agent_labels", lambda v=labels: inst.with_agent_labels(0, v)
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in refusals()])
+def test_every_dataset_entry_point_refuses_what_a_dataset_cannot_hold(call):
+    with pytest.raises(InvalidInstanceError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [((float("nan"), 1),), ((0, 1), (float("inf"), 1)), ((1, float("nan")),), ((0, 1), (1, float("inf")))],
+    ids=["nan value", "inf value", "nan weight", "inf weight"],
+)
+def test_a_weighted_sample_refuses_a_non_finite_value_or_weight(entries):
+    with pytest.raises(InvalidInstanceError):
+        WeightedSample(entries)
+
+
+@pytest.mark.parametrize(
+    "weights, total",
+    [((1, 2, 0), 3), ((F(1, 2), F(1, 3)), F(5, 6)), ((F(2), F(4), F(0)), 6), ((0.5, 0.25, 2.0), 2.75)],
+    ids=["int", "Fraction", "integral Fraction", "float"],
+)
+def test_total_weight_is_the_sum_of_the_weights(weights, total):
+    assert WeightedSample(tuple(zip(range(len(weights)), weights))).total_weight == total
 
 
 def test_weights_must_be_nonnegative_with_positive_total():
@@ -374,7 +421,6 @@ def value_examples():
         ConstantClass(),
         LinearClass(),
         LabelingsClass(((0, 1), (1, 0))),
-        LabeledPoint(1, F(1, 2)),
         AgentDataset(((0, 1), (2, 3))),
         constant_instance([[0, 1], [2]]),
         WeightedSample(((1, 1), (2, F(1, 2)))),
@@ -411,7 +457,7 @@ def test_every_value_type_has_an_example():
     library = {cls for cls in subclasses(Value) if cls.__module__.startswith("advicemech.")}
     examples = value_examples()
     assert {type(v) for v in examples} == library - {Value, FunctionClass}
-    assert len(examples) == 27
+    assert len(examples) == 26
 
 
 @pytest.mark.parametrize("value", value_examples(), ids=lambda v: type(v).__name__)
