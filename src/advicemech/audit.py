@@ -32,17 +32,19 @@ per (count, number of agents), each kept in a `functools.cache`.
 pieces:
 
 - A plan (`_Plan`) prepares an instance and a space once for audits at
-  every advice: the signature profile, report counts and budgets, loss
-  tables, pools, and per coalition its member pools, its row slot and the
-  slot's profiles.
+  every advice: the signature profile, the elementary symmetric sums of
+  the report counts that every budget is summed from, loss tables, pools,
+  and per coalition its member pools, its row slot and the slot's
+  profiles.
 - An outcome row holds the outcome of each joint report of a coalition,
   in product order of its members' pools, and nothing else.  Registered
   mechanisms are anonymous (the outcome depends on the multiset of
-  signatures), so a row is shared by every instance with the same class,
-  advice, the same signatures outside the coalition ("others") and member
-  pool signatures, and its outcomes are cached by the sorted full profile.
-  Those profiles depend on neither gamma nor advice: they are sorted once
-  per slot, when the context numbers it.
+  signatures), so a row is shared by every instance with the same
+  signatures outside the coalition ("others") and member pool signatures,
+  the key of its slot, within the entry of one class and advice, and its
+  outcomes are cached by the sorted full profile.  Those profiles depend
+  on neither gamma, advice nor class: they are sorted once per slot, when
+  the context numbers it.
 - Gains (`_gains`) are computed once per distinct outcome of a row, not
   per joint report, and on integers for every exact outcome, rational
   ones included: each agent's loss table maps an outcome to the ints
@@ -61,7 +63,8 @@ their family and the parameters their signature depends on (pfa's domain,
 srda's `literal_indicator`) from a registry of weak values, so the
 gamma-mechanisms alive together, one per gamma, share one, and it dies
 with the last of them: a caller that drops its mechanisms starts cold, and
-so does one that builds a gamma again while it holds the last.  Every
+so does one that builds a gamma again while it holds the last, which the
+context sees in `live`, its weak map from name to live mechanism.  Every
 other mechanism has a context of its own.  The intern keeps one
 object per distinct outcome alive as long as its context, so loss tables
 and rows key an outcome by `id()`, not by its hash, and rows are keyed by
@@ -256,9 +259,11 @@ class _Context:
     its objects) holds one object per distinct cached outcome for as long
     as the context lives, so loss tables and rows key an outcome by its
     `id()`, and an id in `held` is never reused while the context lives.
-    Nothing here refers to a mechanism: mechanisms hold their
-    context, so it lives exactly as long as one of them does; `names` are
-    theirs, each dropped when its mechanism dies."""
+    Nothing here refers to a mechanism strongly: mechanisms hold their
+    context, so it lives exactly as long as one of them does, and `live`
+    maps each name `_sharing` gave to its mechanism by weak reference, so
+    a name leaves it when its mechanism dies.  Row slots are keyed by
+    (others, pool signatures), what a row depends on (`_Plan`)."""
 
     def __init__(self, signature=None):
         exact = signature or (lambda xs, labels, cls: (xs, tuple(labels)))
@@ -273,11 +278,11 @@ class _Context:
         self.tables = {}  # (xs, labels, class) -> the agent's loss table: id(outcome) -> (num, den)
         self.outcomes = {}  # one object per distinct cached outcome
         self.held = set()  # the ids of those objects
-        # (class, others, pool signatures) -> (a row slot's number, the
-        # sorted full profile of each joint report, in product order)
+        # (others, pool signatures) -> (a row slot's number, the sorted
+        # full profile of each joint report, in product order)
         self.slots = {}
         self.plan = None  # the _Plan of the instance audited last; `_audit` keeps it
-        self.names = set()  # the names of the live mechanisms `_sharing` gave it
+        self.live = weakref.WeakValueDictionary()  # name -> the live mechanism `_sharing` gave it
 
     def intern(self, out):
         """The intern's object equal to `out`, which becomes it if there is
@@ -423,15 +428,15 @@ class AuditableMechanism:
 def _sharing(key, signature, fn, name, fit) -> AuditableMechanism:
     """A mechanism on the context of `key` that its live siblings share,
     one per name (gamma).  A new context, with `signature()`, replaces it
-    when none of them is alive or one of them has this name: a caller that
-    builds the same gammas again, while the last set is still held, starts
-    cold too."""
+    when none of them is alive or one of them has this name in the
+    context's `live` map, which holds mechanisms weakly, so a name leaves
+    it with its mechanism: a caller that builds the same gammas again,
+    while the last set is still held, starts cold too."""
     mechanism = AuditableMechanism(fn, name, fit=fit)
     context = _CONTEXTS.get(key)
-    if context is None or name in context.names:
+    if context is None or name in context.live:
         context = _CONTEXTS[key] = _Context(signature())
-    context.names.add(name)
-    weakref.finalize(mechanism, context.names.discard, name)  # holds the set, not the context
+    context.live[name] = mechanism
     mechanism.context = context
     return mechanism
 
@@ -686,20 +691,22 @@ def _joint_report(instance: Instance, coalition, joint) -> Instance:
 class _Plan:
     """An instance and a misreport space prepared for audits at many advice
     values, by every mechanism of one context: the signature profile, each
-    agent's report count and size, the budget per `max_coalition` and, when
-    the plan is `cached`, its loss tables and, once a budget has passed,
-    the pools and every coalition's member pools, row slot and the slot's
-    profiles.
+    agent's size, `e`, the elementary symmetric sums e_0..e_n of the
+    agents' report counts (e_k counts the joint reports of every coalition
+    of k agents, so an audit up to `max_coalition` has the budget e_1 + ...
+    + e_max_coalition) and, when the plan is `cached`, its loss tables and,
+    once a budget has passed, the pools and every coalition's member pools,
+    row slot and the slot's profiles.
 
     A plan is `cached` when the mechanism has a fit and the instance and the
     space are exact; only then do audits read and write the caches.  A slot
-    is the number the context gives (class, the sorted signatures of the
-    agents outside the coalition ("others"), the member pools'
-    signatures), and each mechanism keys its rows (in its entry at the
-    audit's class and advice) by slot, so every instance whose coalition
-    has the same others and pool signatures shares its rows.  A plan holds
-    the context's tables and slots, but neither the context nor a
-    mechanism."""
+    is the number the context gives (the sorted signatures of the agents
+    outside the coalition ("others"), the member pools' signatures): what
+    a row depends on.  Each mechanism keys its rows by slot in its entry at
+    the audit's class and advice, which fixes the class, so every instance
+    whose coalition has the same others and pool signatures shares its
+    rows.  A plan holds the context's tables and slots, but neither the
+    context nor a mechanism."""
 
     def __init__(self, mechanism, instance, space):
         context = mechanism.context
@@ -713,36 +720,26 @@ class _Plan:
         if self.cached:
             self.tables = [context.tables.setdefault((a.xs, a.labels, self.cls), {}) for a in agents]
         self.slots = context.slots
-        self.counts = [space.count(a) for a in agents]
         self.sizes = [len(a) for a in agents]
-        self.budgets = {}  # max_coalition -> budget
+        self.e = e = [1] + [0] * len(agents)  # e[k]: the joint reports of all coalitions of k agents
+        for count in map(space.count, agents):
+            for k in range(len(agents), 0, -1):
+                e[k] += e[k - 1] * count
         self.pools = None  # set by the first audit to reach the cached gain loop
         self.coalitions = {}
 
-    def budget(self, max_coalition: int) -> int:
-        """Joint reports of every coalition of at most `max_coalition` agents:
-        the sum of the elementary symmetric sums e_1..e_max_coalition of the
-        report counts, where e_k covers every coalition of k agents."""
-        budget = self.budgets.get(max_coalition)
-        if budget is None:
-            e = [1] + [0] * max_coalition
-            for count in self.counts:
-                for k in range(max_coalition, 0, -1):
-                    e[k] += e[k - 1] * count
-            budget = self.budgets[max_coalition] = sum(e[1:])
-        return budget
-
     def coalition_rows(self, size: int) -> list:
         """(coalition, member pools, row slot, the slot's profiles) of every
-        coalition of `size`, in `combinations` order.  A slot's profiles,
-        the sorted full profile of each joint report in product order of
-        the member pools' signatures, are built once, when the context
-        numbers the slot, and read by every (gamma, advice) that fills a
-        row there."""
+        coalition of `size`, in `combinations` order.  The slot is keyed by
+        (others, pool signatures) alone: a row lives in the entry of one
+        (class, advice).  A slot's profiles, the sorted full profile of
+        each joint report in product order of the member pools'
+        signatures, are built once, when the context numbers the slot, and
+        read by every (gamma, advice) that fills a row there."""
         entries = self.coalitions.get(size)
         if entries is not None:
             return entries
-        n = len(self.counts)
+        n = len(self.sizes)
         slots = self.slots
         entries = self.coalitions[size] = []
         for coalition in combinations(range(n), size):
@@ -750,10 +747,9 @@ class _Plan:
             others = tuple(sorted(self.profile[j] for j in range(n) if j not in coalition))
             # a row depends on the pools' signatures, not on their reports
             sigs = tuple(tuple(sig for sig, _ in pool) for pool in members)
-            key = self.cls, others, sigs
             # a new slot: its number, and the sorted full profile of each joint report
-            slot = slots.get(key) or slots.setdefault(
-                key, (len(slots), tuple(tuple(sorted(others + joint)) for joint in product(*sigs))))
+            slot = slots.get((others, sigs)) or slots.setdefault(
+                (others, sigs), (len(slots), tuple(tuple(sorted(others + joint)) for joint in product(*sigs))))
             entries.append((coalition, members, *slot))
         return entries
 
@@ -784,8 +780,9 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     strictly more (at size one: a gain above epsilon).
 
     `_audit` sizes the audit, once: `max_coalition` is clamped to the
-    agent count, since no coalition is larger, and an audit whose budget
-    counts no candidate (a `max_coalition` below 1, an empty space) raises
+    agent count, since no coalition is larger, the budget is the plan's
+    e_1 + ... + e_max_coalition, and an audit whose budget counts no
+    candidate (a `max_coalition` below 1, an empty space) raises
     ValueError, since it would certify nothing.  It keeps the plan of the
     instance audited last on the mechanism's context and reuses it for the
     same instance and space, so the mechanisms sharing a context (one per
@@ -804,7 +801,7 @@ def _audit(mechanism, instance, advice, space, epsilon, max_coalition) -> AuditR
     ):
         plan = context.plan = _Plan(mechanism, instance, space)
     max_coalition = min(max_coalition, instance.n)
-    budget = plan.budget(max_coalition)
+    budget = sum(plan.e[1 : max(max_coalition, 0) + 1])
     if budget == 0:
         raise ValueError("an audit of no candidate certifies nothing")
     if budget > EVALUATION_BUDGET:
@@ -957,9 +954,7 @@ def brute_force_optimal_risk(instance: Instance) -> Real:
         if not candidates:
             candidates = {0}
         return min(global_risk(c, instance) for c in candidates)
-    if isinstance(cls, LabelingsClass):
-        return min(global_risk(i, instance) for i in range(len(cls.labelings)))
-    raise TypeError(f"unknown function class {cls!r}")
+    return min(global_risk(i, instance) for i in range(len(cls.labelings)))
 
 
 def optimal_functions(instance: Instance) -> tuple:

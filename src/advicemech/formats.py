@@ -11,7 +11,6 @@ from .model import (
     ConstantClass,
     Instance,
     InvalidInstanceError,
-    LabelingsClass,
     LinearClass,
     REALS,
     ValueDomain,
@@ -152,14 +151,12 @@ def serialize_instance(instance: Instance) -> str:
                 for a in instance.agents
             ],
         }
-    elif isinstance(cls, LabelingsClass):
+    else:
         doc = {
             "class": "labelings",
             "labelings": ["".join(str(y) for y in v) for v in cls.labelings],
             "agents": ["".join(str(y) for y in a.labels) for a in instance.agents],
         }
-    else:
-        raise TypeError(f"unknown function class {cls!r}")
     return json.dumps(doc, indent=2) + "\n"
 
 

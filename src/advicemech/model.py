@@ -46,10 +46,13 @@ class DegenerateLinearInstance(InvalidInstanceError):
     """Every slope fits equally well: all input x values are zero."""
 
 
-def _check_finite(values, what: str) -> None:
+def _check_numbers(values, what: str) -> None:
+    """Refuse, by name, any of `values` that is not an int (a bool
+    included), a Fraction or a finite float: the numbers the risk kernels
+    and the median kernel compute with."""
     for x in values:
-        if isinstance(x, float) and not math.isfinite(x):
-            raise InvalidInstanceError(f"{what} must be finite, got {x!r}")
+        if not isinstance(x, (int, Fraction)) and not (isinstance(x, float) and math.isfinite(x)):
+            raise InvalidInstanceError(f"{what} must be an int, a Fraction or a finite float, got {x!r}")
 
 
 def exact_div(num: Real, den: Real) -> Real:
@@ -139,7 +142,7 @@ class ValueDomain(Value):
             values = tuple(values)
             if not values:
                 raise InvalidInstanceError("finite domain must be nonempty")
-            _check_finite(values, "domain value")
+            _check_numbers(values, "domain value")
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise InvalidInstanceError("finite domain must be strictly increasing")
         Value.__init__(self, values)
@@ -231,24 +234,25 @@ def c0c1_class(m: int) -> LabelingsClass:
 class AgentDataset(Value):
     """One agent's data, the unit of strategic misreporting: its public x
     values `xs` and its reported `labels`, two tuples of one positive
-    length, every entry finite.  Point j is (xs[j], labels[j]).  The
-    constructor takes (x, y) pairs; `from_labels` puts every point at
-    x = 0, and `with_labels` keeps the x values and relabels them."""
+    length, every entry an int, a Fraction or a finite float.  Point j is
+    (xs[j], labels[j]).  The constructor takes (x, y) pairs; `from_labels`
+    puts every point at x = 0, and `with_labels` keeps the x values and
+    relabels them."""
 
     _fields = ("xs", "labels")
 
     def __init__(self, points: Iterable):
         points = tuple(points)
         xs = tuple([p[0] for p in points])
-        _check_finite(xs, "point x")
+        _check_numbers(xs, "point x")
         self._fill(xs, tuple([p[1] for p in points]))
 
     def _fill(self, xs: tuple, labels: tuple) -> "AgentDataset":
-        """Set the two tuples, refusing an empty or non-finite `labels`
-        (the caller checks `xs`), and return the dataset."""
+        """Set the two tuples, refusing an empty `labels` or one holding a
+        non-number (the caller checks `xs`), and return the dataset."""
         if not labels:
             raise InvalidInstanceError("agent dataset must contain at least one point")
-        _check_finite(labels, "label y")
+        _check_numbers(labels, "label y")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "labels", labels)
         return self
@@ -270,9 +274,10 @@ class AgentDataset(Value):
 
 
 class Instance(Value):
-    """A multiset union of agent datasets plus the hypothesis class.
-    `exact`: no float among the x values, labels and domain values, so the
-    exact path answers for the instance."""
+    """A multiset union of agent datasets plus the hypothesis class, a
+    `ConstantClass`, `LinearClass` or `LabelingsClass`.  `exact`: no float
+    among the x values, labels and domain values, so the exact path
+    answers for the instance."""
 
     _fields = ("agents", "function_class")
 
@@ -281,6 +286,8 @@ class Instance(Value):
         if not agents:
             raise InvalidInstanceError("instance needs at least one agent")
         cls = function_class
+        if not isinstance(cls, (ConstantClass, LinearClass, LabelingsClass)):
+            raise InvalidInstanceError(f"function class must be constant, linear or labelings, got {cls!r}")
         if isinstance(cls, LabelingsClass):
             m = cls.num_points
             shared = agents[0].xs
@@ -348,18 +355,19 @@ def shared_binary_instance(vectors, labelings=None) -> Instance:
 class WeightedSample(Value):
     """(value, weight) pairs, checked on construction: what
     `weighted_median_bounds` and `erm_constant` take from outside the
-    package.  Every value and weight is finite, every weight nonnegative,
-    and the weights have a positive sum, `total_weight` (no field).
-    Fractional weights are first-class citizens.  The sample keeps no
-    scaled weights: `_optima` scales its inputs itself."""
+    package.  Every value and weight is an int, a Fraction or a finite
+    float, every weight nonnegative, and the weights have a positive sum,
+    `total_weight` (no field).  Fractional weights are first-class
+    citizens.  The sample keeps no scaled weights: `_optima` scales its
+    inputs itself."""
 
     _fields = ("entries",)
 
     def __init__(self, entries: tuple):
         entries = tuple(map(tuple, entries))
-        _check_finite([v for v, _ in entries], "sample value")
+        _check_numbers([v for v, _ in entries], "sample value")
         weights = [w for _, w in entries]
-        _check_finite(weights, "sample weight")
+        _check_numbers(weights, "sample weight")
         if any(w < 0 for w in weights):
             raise InvalidInstanceError("weights must be nonnegative")
         total = sum(weights)
@@ -386,13 +394,14 @@ def _ints(values) -> list:
         return values
 
 
-def _optima(domain: ValueDomain, values, weights, keys=None) -> tuple:
+def _optima(domain: ValueDomain, values, weights) -> tuple:
     """The minimizers over `domain` of the weighted absolute loss of
     `values` under `weights`, ascending: the median kernel.  The weights
-    are nonnegative with a positive sum.  Unless the caller passes `keys`,
-    the values' ints, with int weights, exact values and weights are
-    scaled here to ints over one common denominator, which moves no
-    minimizer; a float among them leaves them as they are.
+    are nonnegative with a positive sum.  Exact values and weights are
+    scaled here to ints over one common denominator, the keys the entries
+    sort by and the weights they carry; one common factor moves no
+    minimizer and no tie order.  A float among them leaves them as they
+    are.
 
     On the real line the minimizers are the weighted-median interval
     [lo, hi], returned as its ends: lo is the smallest value carrying at
@@ -407,9 +416,8 @@ def _optima(domain: ValueDomain, values, weights, keys=None) -> tuple:
     neighbours on either side ties for the least loss sum, compared as
     ints when all is exact.
     """
-    if keys is None:
-        keys = _ints([*values, *weights])
-        keys, weights = keys[: len(values)], keys[len(values) :]
+    keys = _ints([*values, *weights])
+    keys, weights = keys[: len(values)], keys[len(values) :]
     order = sorted(zip(keys, weights, range(len(values))))
     total = sum(weights)
     acc = 0

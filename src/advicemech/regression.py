@@ -101,24 +101,10 @@ def pfa_fit(cfg: PfaConfig, projections, advice: Real) -> ConstantChoice:
     """The fit step of pfa: the largest minimizer over the domain of the
     weighted loss of the per-agent projections (b_i, w_i), w_i = |S_i| for
     constant agents, plus the advice with weight lam * sum(w_i): one call
-    to the median kernel.  Inputs are assumed checked by
-    `check_pfa_inputs`.
-
-    With a rational lam = p/q and exact entries, the values and sizes are
-    scaled to ints over one common denominator, and the weights are the
-    scaled sizes times q and the advice weight p times their sum, which
-    moves no median.  On a float the weights are the sizes and
-    lam * sum(w_i) themselves."""
-    values = [b for b, _ in projections] + [advice]
-    sizes = [w for _, w in projections]
-    try:  # a float raises AttributeError
-        p, q = cfg.lam.numerator, cfg.lam.denominator
-        _, keys = _common(values + sizes)
-        keys, scaled = keys[: len(values)], keys[len(values) :]
-        weights = [w * q for w in scaled] + [p * sum(scaled)]
-    except AttributeError:
-        keys, weights = None, [*sizes, cfg.lam * sum(sizes)]
-    return ConstantChoice(_optima(cfg.domain, values, weights, keys)[-1])
+    to the median kernel, which scales exact inputs to ints itself.
+    Inputs are assumed checked by `check_pfa_inputs`."""
+    values, sizes = zip(*projections)
+    return ConstantChoice(_optima(cfg.domain, [*values, advice], [*sizes, cfg.lam * sum(sizes)])[-1])
 
 
 def pfa_ends(cfg: PfaConfig, projections) -> tuple:

@@ -57,7 +57,7 @@ from advicemech import (
     weighted_median_bounds,
 )
 from advicemech.audit import risk_ratio
-from advicemech.model import CompiledInstance, ConstantClass, _common, _optima, exact_div
+from advicemech.model import CompiledInstance, ConstantClass, _optima, exact_div
 from advicemech.regression import SLOPE_INVISIBLE, lpfa_fit, pfa_ends, pfa_fit, projection
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -515,17 +515,11 @@ def test_lpfa_fit_clamps_the_visible_projections(gamma, profile, extra):
 def reference_pfa_ends(cfg, projections):
     """`pfa_ends` by its definition: `pfa_fit` on the real line with the
     advice at the least projection and at the greatest, each one call to
-    the median kernel with the advice as a phantom projection, on the
-    values and sizes scaled to ints over one common denominator and, for
-    lam = p/q, the scaled sizes times q and the advice's weight p times
-    their sum, as `pfa_fit` scales them."""
+    the median kernel on the augmented profile, the projections and the
+    advice as a phantom projection of weight lam times their sizes' sum."""
     values, sizes = [b for b, _ in projections], [w for _, w in projections]
-    p, q = cfg.lam.numerator, cfg.lam.denominator
-    _, keys = _common(values + sizes)
-    keys, sizes = keys[: len(values)], keys[len(values) :]
-    weights = [w * q for w in sizes] + [p * sum(sizes)]
-    phantoms = min(zip(keys, values)), max(zip(keys, values))
-    return tuple(_optima(REALS, [*values, b], weights, [*keys, k])[-1] for k, b in phantoms)
+    weights = [*sizes, cfg.lam * sum(sizes)]
+    return tuple(_optima(REALS, [*values, b], weights)[-1] for b in (min(values), max(values)))
 
 
 @EXAMPLES

@@ -5,8 +5,14 @@ when 0 and 1 swap in the labels and the advice.  Every registered
 mechanism is anonymous: permuting the agents leaves its outcome unchanged,
 which is what lets an audit share outcome rows across instances.  On
 quarter-grid data the float path of pfa and lpfa agrees with the exact
-path within 1e-9."""
+path within 1e-9.
 
+The same relations hold of verdicts: a group audit of pfa or of the mean
+moves by a known rule under translation, positive scaling and agent
+permutation, on a fresh context and on one the untransformed audit
+warmed, where a cache keyed by too little would answer stale."""
+
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +30,14 @@ from advicemech import (
     pfa,
     shared_binary_instance,
     srda,
+)
+from advicemech.audit import (
+    AuditReport,
+    GridLabels,
+    Violation,
+    check_group_strategyproof,
+    mean_mechanism,
+    pfa_mechanism,
 )
 
 EXAMPLES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -162,3 +176,94 @@ def test_permuting_agents_keeps_every_registered_outcome(case, data):
     order = data.draw(st.permutations(range(instance.n)))
     permuted = Instance(tuple(instance.agents[i] for i in order), instance.function_class)
     assert mech.fn(permuted, advice) == mech.fn(instance, advice)
+
+
+# ---------------------------------------------------------------------------
+# verdicts: the relations on audit reports, fresh and on a warm context
+# ---------------------------------------------------------------------------
+
+AUDIT_EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+grid_levels = st.lists(st.integers(-3, 3), min_size=2, max_size=3, unique=True)
+# two or three agents of one to three labels on the grid's range
+audit_labels = st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3), min_size=2, max_size=3)
+
+
+def mapped(report, label, risk):
+    """`report` with every reported label through `label` and every risk
+    and gain through `risk`."""
+    def violation(v):
+        return Violation(
+            v.agents, tuple(tuple(map(label, r)) for r in v.misreports),
+            tuple(map(risk, v.risks_before)), tuple(map(risk, v.risks_after)), risk(v.gain),
+        )
+    return AuditReport(tuple(map(violation, report.violations)), risk(report.max_gain), report.candidates_checked)
+
+
+def by_agent(report, place=lambda i: i):
+    """The report's violations as a multiset of (each member's (agent at
+    `place`, report, risk before, risk after), gain)."""
+    return Counter(
+        (tuple(sorted(zip(map(place, v.agents), v.misreports, v.risks_before, v.risks_after))), v.gain)
+        for v in report.violations
+    )
+
+
+def audits(make, sibling, instance, advice, levels, transformed):
+    """The audit of `instance` at `advice` on a grid of `levels`, and the
+    audits of the `transformed` (instance, advice, levels) on a fresh
+    context and on the context the untransformed audit warmed.  `sibling`
+    (pfa's mechanism at another gamma, which shares the context, or None)
+    audits the untransformed instance first."""
+    held = make()
+    if sibling is not None:
+        check_group_strategyproof(sibling(), instance, advice, GridLabels(levels), 2)
+    expected = check_group_strategyproof(held, instance, advice, GridLabels(levels), 2)
+    t_instance, t_advice, t_levels = transformed
+    # a second mechanism at a live gamma starts a new context
+    fresh = check_group_strategyproof(make(), t_instance, t_advice, GridLabels(t_levels), 2)
+    warm = check_group_strategyproof(held, t_instance, t_advice, GridLabels(t_levels), 2)
+    return expected, fresh, warm
+
+
+# name -> (gamma -> the mechanism, whether it has gamma-siblings on its context)
+AUDITED = {"pfa": (pfa_mechanism, True), "mean": (lambda gamma: mean_mechanism(), False)}
+SHIFTS = {
+    "translate-int": st.integers(-5, 5),
+    "translate-fraction": st.builds(F, st.integers(-9, 9), st.integers(2, 5)).filter(lambda c: c.denominator > 1),
+}
+FACTORS = {"scale-3": 3, "scale-1/7": F(1, 7)}
+RELATIONS = (*SHIFTS, *FACTORS, "permute")
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("name", sorted(AUDITED))
+@AUDIT_EXAMPLES
+@given(data=st.data())
+def test_audit_verdicts_follow_translation_scaling_and_permutation(name, relation, data):
+    labels, levels = data.draw(audit_labels), data.draw(grid_levels)
+    advice, gamma = data.draw(st.integers(-3, 3)), data.draw(gammas)
+    make, siblings = AUDITED[name]
+    other = data.draw(gammas.filter(lambda g: g != gamma))
+    sibling = (lambda: make(other)) if siblings else None
+    instance = constant_instance(labels)
+    if relation == "permute":
+        order = data.draw(st.permutations(range(instance.n)))
+        permuted = Instance(tuple(instance.agents[i] for i in order), instance.function_class)
+        place = {i: j for j, i in enumerate(order)}.get  # agent i's position in the permuted instance
+        expected, *got = audits(lambda: make(gamma), sibling, instance, advice, levels, (permuted, advice, levels))
+        for report in got:
+            assert (report.candidates_checked, report.max_gain) == (expected.candidates_checked, expected.max_gain)
+            assert by_agent(report) == by_agent(expected, place)
+        return
+    if relation in SHIFTS:
+        c = data.draw(SHIFTS[relation])
+        label, risk = (lambda y: y + c), (lambda r: r)
+    else:
+        k = FACTORS[relation]
+        label, risk = (lambda y: k * y), (lambda r: k * r)
+    moved = constant_instance([list(map(label, agent)) for agent in labels])
+    expected, fresh, warm = audits(
+        lambda: make(gamma), sibling, instance, advice, levels, (moved, label(advice), list(map(label, levels)))
+    )
+    assert fresh == warm == mapped(expected, label, risk)

@@ -5,6 +5,7 @@ never touch the median logic under test.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,11 @@ from advicemech import (
 )
 from advicemech import audit, classification, hardness, learning, regression
 from advicemech.audit import GridLabels
+from advicemech.formats import InstanceParseError, parse_instance
+from advicemech.hardness import gen_randomized_lb, lb_parameters
+from advicemech.learning import AgentModel, required_sample_size, sup_global_gap
 from advicemech.model import (
+    ClassMismatchError,
     ConstantChoice,
     ConstantClass,
     FunctionClass,
@@ -38,8 +43,12 @@ from advicemech.model import (
     LinearChoice,
     LinearClass,
     Value,
+    _bare_function,
+    c0c1_class,
+    class_entries,
     optimal_constant_set,
 )
+from advicemech.regression import map_to_constant_instance, mapped_optimal_set, optimal_slope_set
 
 
 def brute_force_erm(domain_values, sample: WeightedSample):
@@ -120,6 +129,87 @@ def refusals():
 def test_every_dataset_entry_point_refuses_what_a_dataset_cannot_hold(call):
     with pytest.raises(InvalidInstanceError):
         call()
+
+
+def non_numbers():
+    """(id, call, field) for a non-number through every entry point that
+    takes an x, a label, a domain value, a sample value or a weight."""
+    agent = AgentDataset(((1, 2), (F(1, 2), 3)))
+    inst = constant_instance([[0, 1], [2]])
+    for bad in ("3", None, Decimal("3"), 1j, [1]):
+        name = type(bad).__name__
+        yield f"{name}-x-pairs", lambda b=bad: AgentDataset(((1, 2), (b, 3))), "point x"
+        yield f"{name}-x-linear_instance", lambda b=bad: linear_instance([[(b, 1)]]), "point x"
+        yield f"{name}-label-pairs", lambda b=bad: AgentDataset(((1, b),)), "label y"
+        yield f"{name}-label-from_labels", lambda b=bad: AgentDataset.from_labels([0, b]), "label y"
+        yield f"{name}-label-with_labels", lambda b=bad: agent.with_labels((2, b)), "label y"
+        yield f"{name}-label-with_agent_labels", lambda b=bad: inst.with_agent_labels(1, [b]), "label y"
+        yield f"{name}-label-constant_instance", lambda b=bad: constant_instance([[0], [b]]), "label y"
+        yield f"{name}-domain-ValueDomain", lambda b=bad: ValueDomain((0, b)), "domain value"
+        yield f"{name}-value-WeightedSample", lambda b=bad: WeightedSample(((b, 1),)), "sample value"
+        yield f"{name}-weight-WeightedSample", lambda b=bad: WeightedSample(((0, 1), (1, b))), "sample weight"
+
+
+@pytest.mark.parametrize("call, field", [pytest.param(c, f, id=name) for name, c, f in non_numbers()])
+def test_every_entry_point_refuses_a_non_number_by_name(call, field):
+    with pytest.raises(InvalidInstanceError, match=field):
+        call()
+
+
+def test_a_dataset_holds_ints_bools_fractions_and_finite_floats():
+    agent = AgentDataset(((True, 1), (F(1, 2), False), (0.5, F(7, 3)), (-2, 2.5)))
+    assert agent.labels == (1, False, F(7, 3), 2.5)
+    assert WeightedSample(((True, F(1, 2)), (0.5, 1))).total_weight == F(3, 2)
+
+
+@pytest.mark.parametrize("cls", [FunctionClass(), Value(), "constant", None], ids=["FunctionClass", "Value", "str", "None"])
+def test_an_instance_refuses_a_class_it_cannot_score(cls):
+    with pytest.raises(InvalidInstanceError, match="function class"):
+        Instance((AgentDataset.from_labels([1]),), cls)
+
+
+def documented_refusals():
+    """(entry point, call, the type its docstring or message documents) for
+    each refusal that no other test reaches."""
+    constant = constant_instance([[0, 1], [2]])
+    linear = linear_instance([[(1, 2)], [(2, 0)]])
+    binary = shared_binary_instance([(0, 1), (1, 1)])
+    model = AgentModel(((0, F(1, 2)), (1, F(1, 2))), ((0, 0), (1, 1)))
+    yield "ValueDomain-empty", lambda: ValueDomain(()), InvalidInstanceError
+    yield "LabelingsClass-one-labeling", lambda: LabelingsClass(((0, 1),)), InvalidInstanceError
+    yield "LabelingsClass-non-binary", lambda: LabelingsClass(((0, 1), (2, 1))), InvalidInstanceError
+    yield "Instance-no-agents", lambda: Instance((), ConstantClass()), InvalidInstanceError
+    yield "Instance-labeling-length", lambda: Instance(binary.agents, c0c1_class(3)), InvalidInstanceError
+    yield "shared_binary_instance-empty", lambda: shared_binary_instance([]), InvalidInstanceError
+    yield "LabelingLottery-negative", lambda: LabelingLottery(((0, F(3, 2)), (1, F(-1, 2)))), InvalidInstanceError
+    yield "augmented_risk-linear", lambda: augmented_risk(0, linear, 0, F(1, 2)), ClassMismatchError
+    yield "augmented_risk-lambda-below", lambda: augmented_risk(0, constant, 0, -1), ValueError
+    yield "augmented_risk-lambda-above", lambda: augmented_risk(0, constant, 0, F(3, 2)), ValueError
+    yield "optimal_constant_set-linear", lambda: optimal_constant_set(linear), ClassMismatchError
+    yield "class_entries-labelings", lambda: class_entries(binary.function_class, (0, 1), (0, 1)), ClassMismatchError
+    yield "_bare_function-ConstantChoice", lambda: _bare_function(ConstantChoice(0), LinearClass()), ClassMismatchError
+    yield "_bare_function-LabelingChoice", lambda: _bare_function(LabelingChoice(0), ConstantClass()), ClassMismatchError
+    yield "_bare_function-non-index", lambda: _bare_function(F(1, 2), binary.function_class), ClassMismatchError
+    yield "map_to_constant_instance-constant", lambda: map_to_constant_instance(constant), ClassMismatchError
+    yield "optimal_slope_set-constant", lambda: optimal_slope_set(constant), ClassMismatchError
+    yield "mapped_optimal_set-constant", lambda: mapped_optimal_set(constant), ClassMismatchError
+    yield "AgentModel-empty-support", lambda: AgentModel((), ()), InvalidInstanceError
+    yield "AgentModel-zero-probability", lambda: AgentModel(((0, 1), (1, 0)), ((0, 0), (1, 1))), InvalidInstanceError
+    yield "required_sample_size-n", lambda: required_sample_size(0, F(1, 2), F(1, 2)), ValueError
+    yield "required_sample_size-epsilon", lambda: required_sample_size(2, 0, F(1, 2)), ValueError
+    yield "required_sample_size-delta", lambda: required_sample_size(2, F(1, 2), 1), ValueError
+    yield "sup_global_gap-unequal-sizes", lambda: sup_global_gap([model, model], constant), InvalidInstanceError
+    yield "lb_parameters-gamma", lambda: lb_parameters(3), ValueError
+    yield "lb_parameters-scale", lambda: lb_parameters(2, 0), ValueError
+    yield "gen_randomized_lb-variant", lambda: gen_randomized_lb(2, "triple"), InvalidInstanceError
+    yield "parse_instance-domain", lambda: parse_instance('{"class": "constant", "domain": 3, "agents": [[1]]}'), InstanceParseError
+
+
+@pytest.mark.parametrize("call, kind", [pytest.param(c, k, id=name) for name, c, k in documented_refusals()])
+def test_each_documented_refusal_raises_its_type(call, kind):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is kind
 
 
 @pytest.mark.parametrize(

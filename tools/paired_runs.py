@@ -15,7 +15,10 @@ one markdown table row per (workload, seed), each cell reading
     parent median [Q1, Q3] -> change median, relative change, pairs won
 
 where a pair is won when the change's value is better than the parent's
-in the direction the metric names.
+in the direction the metric names.  Two flags may follow: `unresolved`
+when the medians differ by no more than the parent's interquartile range,
+and `over bound` when the change's median is worse than the parent's by
+more than the metric's relative `bound` in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -52,15 +55,19 @@ def number(value: float) -> str:
     return f"{value:.4f}"
 
 
-def cell(parent: list, change: list, better: str) -> str:
+def cell(parent: list, change: list, metric: dict) -> str:
     """median [Q1, Q3] of the parent -> the change's median, the relative
-    change of the medians, and the pairs the change won."""
+    change of the medians, the pairs the change won, and the flags
+    `unresolved` and `over bound`, for `metric`, an `end_to_end` entry of
+    BENCHMARK.json."""
     q1, mid, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     new = statistics.median(change)
-    sign = 1 if better == "higher" else -1
+    sign = 1 if metric["better"] == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    return (f"{number(mid)} [{number(q1)}, {number(q3)}] → {number(new)}, "
-            f"{(new - mid) / mid:+.1%}, {won}/{len(parent)}")
+    flags = [flag for flag, on in (("unresolved", abs(new - mid) <= q3 - q1),
+                                   ("over bound", sign * (mid - new) > metric["bound"] * mid)) if on]
+    return ", ".join([f"{number(mid)} [{number(q1)}, {number(q3)}] → {number(new)}",
+                      f"{(new - mid) / mid:+.1%}", f"{won}/{len(parent)}", *flags])
 
 
 def main(argv=None) -> None:
@@ -87,7 +94,7 @@ def main(argv=None) -> None:
                       file=sys.stderr, flush=True)
             cells = [
                 cell([r[m["name"]] for r in runs[args.parent]],
-                     [r[m["name"]] for r in runs[args.change]], m["better"])
+                     [r[m["name"]] for r in runs[args.change]], m)
                 for m in metrics
             ]
             rows.append(f"| {workload}, {seed} | " + " | ".join(cells) + " |")
