@@ -19,13 +19,18 @@ agents siding with the second labeling), so an outcome-cache miss builds
 no instance.  A fit is `fn` with the profile left open: `fit(cls, advice)`
 raises what `fn` raises for that class and advice, and otherwise returns
 `profile -> outcome`.  A mechanism keeps one entry (`_Entry`) per (class,
-advice) it meets: that function, made and checked once, the outcome cache
-keyed by the profile alone, and the rows.  The fit serves the caches only.
-Each registered fit hands back one object per value of what it reads:
-pfa's and lpfa's the interned outcomes of a profile's two ends or of the
+advice) it meets, the advice keyed by its (numerator, denominator): that
+function, made and checked once, the outcome cache keyed by the profile
+alone, and the rows.  The fit serves the caches only.  Each registered
+fit hands back the context's interned object, one per value of what it
+reads: pfa's and lpfa's the outcomes of a profile's two ends or of the
 advice (`_clamped`), mean's one per (sum of labels, sum of sizes), srda's
-one per (count, number of agents, advice) and the two-labeling pfa's one
-per (count, number of agents), each kept in a `functools.cache`.
+one per (gamma, count, number of agents, advice) and the two-labeling
+pfa's one per (disagreement points, count, number of agents, advice),
+each kept in a `functools.cache` that every class the mechanism serves
+shares, as it shares what a fit builds from gamma alone (the two-labeling
+pfa's `PfaConfig`, the two-labeling srda's reduced class per number of
+disagreement points).
 
 `check_strategyproof` and `check_group_strategyproof` are one engine,
 `_audit`, at coalition size 1 and up to `max_coalition`, built from three
@@ -72,10 +77,11 @@ slot number, never by a mechanism's id, which a new mechanism may reuse.
 
 So a cold audit pays per distinct outcome, not per (gamma, advice,
 profile).  An outcome-cache miss is one fit call that returns an object
-its memo already holds, or builds one per new statistic value, and one
-check of the object's id against the intern's (`_Entry`); only an object
-the intern does not hold yet is scanned for floats and looked up by
-value.  Filling a row is one cache lookup per joint report of the slot's
+its memo already holds, or builds and interns one per new statistic
+value, and one check of the object's id against the intern's (`_Entry`),
+which passes every registered fit's object; only an object the intern
+does not hold (a fit from outside the registry) is interned there.
+Filling a row is one cache lookup per joint report of the slot's
 profiles, with no sort, and one pass by identity for its distinct
 outcomes (`_row`).
 
@@ -98,16 +104,23 @@ Ratio loops compile an instance (`CompiledInstance`) and run
 `brute_force_optimal_risk`, the independent check of the optimum, once:
 per sweep in `consistency_robustness_sweep` (with the optimal functions
 and advice grid; `frontier_row` is the sweep at one gamma), per call in
-`approximation_ratio` and `error_interpolation_check`.  A ratio query then
+`approximation_ratio` and `error_interpolation_check`.  A sweep, like the
+CLI's `audit`, keeps one mechanism per (gamma, `MechanismFamily.key`):
+one per domain for pfa and one for every class of the other families, so
+a corpus of two-labeling instances, each of its own class, shares one
+mechanism, its context and its fit's memos per gamma.  A ratio query then
 costs one mechanism outcome (a cache lookup or one fit) plus one bisect,
-and its risk is the int pair of `CompiledInstance.risk_pair`.  pfa's and
-lpfa's fits on the real line clamp the advice between two ends of the
-profile (`regression.pfa_ends`, one scan), computed once per (gamma,
-profile), so a sweep's ~22 advice values per instance share one scan.  A
-sweep keeps the worst risk per (gamma, instance), over the optimal
-functions and over the grid, as an int pair compared by
-cross-multiplication, and builds one Fraction and one ratio for each
-(`_worst_ratio`); a float risk gets its own ratio, as every risk did.
+and its risk is the int pair of `CompiledInstance.risk_pair`.  A cold
+query, one that makes a new (class, advice) entry, hashes the advice as
+an int pair, not as a Fraction.  pfa's and lpfa's fits on the real line
+clamp the advice between two ends of the profile (`regression.pfa_ends`,
+one scan), computed once per (gamma, profile) and kept as int pairs, so a
+sweep's ~22 advice values per instance share one scan and each compares
+with the ends by cross-multiplication.  A sweep keeps the worst risk per
+(gamma, instance), over the optimal functions and over the grid, as an
+int pair compared by cross-multiplication, and builds one Fraction and
+one ratio for each (`_worst_ratio`); a float risk gets its own ratio, as
+every risk did.
 """
 
 from __future__ import annotations
@@ -304,13 +317,13 @@ class _Entry(dict):
     """A mechanism's state at one (class, advice): the function its
     `fit(cls, advice)` returned, `rows` (row slot -> row), and the entry
     itself, the outcome cache: profile -> outcome.  A miss runs the fit on
-    the profile.  The registered fits hand back one object per value of
-    what they read, most of them the intern's already, so a miss checks
-    the object's id against the context's `held` and passes it through
-    `_Context.intern` only when it is not there: one float scan and one
-    intern lookup per distinct object a fit makes, not per miss.  An
-    outcome holding a float raises AttributeError, as `_risk_sum` does on
-    one, and is not stored."""
+    the profile.  The registered fits hand back the intern's own object,
+    interned by their memos when made, so a miss checks the object's id
+    against the context's `held` and passes it through `_Context.intern`
+    only when it is not there, as for a fit from outside the registry:
+    one float scan and one intern lookup per distinct object a fit makes,
+    not per miss.  An outcome holding a float raises AttributeError, in
+    the memo or here, as `_risk_sum` does on one, and is not stored."""
 
     __slots__ = ("fit", "rows", "held", "intern")
 
@@ -390,13 +403,16 @@ class AuditableMechanism:
     def _entry(self, cls, advice) -> _Entry:
         """The entry of (cls, advice), made by `fit(cls, advice)` when first
         asked for: a class or advice the fit refuses raises, every time,
-        and stores no entry.  Classes and advice are keyed by equality;
-        float advice must not reach here, since 0.0 == 0."""
+        and stores no entry.  Classes are keyed by equality, and the advice
+        by its (numerator, denominator), a pair of ints that hashes fast
+        and is equal exactly when two exact advice values are; float advice
+        must not reach here, since 0.0 == 0."""
         if cls is not self._view[0]:  # a class hashes slowly, and audits ask for one often
             self._view = (cls, self._cache.setdefault(cls, {}))
-        entry = self._view[1].get(advice)
+        key = advice.numerator, advice.denominator
+        entry = self._view[1].get(key)
         if entry is None:
-            entry = self._view[1][advice] = _Entry(self.fit(cls, advice), self.context)
+            entry = self._view[1][key] = _Entry(self.fit(cls, advice), self.context)
         return entry
 
     def outcome(self, instance: Instance, advice, profile=None):
@@ -455,14 +471,16 @@ def _clamped(cfg: PfaConfig, fit, choice, intern):
     `cfg`, by the clamp identity of `pfa_ends`.  The outcome is the
     `choice` of the advice clamped between the ends of the profile's
     slope-visible projections.  A memo, kept for the life of the
-    mechanism, holds per profile its ends and their outcomes; the outcome
-    of the advice is made when the fit is, once per (class, advice) entry;
-    and each outcome is made once per value and passed through `intern`
-    (the context's).  So a miss compares the advice with two ends and
-    returns one of three interned objects, and the advice values asked of
-    one profile share one `pfa_ends` scan.  With no visible projection the
-    fit is the advice.  The identity is proved on the real line, and it
-    holds on a finite domain too: there every projection and the advice are
+    mechanism, holds per profile its ends, as int pairs (num, den), and
+    their outcomes; the advice's pair and outcome are made when the fit
+    is, once per (class, advice) entry; and each outcome is made once per
+    value and passed through `intern` (the context's).  So a miss compares
+    the advice with two ends by cross-multiplication, with no Fraction
+    arithmetic, and returns one of three interned objects, and the advice
+    values asked of one profile share one `pfa_ends` scan.  With no
+    visible projection the fit is the advice, between the ends -1/0 and
+    1/0, which stand for -inf and inf.  The identity is proved on the real
+    line, and it holds on a finite domain too: there every projection and the advice are
     domain values, so the real-line fit, one of them, is a domain value,
     and it is the one the finite fit returns.  `fit` itself answers a float
     lam, advice or domain value, whose outcome types the ends would not
@@ -474,20 +492,20 @@ def _clamped(cfg: PfaConfig, fit, choice, intern):
     def ends_of(profile):
         visible = [proj for proj in profile if proj]  # SLOPE_INVISIBLE is the empty tuple
         if not visible:  # every slope fits: the advice, between no ends
-            return -INF, INF, None, None
+            return -1, 0, 1, 0, None, None
         lo, hi = pfa_ends(cfg, visible)
-        return lo, hi, chosen(lo), chosen(hi)
+        return lo.numerator, lo.denominator, hi.numerator, hi.denominator, chosen(lo), chosen(hi)
 
-    ends = {}  # profile -> (L, R, the outcome at L, at R)
+    ends = {}  # profile -> (L and R as (num, den), the outcome at L, at R)
 
     def at(advice):
         if not clamps or isinstance(advice, float):
             return lambda profile: fit(cfg, profile, advice)
-        inside = chosen(advice)
+        inside, p, q = chosen(advice), advice.numerator, advice.denominator
 
         def clamped(profile):
-            lo, hi, at_lo, at_hi = ends.get(profile) or ends.setdefault(profile, ends_of(profile))
-            return at_lo if advice <= lo else at_hi if advice >= hi else inside
+            ln, ld, hn, hd, at_lo, at_hi = ends.get(profile) or ends.setdefault(profile, ends_of(profile))
+            return at_lo if p * ld <= ln * q else at_hi if p * hd >= hn * q else inside
 
         return clamped
 
@@ -564,8 +582,8 @@ def lpfa_mechanism(gamma) -> AuditableMechanism:
 
 def mean_mechanism() -> AuditableMechanism:
     """Non-strategyproof baseline: the plain average of all reported labels.
-    Its signature is (sum, |S_i|), and its fit keeps one outcome per
-    (sum of the sums, sum of the sizes)."""
+    Its signature is (sum, |S_i|), and its fit keeps one interned outcome
+    per (sum of the sums, sum of the sizes)."""
 
     def fn(instance, advice):
         labels = instance.all_labels()
@@ -574,12 +592,13 @@ def mean_mechanism() -> AuditableMechanism:
     def signature(xs, labels, cls):
         return sum(labels), len(labels)
 
-    means = cache(lambda total, size: ConstantChoice(exact_div(total, size)))
-
     def mean(profile):
         return means(sum(s for s, _ in profile), sum(m for _, m in profile))
 
-    return AuditableMechanism(fn, "mean-baseline", signature, lambda cls, advice: mean)
+    mechanism = AuditableMechanism(fn, "mean-baseline", signature, lambda cls, advice: mean)
+    intern = mechanism.context.intern  # not the mechanism, which would make a cycle through its fit
+    means = cache(lambda total, size: intern(ConstantChoice(exact_div(total, size))))
+    return mechanism
 
 
 def _side_signature(literal_indicator: bool = False):
@@ -599,16 +618,20 @@ def _side_signature(literal_indicator: bool = False):
     return signature
 
 
-def _srda_fit(gamma, reduced: bool):
+def _srda_fit(gamma, reduced: bool, intern):
     """srda's lottery from the count of True signatures, on the instance's
-    class or (`reduced`) on the {c0, c1} class `two_labeling_reduce` maps to.
-    The lottery depends on the class only through its checks, so the
-    mechanism keeps one per (gamma, count, agents, advice) for every class."""
-    lottery = cache(lambda g, count, n, advice: srda_fit(g, Fraction(count, n), advice))
+    class or (`reduced`) on the {c0, c1} class `two_labeling_reduce` maps
+    to, built once per number m of disagreement points.  The lottery
+    depends on the class only through its checks, so the mechanism keeps
+    one per (gamma, count, agents, advice) for every class, passed through
+    `intern` (its context's) when made; a lottery holding a float raises
+    AttributeError there and is not kept."""
+    lottery = cache(lambda g, count, n, advice: intern(srda_fit(g, Fraction(count, n), advice)))
+    reduced_class = cache(c0c1_class)
 
     def fit(cls, advice):
         if reduced:
-            cls = c0c1_class(len(disagreement_points(cls, advice)))
+            cls = reduced_class(len(disagreement_points(cls, advice)))
         g = check_srda_inputs(gamma, cls, advice)
         return lambda profile: lottery(g, sum(s for (s,) in profile), len(profile), advice)
 
@@ -622,35 +645,47 @@ def srda_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism
     def fn(instance, advice):
         return srda(gamma, instance, advice, literal_indicator)
 
-    return _sharing(
+    mechanism = _sharing(
         ("srda", literal_indicator), lambda: _side_signature(literal_indicator),
-        fn, f"srda(gamma={gamma})", _srda_fit(gamma, False),
+        fn, f"srda(gamma={gamma})", None,
     )
+    mechanism.fit = _srda_fit(gamma, False, mechanism.context.intern)
+    return mechanism
 
 
 def pfa_two_labeling_mechanism(gamma) -> AuditableMechanism:
+    """The two-labeling pfa, whose fit is pfa's on the reduced profile: each
+    agent a constant dataset of m copies of its side (0 or 1), m the
+    class's disagreement points.  The mechanism builds its `PfaConfig` once
+    (on first use, so a gamma out of range raises where `fn` does) and
+    keeps one interned choice per (m, count, agents, advice) for every
+    class it serves."""
+
     def fn(instance, advice):
         return pfa_two_labeling(gamma, instance, advice)
 
+    config = cache(lambda: PfaConfig(gamma, BINARY_DOMAIN))
+    choice = cache(lambda m, count, n, advice: intern(LabelingChoice(
+        int(pfa_fit(config(), [(1, m)] * count + [(0, m)] * (n - count), advice).value)
+    )))
+
     def fit(cls, advice):
         m = len(disagreement_points(cls, advice))
-        cfg = PfaConfig(gamma, BINARY_DOMAIN)
-        choice = cache(lambda count, n: LabelingChoice(
-            int(pfa_fit(cfg, [(1, m)] * count + [(0, m)] * (n - count), advice).value)
-        ))
-        return lambda profile: choice(sum(s for (s,) in profile), len(profile))
+        config()  # checks gamma
+        return lambda profile: choice(m, sum(s for (s,) in profile), len(profile), advice)
 
-    return AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
+    mechanism = AuditableMechanism(fn, f"pfa-two-labeling(gamma={gamma})", _side_signature(), fit)
+    intern = mechanism.context.intern
+    return mechanism
 
 
 def srda_two_labeling_mechanism(gamma, literal_indicator: bool = False) -> AuditableMechanism:
     def fn(instance, advice):
         return srda_two_labeling(gamma, instance, advice, literal_indicator)
 
-    return AuditableMechanism(
-        fn, f"srda-two-labeling(gamma={gamma})",
-        _side_signature(literal_indicator), _srda_fit(gamma, True),
-    )
+    mechanism = AuditableMechanism(fn, f"srda-two-labeling(gamma={gamma})", _side_signature(literal_indicator))
+    mechanism.fit = _srda_fit(gamma, True, mechanism.context.intern)
+    return mechanism
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1085,9 @@ class MechanismFamily(Value):
     name, with the function class it accepts, its gamma range
     (0, gamma_max], `make(gamma, cls)` and the constant `robust` of its
     guarantee: consistency 1 + gamma and robustness 1 + robust/gamma.
-    `robust` is None for a baseline with no tradeoff curve."""
+    `robust` is None for a baseline with no tradeoff curve.  `key` is the
+    one rule by which the sweep and the CLI's `audit` keep a mechanism per
+    gamma for many classes."""
 
     _fields = ("name", "function_class", "gamma_max", "make", "robust")
 
@@ -1063,6 +1100,16 @@ class MechanismFamily(Value):
         """The mechanism at gamma for instances of class `cls`."""
         self.check_class(cls)
         return self.make(gamma, cls)
+
+    def key(self, cls):
+        """What a caller keeps the family's mechanisms of one gamma by, for
+        instances of class `cls`, once `check_class` passes it: `make`
+        reads nothing of a class but a ConstantClass's domain, so the
+        domain, and None for every other class.  One mechanism per (gamma,
+        key) then serves every class of the key, each class with its own
+        checked entry (`AuditableMechanism._entry`)."""
+        self.check_class(cls)
+        return getattr(cls, "domain", None)
 
     def bounds(self, gamma) -> tuple:
         """(consistency, robustness) guaranteed at gamma."""
@@ -1107,14 +1154,17 @@ def consistency_robustness_sweep(
 ):
     """Worst measured ratios per gamma next to the theoretical bounds.  Each
     instance is prepared once per sweep, after the bound and class checks;
-    rows are built one gamma at a time, so one gamma's outcome caches are held."""
+    rows are built one gamma at a time, so one gamma's outcome caches are
+    held.  At each gamma one mechanism per `MechanismFamily.key` serves
+    every instance of that key: one per domain for pfa, one for the whole
+    corpus of every other family, two-labeling instances of many classes
+    included."""
     corpus = list(corpus)
     if not corpus:
         raise ValueError("an empty corpus certifies nothing")
     gammas = list(gammas)
     bounds = [family.bounds(g) for g in gammas]
-    for instance in corpus:
-        family.check_class(instance.function_class)
+    keys = [family.key(instance.function_class) for instance in corpus]
     prepared = [
         (instance, CompiledInstance(instance), brute_force_optimal_risk(instance),
          optimal_functions(instance), advice_grid(instance, grid_points))
@@ -1124,11 +1174,10 @@ def consistency_robustness_sweep(
     for gamma, (bc, br) in zip(gammas, bounds):
         mechs = {}
         consistency = robustness = 0
-        for instance, compiled, best, optimal, grid in prepared:
-            cls = instance.function_class
-            if cls not in mechs:
-                mechs[cls] = family.mechanism(gamma, cls)
-            risk = _risk_at(mechs[cls], instance, compiled)
+        for key, (instance, compiled, best, optimal, grid) in zip(keys, prepared):
+            if key not in mechs:
+                mechs[key] = family.make(gamma, instance.function_class)
+            risk = _risk_at(mechs[key], instance, compiled)
             consistency = max(consistency, _worst_ratio([risk(a) for a in optimal], best))
             robustness = max(robustness, _worst_ratio([risk(a) for a in grid], best))
         ok = consistency <= bc + tolerance and robustness <= br + tolerance

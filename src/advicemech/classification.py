@@ -45,7 +45,8 @@ def disagreement_points(cls, advice: int) -> tuple:
 
 
 def _require_c0c1(cls) -> None:
-    if two_labeling_pair(cls) != c0c1_class(cls.num_points).labelings:
+    pair = two_labeling_pair(cls)
+    if pair != ((0,) * len(pair[0]), (1,) * len(pair[0])):  # c0c1_class's labelings, with no class built
         raise ClassMismatchError("instance must be over the all-0s/all-1s pair")
 
 

@@ -199,19 +199,21 @@ def cmd_audit(args, err):
     epsilon = _parse_fraction(args.epsilon, "--epsilon")
     violations = []
     checked = 0
-    # per class, its mechanism at every gamma, alive together so that they
-    # share a context; each advice's space, and so its plan, serves them all
+    # per `family.key` of a class (pfa's domain; one for every class of the
+    # other families), its mechanism at every gamma, alive together so that
+    # they share a context; each advice's space, and so its plan, serves them all
     mechanisms = {}
     for name, instance in corpus:
         advices = [_parse_advice(tok, instance) for tok in str(args.advice).split(",")]
         cls = instance.function_class
-        if cls not in mechanisms:
-            mechanisms[cls] = [family.mechanism(gamma, cls) for gamma in gammas]
+        key = family.key(cls)
+        if key not in mechanisms:
+            mechanisms[key] = [family.make(gamma, cls) for gamma in gammas]
         check_nondegenerate(instance)
         found = [[] for _ in gammas]  # stdout lists violations by gamma, then advice
         for advice in advices:
             space = _space(args.space, instance, advice)
-            for gamma, mech, rows in zip(gammas, mechanisms[cls], found):
+            for gamma, mech, rows in zip(gammas, mechanisms[key], found):
                 report = audit_mod.check_group_strategyproof(
                     mech, instance, advice, space, args.max_coalition, epsilon
                 )

@@ -20,6 +20,7 @@ from .model import (
     ConstantClass,
     Instance,
     InvalidInstanceError,
+    LossKernel,
     Real,
     REALS,
     Value,
@@ -136,19 +137,40 @@ def sup_global_gap(agents, instance: Instance) -> Real:
 
 
 def _global_gap(agents, compiled: CompiledInstance) -> Real:
-    """`sup_global_gap` on a compiled instance: one bisect per breakpoint.
-    Both risks are piecewise linear in the constant with breakpoints at the
-    label values, and their difference is constant beyond the extremes, so
-    the sup is attained at a breakpoint or equals the difference of means.
+    """`sup_global_gap` on a compiled constant-class instance.  Both risks
+    are piecewise linear in the constant with breakpoints at the label
+    values, and their difference is constant beyond the extremes, where it
+    is the difference of means, so the sup is attained at a breakpoint or
+    equals that difference.
+
+    On exact data both risks come from `LossKernel`s: the empirical one is
+    the compiled instance's `sums`, whose values are the sampled labels,
+    and the statistical one is compiled here over every agent's (label,
+    probability) support entries.  The breakpoints are the two kernels'
+    distinct values, each queried as p/q over q, the lcm of the two
+    kernels' value denominators, so every loss sum of one kernel has one
+    denominator, and the gaps compare as ints; one Fraction is built.
+    Beyond the extremes both risks grow with slope 1 (each agent's
+    probabilities sum to one), so the gap there, the difference of means,
+    is the gap at the extreme breakpoints.  A float label or probability
+    takes the sums in the arithmetic of the values, label by label.
     """
     if len({len(a) for a in compiled.instance.agents}) != 1:
         raise InvalidInstanceError("global gap needs equal per-agent sample sizes")
-    labels = compiled.instance.all_labels()
-    breaks = sorted({y for a in agents for y in a.label_values()} | set(labels))
-    gap = max(abs(statistical_global_risk(b, agents) - compiled.risk(b)) for b in breaks)
-    stat_mean = exact_div(sum(p * a.label_of(x) for a in agents for x, p in a.support), len(agents))
-    emp_mean = sum(labels, start=Fraction(0)) / len(labels)
-    return max(gap, abs(stat_mean - emp_mean))
+    entries = [(a.label_of(x), p) for a in agents for x, p in a.support]
+    try:
+        stat, emp = LossKernel(*zip(*entries)), compiled.sums
+    except AttributeError:  # a float
+        labels = compiled.instance.all_labels()
+        breaks = sorted({y for a in agents for y in a.label_values()} | set(labels))
+        gap = max(abs(statistical_global_risk(b, agents) - compiled.risk(b)) for b in breaks)
+        stat_mean = exact_div(sum(p * y for y, p in entries), len(agents))
+        return max(gap, abs(stat_mean - sum(labels, start=Fraction(0)) / len(labels)))
+    n, size, q = len(agents), compiled.size, math.lcm(stat.scale[0], emp.scale[0])
+    sd, ed = (q * d * e for d, e in (stat.scale, emp.scale))  # the denominators of their sums at p/q
+    points = {v * (q // k.scale[0]) for k in (stat, emp) for v in k.values}  # every breakpoint, times q
+    top = max(abs(stat(p, q)[0] * ed * size - emp(p, q)[0] * sd * n) for p in points)
+    return Fraction(top, sd * ed * n * size)
 
 
 class GapTrialRow(Value):
@@ -203,6 +225,12 @@ def composition_experiment(
 
     The inequality is only claimed on trials where every measured gap is at
     most epsilon/2; the flag for that precondition is recorded per trial.
+
+    The advice is the largest sampled label of least empirical risk.  On
+    exact labels it is read off the trial's compiled instance: its `sums`
+    kernel queried at each distinct value v over the values' denominator
+    d, where every loss sum has the one denominator d*d*E, so numerators
+    compare as they are.  The same compiled instance serves the global gap.
     """
     agents = list(agents)
     m = required_sample_size(len(agents), epsilon, delta, constant)
@@ -213,9 +241,11 @@ def composition_experiment(
         trial_seed = seed + t
         inst = sample_instance(agents, m, trial_seed)
         compiled = CompiledInstance(inst)
-        labels = sorted(set(inst.all_labels()))
-        risks = {c: compiled.risk(c) for c in labels}
-        emp_best = max(c for c in labels if risks[c] == min(risks.values()))
+        try:  # the distinct labels v/d, and the numerators of their loss sums
+            sums, d = compiled.sums, compiled.sums.scale[0]
+            emp_best = Fraction(min(dict.fromkeys(sums.values), key=lambda v: (sums(v, d)[0], -v)), d)
+        except AttributeError:  # a float label
+            emp_best = min(set(inst.all_labels()), key=lambda c: (compiled.risk(c), -c))
         choice = pfa(PfaConfig(Fraction(gamma)), inst, emp_best).value
         personal_ok = all(
             sup_personal_gap(a, d) <= Fraction(epsilon) / 2

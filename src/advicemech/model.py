@@ -699,21 +699,53 @@ def global_risk(f, instance: Instance) -> Real:
     return _risk(f, instance.function_class, instance.agents)
 
 
+class LossKernel:
+    """The sorted-prefix kernel: the weighted absolute loss sum
+    sum_j w_j * |a - v_j| + offset of exact values v_j, nonnegative weights
+    w_j and an offset, for many queries a.  It is scaled once to ints:
+    values V_j over D, the lcm of their denominators, and weights W_j and
+    the offset over E, the lcm of theirs.  Sorted by value, with prefix
+    sums W_k of W_j and V_k of W_j*V_j, a query a = p/q (q > 0, not
+    necessarily in lowest terms) has k = bisect_right(values, (p*D)//q)
+    values at or below it and the loss sum (p*D*(2*W_k - W) + q*(V - 2*V_k
+    + offset*D)) / (q*D*E): one bisect and integer arithmetic per query
+    instead of a scan of every value.  A float among the values, weights or
+    offset has no denominator: AttributeError."""
+
+    def __init__(self, values, weights, offset=0):
+        d, values = _common(values)
+        e, (offset, *weights) = _common([offset, *weights])
+        self.scale = d, e
+        self.offset = offset * d
+        self.values = []
+        self.weight_prefix = weight_sums = [0]
+        self.value_prefix = value_sums = [0]
+        for v, w in sorted(zip(values, weights)):
+            self.values.append(v)
+            weight_sums.append(weight_sums[-1] + w)
+            value_sums.append(value_sums[-1] + w * v)
+
+    def __call__(self, p: int, q: int) -> tuple:
+        """The loss sum at a = p/q as ints (num, den)."""
+        d, e = self.scale
+        k = bisect_right(self.values, p * d // q)
+        w_k, v_k = self.weight_prefix[k], self.value_prefix[k]
+        w, v = self.weight_prefix[-1], self.value_prefix[-1]
+        return p * d * (2 * w_k - w) + q * (v - 2 * v_k + self.offset), q * d * e
+
+
 class CompiledInstance:
     """One instance prepared for many exact `global_risk` queries.
 
-    Constant and linear class: the `class_entries` of the instance.  It is
-    scaled once to ints: values V_j over D, the lcm of their denominators,
-    and weights W_j and the offset over E, the lcm of theirs.  Sorted by
-    value, with prefix sums W_k of W_j and V_k of W_j*V_j, a query a = p/q
-    has k = bisect_right(values, (p*D)//q) values at or below it and the
-    loss sum (p*D*(2*W_k - W) + q*(V - 2*V_k + offset*D)) / (q*D*E): one
-    bisect and integer arithmetic per query instead of a scan of every
-    point.  `risk_pair` returns the risk as that int pair, so that callers
-    comparing many risks build no Fraction; `risk` builds one.  An
-    instance or a query with a float in it is answered by `global_risk`
-    itself.  Labelings class: the loss count of each labeling, computed up
-    front; lotteries use the closed form, as in `global_risk`.
+    Constant and linear class: `sums`, the `LossKernel` of the instance's
+    `class_entries`, so a query is one bisect and integer arithmetic
+    instead of a scan of every point; for a constant class its values are
+    the labels, each of weight 1.  `risk_pair` returns the risk as an int
+    pair, so that callers comparing many risks build no Fraction; `risk`
+    builds one.  An instance or a query with a float in it is answered by
+    `global_risk` itself.  Labelings class: the loss count of each
+    labeling, computed up front; lotteries use the closed form, as in
+    `global_risk`.
     """
 
     def __init__(self, instance: Instance):
@@ -728,32 +760,16 @@ class CompiledInstance:
             )
             return
         xs = [x for agent in instance.agents for x in agent.xs]
-        values, weights, offset = class_entries(cls, xs, instance.all_labels())
         try:
-            d, values = _common(values)
-            e, (offset, *weights) = _common([offset, *weights])
-        except AttributeError:  # a float: with no `scale`, every query raises AttributeError
-            return
-        self.scale = d, e
-        self.offset = offset * d
-        self.values = []
-        self.weight_prefix = weight_sums = [0]
-        self.value_prefix = value_sums = [0]
-        for v, w in sorted(zip(values, weights)):
-            self.values.append(v)
-            weight_sums.append(weight_sums[-1] + w)
-            value_sums.append(value_sums[-1] + w * v)
+            self.sums = LossKernel(*class_entries(cls, xs, instance.all_labels()))
+        except AttributeError:  # a float: with no `sums`, every query raises AttributeError
+            pass
 
     def _query_sum(self, a) -> tuple:
         """The loss sum of the bare function a as ints (num, den)."""
         if self.labeling_sums is not None:
             return self.labeling_sums[a], 1
-        p, q = a.numerator, a.denominator
-        d, e = self.scale
-        k = bisect_right(self.values, p * d // q)
-        w_k, v_k = self.weight_prefix[k], self.value_prefix[k]
-        w, v = self.weight_prefix[-1], self.value_prefix[-1]
-        return p * d * (2 * w_k - w) + q * (v - 2 * v_k + self.offset), q * d * e
+        return self.sums(a.numerator, a.denominator)
 
     def risk_pair(self, f):
         """`global_risk(f, instance)` as ints (num, den), den > 0, whose

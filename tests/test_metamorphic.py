@@ -10,7 +10,13 @@ path within 1e-9.
 The same relations hold of verdicts: a group audit of pfa or of the mean
 moves by a known rule under translation, positive scaling and agent
 permutation, on a fresh context and on one the untransformed audit
-warmed, where a cache keyed by too little would answer stale."""
+warmed, where a cache keyed by too little would answer stale.  A sweep's
+rows, its worst ratios per gamma, do not move at all under the relations
+that keep ratios (translation and scaling for pfa, y- and x-scaling for
+lpfa, agent and corpus order for every swept family, and for the
+two-labeling srda which labeling comes first), and a sweep of a corpus
+reads the worst of its instances' sweeps.  Every corpus holds at least
+three instances, so one mechanism per gamma serves several classes."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -22,6 +28,7 @@ from hypothesis import strategies as st
 from advicemech import (
     MECHANISMS,
     Instance,
+    LabelingsClass,
     PfaConfig,
     ValueDomain,
     constant_instance,
@@ -36,6 +43,7 @@ from advicemech.audit import (
     GridLabels,
     Violation,
     check_group_strategyproof,
+    consistency_robustness_sweep,
     mean_mechanism,
     pfa_mechanism,
 )
@@ -267,3 +275,111 @@ def test_audit_verdicts_follow_translation_scaling_and_permutation(name, relatio
         lambda: make(gamma), sibling, instance, advice, levels, (moved, label(advice), list(map(label, levels)))
     )
     assert fresh == warm == mapped(expected, label, risk)
+
+
+# ---------------------------------------------------------------------------
+# verdicts: the relations on sweep rows, over corpora one mechanism serves
+# ---------------------------------------------------------------------------
+
+SWEEP_EXAMPLES = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+SWEEP_GAMMAS = {"pfa": (F(1, 4), 1, 2), "lpfa": (F(1, 2), 2), "pfa-two-labeling": (F(1, 4), 1, 2),
+                "srda-two-labeling": (F(1, 4), F(2, 3), 1)}
+small_labels = st.lists(st.lists(rationals, min_size=1, max_size=3), min_size=1, max_size=3)
+# x = 0 points included, but every instance has a nonzero x, or no slope is optimal
+linear_points = st.lists(
+    st.lists(st.tuples(st.builds(F, st.integers(-3, 3), st.integers(1, 2)), rationals), min_size=1, max_size=3),
+    min_size=1, max_size=3,
+).filter(lambda agents: any(x for agent in agents for x, _ in agent))
+
+
+@st.composite
+def two_labeling_instances(draw, odd=False):
+    """A two-labeling instance over 1 to 4 shared points; with `odd`, its
+    labelings disagree on an odd number of points, so that no agent sides
+    with both."""
+    m = draw(st.integers(1, 4))
+    bits = st.tuples(*[st.sampled_from((0, 1))] * m)
+    pair = draw(st.tuples(bits, bits).filter(
+        lambda p: p[0] != p[1] and (not odd or sum(a != b for a, b in zip(*p)) % 2)
+    ))
+    return shared_binary_instance(draw(st.lists(bits, min_size=1, max_size=4)), pair)
+
+
+def corpora(instances):
+    return st.lists(instances, min_size=3, max_size=4)
+
+
+CORPORA = {
+    "pfa": corpora(small_labels.map(constant_instance)),
+    "lpfa": corpora(linear_points.map(linear_instance)),
+    "pfa-two-labeling": corpora(two_labeling_instances()),
+    "srda-two-labeling": corpora(two_labeling_instances()),
+}
+
+
+def sweep(name, corpus):
+    return consistency_robustness_sweep(MECHANISMS[name], SWEEP_GAMMAS[name], corpus)
+
+
+@pytest.mark.parametrize("relation", (*SHIFTS, *FACTORS))
+@SWEEP_EXAMPLES
+@given(data=st.data())
+def test_pfa_sweep_rows_keep_under_translation_and_scaling(relation, data):
+    corpus = data.draw(CORPORA["pfa"])
+    if relation in SHIFTS:
+        c = data.draw(SHIFTS[relation])
+        label = lambda y: y + c  # noqa: E731
+    else:
+        label = lambda y: FACTORS[relation] * y  # noqa: E731
+    moved = [constant_instance([list(map(label, a.labels)) for a in inst.agents]) for inst in corpus]
+    fresh = sweep("pfa", moved)
+    # a pfa mechanism at a gamma the sweep does not use keeps the context
+    # the untransformed sweep warmed alive for the transformed one
+    held = pfa_mechanism(F(3, 2))  # noqa: F841
+    expected = sweep("pfa", corpus)
+    assert fresh == sweep("pfa", moved) == expected
+
+
+@pytest.mark.parametrize("axis", ("y", "x"))
+@SWEEP_EXAMPLES
+@given(data=st.data())
+def test_lpfa_sweep_rows_keep_under_y_and_x_scaling(axis, data):
+    corpus, k = data.draw(CORPORA["lpfa"]), data.draw(positive)
+    moved = [
+        linear_instance([[(x, k * y) if axis == "y" else (k * x, y) for x, y in zip(a.xs, a.labels)]
+                         for a in inst.agents])
+        for inst in corpus
+    ]
+    assert sweep("lpfa", moved) == sweep("lpfa", corpus)
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+@SWEEP_EXAMPLES
+@given(data=st.data())
+def test_sweep_rows_keep_under_agent_and_corpus_permutation(name, data):
+    corpus = data.draw(CORPORA[name])
+    expected = sweep(name, corpus)
+    permuted = [
+        Instance(tuple(inst.agents[i] for i in data.draw(st.permutations(range(inst.n)))), inst.function_class)
+        for inst in corpus
+    ]
+    assert sweep(name, permuted) == expected
+    assert sweep(name, data.draw(st.permutations(corpus))) == expected
+
+
+@SWEEP_EXAMPLES
+@given(corpus=corpora(two_labeling_instances(odd=True)))
+def test_srda_two_labeling_sweep_rows_keep_when_the_labelings_swap(corpus):
+    swapped = [Instance(inst.agents, LabelingsClass(inst.function_class.labelings[::-1])) for inst in corpus]
+    assert sweep("srda-two-labeling", swapped) == sweep("srda-two-labeling", corpus)
+
+
+@pytest.mark.parametrize("name", ["pfa-two-labeling", "srda-two-labeling"])
+@SWEEP_EXAMPLES
+@given(data=st.data())
+def test_a_two_labeling_corpus_sweep_reads_the_worst_of_its_instances(name, data):
+    corpus = data.draw(CORPORA[name])
+    singles = [sweep(name, [inst]) for inst in corpus]
+    for g, row in enumerate(sweep(name, corpus)):
+        assert row.consistency == max(rows[g].consistency for rows in singles)
+        assert row.robustness == max(rows[g].robustness for rows in singles)

@@ -1,5 +1,6 @@
-"""`tools/count_lines.py` counts code lines, and `tools/paired_runs.py`
-reads a cell of paired runs, as their docstrings say."""
+"""`tools/count_lines.py` counts code lines, `tools/paired_runs.py` reads
+a cell of paired runs, and `tools/op_times.py` sums a round's operations
+by name, as their docstrings say."""
 
 import importlib.util
 from pathlib import Path
@@ -13,6 +14,9 @@ SPEC.loader.exec_module(count_lines)
 PAIRED = importlib.util.spec_from_file_location("paired_runs", ROOT / "tools" / "paired_runs.py")
 paired_runs = importlib.util.module_from_spec(PAIRED)
 PAIRED.loader.exec_module(paired_runs)
+OP_TIMES = importlib.util.spec_from_file_location("op_times", ROOT / "tools" / "op_times.py")
+op_times = importlib.util.module_from_spec(OP_TIMES)
+OP_TIMES.loader.exec_module(op_times)
 
 MODULE = '''"""A module docstring
 over two lines."""
@@ -79,3 +83,31 @@ FLAT = [10.0] * 4  # no spread: any difference is resolved
 )
 def test_a_cell_reads_the_medians_quartiles_pairs_and_flags(parent, change, better, text):
     assert paired_runs.cell(parent, change, {"better": better, "bound": 0.25}) == text
+
+
+def test_op_times_reads_the_median_of_each_operation_and_of_the_round():
+    # three rounds: two sweeps, two interpolation checks summed per round, a composition
+    rounds = [
+        [("sweep pfa", 3.0), ("sweep lpfa", 1.0), ("interpolation", 0.5), ("interpolation", 0.5), ("composition", 2.0)],
+        [("sweep pfa", 5.0), ("sweep lpfa", 2.0), ("interpolation", 1.0), ("interpolation", 2.0), ("composition", 1.0)],
+        [("sweep pfa", 4.0), ("sweep lpfa", 9.0), ("interpolation", 0.25), ("interpolation", 0.25), ("composition", 3.0)],
+    ]
+    assert op_times.summarize(rounds) == [
+        ("sweep pfa", 4.0), ("sweep lpfa", 2.0), ("interpolation ×2", 1.0), ("composition", 2.0),
+        ("round", 11.0),  # the round totals are 7, 11 and 16.5
+    ]
+
+
+def test_op_times_names_an_operation_by_its_verdict_and_its_family_or_command():
+    def _sweep_verdict(result):
+        pass
+
+    def _cli_verdict(result):
+        pass
+
+    def _composition_verdict(result):
+        pass
+
+    assert op_times.name(_sweep_verdict, ("pfa", [])) == "sweep pfa"
+    assert op_times.name(_cli_verdict, (["audit", "constant", "--mechanism", "pfa"], 0, 0, "", "")) == "cli audit constant"
+    assert op_times.name(_composition_verdict, ([object()], 7)) == "composition"
